@@ -17,6 +17,7 @@ import csv
 import io
 import json
 import sys
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from .claims import (
@@ -28,13 +29,7 @@ from .claims import (
     verify_problem19_orbits,
     verify_problem19_parity,
 )
-from .counting import (
-    BoundError,
-    COUNTERS,
-    containment_ratio,
-    count_with_forced_edge,
-    count_auto,
-)
+from .counting import BoundError, COUNTERS, containment_counts, count_auto
 from .graphs import GraphError
 from .regions import RegionError, RegionSpec, central_rhombus_edge
 from .spectra import kasteleyn_matrix, kk_star_charpoly, singular_values
@@ -171,13 +166,14 @@ def _cmd_ratio(args) -> int:
     spec = _load_spec(args.region)
     g = spec.build()
     edge = _resolve_edge(spec, g, args.edge)
-    ratio = containment_ratio(g, edge)
+    containing, total = containment_counts(g, edge)
+    ratio = Fraction(containing, total)
     if args.format == "json":
         doc = {
             "kind": spec.kind,
             "edge": [_label_doc(g.labels[i]) for i in edge],
-            "containing": str(count_with_forced_edge(g, edge)),
-            "total": str(count_auto(g)),
+            "containing": str(containing),
+            "total": str(total),
             "ratio": str(ratio),
         }
         _emit(json.dumps(doc, indent=2), args.out)

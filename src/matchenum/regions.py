@@ -325,7 +325,35 @@ def build_hypercube(n: int) -> MatchGraph:
 
 # -- declarative region specs ----------------------------------------------
 
-KINDS = ("HEXAGON", "AZTEC_DIAMOND", "AZTEC_RECTANGLE", "AZTEC_WINDOW", "HYPERCUBE")
+# required parameters of each kind; AZTEC_RECTANGLE also takes an
+# optional "removed" list of [i, j] cells
+KIND_PARAMS = {
+    "HEXAGON": ("sides",),
+    "AZTEC_DIAMOND": ("n",),
+    "AZTEC_RECTANGLE": ("a", "b"),
+    "AZTEC_WINDOW": ("x", "w"),
+    "HYPERCUBE": ("n",),
+}
+
+
+def _strict_int(value, what: str) -> int:
+    # bool is a subclass of int, and int() would silently truncate floats
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise RegionError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _strict_list(value, what: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise RegionError(f"{what} must be a list, got {value!r}")
+    return value
+
+
+def _strict_ints(value, what: str, length: int) -> None:
+    if len(_strict_list(value, what)) != length:
+        raise RegionError(f"{what} must have {length} entries, got {value!r}")
+    for v in value:
+        _strict_int(v, f"each entry of {what}")
 
 
 @dataclass(frozen=True)
@@ -333,6 +361,9 @@ class RegionSpec:
     """Declarative region description; the JSON form is the CLI input format.
 
     {"kind": "...", "params": {...}, "holes": [[x, y, "up"|"down"], ...]}
+
+    Parameters are checked strictly on construction: integers must be
+    ints (not bools or floats) and lists must be lists, else RegionError.
     """
 
     kind: str
@@ -340,28 +371,39 @@ class RegionSpec:
     holes: tuple[TriCell, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in KIND_PARAMS:
             raise RegionError(f"unknown region kind {self.kind!r}")
         if self.holes and self.kind != "HEXAGON":
             raise RegionError("holes are only supported for HEXAGON regions")
+        required = KIND_PARAMS[self.kind]
+        optional = ("removed",) if self.kind == "AZTEC_RECTANGLE" else ()
+        for name in required:
+            if name not in self.params:
+                raise RegionError(f"{self.kind} spec is missing parameter {name!r}")
+        for name, value in self.params.items():
+            what = f"{self.kind} parameter {name!r}"
+            if name not in required + optional:
+                raise RegionError(f"{self.kind} spec has unknown parameter {name!r}")
+            if name == "sides":
+                _strict_ints(value, what, length=6)
+            elif name == "removed":
+                for cell in _strict_list(value, what):
+                    _strict_ints(cell, f"each cell of {what}", length=2)
+            else:
+                _strict_int(value, what)
 
     def build(self) -> MatchGraph:
         p = self.params
-        try:
-            if self.kind == "HEXAGON":
-                return build_hexagon(p["sides"], self.holes)
-            if self.kind == "AZTEC_DIAMOND":
-                return build_aztec_diamond(int(p["n"]))
-            if self.kind == "AZTEC_RECTANGLE":
-                removed = [tuple(r) for r in p.get("removed", [])]
-                return build_aztec_rectangle(int(p["a"]), int(p["b"]), removed)
-            if self.kind == "AZTEC_WINDOW":
-                return build_aztec_window(int(p["x"]), int(p["w"]))
-            return build_hypercube(int(p["n"]))
-        except KeyError as exc:
-            raise RegionError(
-                f"{self.kind} spec is missing parameter {exc.args[0]!r}"
-            ) from None
+        if self.kind == "HEXAGON":
+            return build_hexagon(p["sides"], self.holes)
+        if self.kind == "AZTEC_DIAMOND":
+            return build_aztec_diamond(p["n"])
+        if self.kind == "AZTEC_RECTANGLE":
+            removed = [tuple(r) for r in p.get("removed", [])]
+            return build_aztec_rectangle(p["a"], p["b"], removed)
+        if self.kind == "AZTEC_WINDOW":
+            return build_aztec_window(p["x"], p["w"])
+        return build_hypercube(p["n"])
 
     def to_dict(self) -> dict:
         d = {"kind": self.kind, "params": dict(self.params)}
@@ -379,10 +421,14 @@ class RegionSpec:
         params = d.get("params", {})
         if not isinstance(params, dict):
             raise RegionError("'params' must be an object")
-        holes = tuple(
-            TriCell(int(h[0]), int(h[1]), str(h[2])) for h in d.get("holes", [])
-        )
-        return cls(kind=str(d["kind"]), params=params, holes=holes)
+        holes = []
+        for h in _strict_list(d.get("holes", []), "'holes'"):
+            if not isinstance(h, (list, tuple)) or len(h) != 3:
+                raise RegionError(f"each hole must be [x, y, 'up'|'down'], got {h!r}")
+            x, y, orient = h
+            holes.append(TriCell(_strict_int(x, "a hole's x"),
+                                 _strict_int(y, "a hole's y"), str(orient)))
+        return cls(kind=str(d["kind"]), params=params, holes=tuple(holes))
 
     @classmethod
     def from_json(cls, text: str) -> "RegionSpec":

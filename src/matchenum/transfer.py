@@ -103,7 +103,7 @@ def transfer_count(spec: RegionSpec) -> int:
     """Exact matching count of an Aztec window by the ring sweep."""
     if spec.kind != "AZTEC_WINDOW":
         raise RegionError("transfer_count only applies to AZTEC_WINDOW regions")
-    x, w = int(spec.params["x"]), int(spec.params["w"])
+    x, w = spec.params["x"], spec.params["w"]
     if x < 1 or w < 1:
         raise RegionError("Aztec window needs x >= 1 and w >= 1")
     if w > CUT_WIDTH_LIMIT:

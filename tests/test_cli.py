@@ -91,6 +91,24 @@ class TestCount:
         assert target.read_text().strip() == "3"
 
 
+class TestStrictParameters:
+    @pytest.mark.parametrize("doc, message", [
+        ({"kind": "AZTEC_DIAMOND", "params": {"n": 2.7}}, "'n' must be an integer"),
+        ({"kind": "AZTEC_WINDOW", "params": {"x": True, "w": 2}},
+         "'x' must be an integer"),
+        ({"kind": "HEXAGON", "params": {"sides": 5}}, "'sides' must be a list"),
+        ({"kind": "HEXAGON", "params": {"sides": [2, 2, 2, 2, 2, 2]},
+          "holes": [[0, 0]]}, "each hole must be"),
+    ], ids=["float-n", "bool-x", "scalar-sides", "short-hole"])
+    def test_rejected_with_exit_2(self, capsys, region_file, doc, message):
+        path = region_file("bad.json", doc)
+        code, out, err = run(capsys, "count", "--region", path)
+        assert code == 2
+        assert out == ""
+        assert message in err
+        assert "Traceback" not in err
+
+
 class TestRatio:
     def test_central_edge(self, capsys, region_file):
         path = region_file("hex.json", {

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -241,6 +242,49 @@ class TestForcedEdges:
             assert containment_ratio(g, e) == Fraction(1, 3)
 
 
+def det_fraction(m):
+    """Determinant by Gaussian elimination over the rationals."""
+    n = len(m)
+    a = [[Fraction(v) for v in row] for row in m]
+    det = Fraction(1)
+    for k in range(n):
+        pivot_row = next((r for r in range(k, n) if a[r][k] != 0), None)
+        if pivot_row is None:
+            return 0
+        if pivot_row != k:
+            a[k], a[pivot_row] = a[pivot_row], a[k]
+            det = -det
+        det *= a[k][k]
+        for r in range(k + 1, n):
+            f = a[r][k] / a[k][k]
+            for c in range(k, n):
+                a[r][c] -= f * a[k][c]
+    assert det.denominator == 1
+    return det.numerator
+
+
+def banded_matrix(rng, n, lo, hi, density=0.6, span=3):
+    """Random integer matrix whose nonzeros lie within lo diagonals below
+    and hi diagonals above the main diagonal."""
+    return [
+        [rng.randint(-span, span) if -lo <= j - i <= hi and rng.random() < density
+         else 0 for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def macmahon(a, b, c):
+    """Lozenge tilings of the hexagon (a, b, c, a, b, c): MacMahon's box
+    formula, the product over the a x b x c box of (i+j+k-1)/(i+j+k-2)."""
+    num = den = 1
+    for i in range(1, a + 1):
+        for j in range(1, b + 1):
+            for k in range(1, c + 1):
+                num *= i + j + k - 1
+                den *= i + j + k - 2
+    return num // den
+
+
 class TestBareiss:
     def test_small_determinants(self):
         assert det_bareiss([]) == 1
@@ -250,27 +294,105 @@ class TestBareiss:
 
     def test_against_fraction_elimination(self):
         rng = random.Random(7)
-
-        def det_fraction(m):
-            n = len(m)
-            a = [[Fraction(v) for v in row] for row in m]
-            det = Fraction(1)
-            for k in range(n):
-                pivot_row = next((r for r in range(k, n) if a[r][k] != 0), None)
-                if pivot_row is None:
-                    return 0
-                if pivot_row != k:
-                    a[k], a[pivot_row] = a[pivot_row], a[k]
-                    det = -det
-                det *= a[k][k]
-                for r in range(k + 1, n):
-                    f = a[r][k] / a[k][k]
-                    for c in range(k, n):
-                        a[r][c] -= f * a[k][c]
-            assert det.denominator == 1
-            return det.numerator
-
         for trial in range(30):
             n = rng.randint(1, 7)
             m = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
             assert det_bareiss(m) == det_fraction(m)
+
+    def test_banded_against_fraction_elimination(self):
+        rng = random.Random(11)
+        for trial in range(300):
+            n = rng.randint(1, 14)
+            lo, hi = rng.randint(0, n - 1), rng.randint(0, n - 1)
+            m = banded_matrix(rng, n, lo, hi, density=rng.choice((0.3, 0.7, 1.0)))
+            assert det_bareiss(m) == det_fraction(m), m
+
+    def test_sparse_zero_one_matrices(self):
+        # many zero pivots: swaps inside the band, or an early zero result
+        rng = random.Random(12)
+        for trial in range(300):
+            n = rng.randint(2, 14)
+            lo, hi = rng.randint(1, 3), rng.randint(0, 3)
+            m = banded_matrix(rng, n, lo, hi, density=0.4, span=1)
+            m = [[abs(v) for v in row] for row in m]
+            assert det_bareiss(m) == det_fraction(m), m
+
+    def test_forced_zero_pivots(self):
+        # a zero diagonal makes every step before the first swap pivot on 0
+        rng = random.Random(13)
+        for trial in range(100):
+            n = rng.randint(2, 12)
+            m = banded_matrix(rng, n, rng.randint(1, 3), rng.randint(1, 3), density=0.9)
+            for k in range(n):
+                m[k][k] = 0
+            assert det_bareiss(m) == det_fraction(m), m
+
+    def test_triangular(self):
+        # lo = 0 leaves every row, the last one included, to lazy scaling
+        rng = random.Random(14)
+        for trial in range(50):
+            n = rng.randint(1, 12)
+            upper = banded_matrix(rng, n, 0, rng.randint(0, n - 1), density=0.8)
+            for k in range(n):
+                upper[k][k] = rng.choice((-3, -2, -1, 1, 2, 3))
+            diag = math.prod(upper[k][k] for k in range(n))
+            lower = [list(col) for col in zip(*upper)]
+            assert det_bareiss(upper) == diag
+            assert det_bareiss(lower) == diag
+
+    def test_zero_rows_and_columns(self):
+        rng = random.Random(15)
+        for trial in range(50):
+            n = rng.randint(1, 10)
+            m = banded_matrix(rng, n, 2, 2, density=1.0)
+            r = rng.randrange(n)
+            if trial % 2:
+                m[r] = [0] * n
+            else:
+                for row in m:
+                    row[r] = 0
+            assert det_bareiss(m) == 0
+
+    def test_singular(self):
+        # a row that is the sum of its two upper neighbours
+        rng = random.Random(16)
+        for trial in range(50):
+            n = rng.randint(3, 12)
+            m = banded_matrix(rng, n, 2, 2, density=0.8)
+            r = rng.randrange(2, n)
+            m[r] = [a + b for a, b in zip(m[r - 1], m[r - 2])]
+            assert det_bareiss(m) == 0
+
+    def test_full_width_dense(self):
+        rng = random.Random(17)
+        for trial in range(30):
+            n = rng.randint(2, 10)
+            m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            m[n - 1][0] = rng.choice((-1, 1))  # bandwidths n-1 on both sides
+            m[0][n - 1] = rng.choice((-1, 1))
+            assert det_bareiss(m) == det_fraction(m)
+        for n in range(1, 9):
+            anti = [[int(i + j == n - 1) for j in range(n)] for i in range(n)]
+            assert det_bareiss(anti) == (-1) ** (n * (n - 1) // 2)
+
+    def test_input_unchanged(self):
+        m = banded_matrix(random.Random(18), 9, 2, 2, density=1.0)
+        before = [row[:] for row in m]
+        det_bareiss(m)
+        assert m == before
+
+
+class TestKasteleynClosedForms:
+    @pytest.mark.parametrize("n", [12, 20])
+    def test_aztec_diamond(self, n):
+        # Elkies-Kuperberg-Larsen-Propp: 2^(n(n+1)/2) domino tilings
+        assert count_kasteleyn(build_aztec_diamond(n)) == 2 ** (n * (n + 1) // 2)
+
+    @pytest.mark.parametrize("abc", [(4, 4, 4), (6, 8, 10), (8, 8, 8)])
+    def test_macmahon_hexagon(self, abc):
+        assert count_kasteleyn(build_hexagon(abc * 2)) == macmahon(*abc)
+
+    def test_orientation_seed_invariance_at_scale(self):
+        g = build_aztec_diamond(12)
+        counts = {count_kasteleyn(g, seed=s) for s in range(4)}
+        assert counts == {2 ** 78}

@@ -321,3 +321,19 @@ class TestRegionSpec:
                "holes": [[0, 1, "up"]]}
         spec = RegionSpec.from_dict(doc)
         assert json.loads(spec.to_json())["holes"] == [[0, 1, "up"]]
+
+    @pytest.mark.parametrize("kind, params", [
+        ("AZTEC_DIAMOND", {"n": 2.0}),
+        ("AZTEC_DIAMOND", {"n": "2"}),
+        ("AZTEC_DIAMOND", {"n": 2, "m": 1}),
+        ("AZTEC_DIAMOND", {"n": 2, "sides": [1, 1, 1, 1, 1, 1]}),
+        ("AZTEC_WINDOW", {"x": 1, "w": 2, "removed": []}),
+        ("HYPERCUBE", {"n": False}),
+        ("HEXAGON", {"sides": [1, 1, 1, 1, 1, 1.5]}),
+        ("HEXAGON", {"sides": [1, 1, 1, 1, 1]}),
+        ("AZTEC_RECTANGLE", {"a": 1, "b": 2, "removed": [[0]]}),
+        ("AZTEC_RECTANGLE", {"a": 1, "b": 2, "removed": [[0, True]]}),
+    ])
+    def test_strict_parameter_types(self, kind, params):
+        with pytest.raises(RegionError):
+            RegionSpec(kind, params)
