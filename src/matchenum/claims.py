@@ -379,7 +379,9 @@ def _majority_color(cells) -> int:
 def verify_oracles(seed: int, cases: int) -> ClaimReport:
     """Random small regions across every kind: the backtracking count, the
     Kasteleyn determinant and the permanent must agree wherever each
-    applies, and |charpoly constant term| must equal the count squared."""
+    applies, and |charpoly constant term| must equal the count squared.
+    The draw can repeat a region; ``distinct_cases`` counts the different
+    region specs among the cases."""
     t0 = time.perf_counter()
     if cases < 1:
         raise BoundError("need at least one case")
@@ -387,10 +389,12 @@ def verify_oracles(seed: int, cases: int) -> ClaimReport:
     disagreements = []
     zero_cases = 0
     kind_tally: dict[str, int] = {}
+    distinct: set[str] = set()
     for case in range(cases):
         kind = _CORPUS_KINDS[case % len(_CORPUS_KINDS)]
         spec, g = random_region(rng, kind)
         kind_tally[kind] = kind_tally.get(kind, 0) + 1
+        distinct.add(json.dumps(spec.to_dict(), sort_keys=True))
         reference = count_brute(g)
         if reference == 0:
             zero_cases += 1
@@ -417,6 +421,7 @@ def verify_oracles(seed: int, cases: int) -> ClaimReport:
             disagreements.append({"case": case, "spec": spec.to_dict(), "got": dict(got)})
     computed = {
         "cases": cases,
+        "distinct_cases": len(distinct),
         "all_agree": not disagreements,
         "zero_count_cases": zero_cases,
         "kinds": kind_tally,

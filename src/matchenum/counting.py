@@ -2,8 +2,10 @@
 
 * ``count_brute``     - backtracking on the minimum-degree vertex; the
   ground-truth oracle for everything else.
-* ``count_permanent`` - Ryser inclusion-exclusion on the 0/1 biadjacency;
-  works for any balanced bipartite graph (hypercubes included).
+* ``count_permanent`` - Glynn's formula on the 0/1 biadjacency, with the
+  column signs walked in Gray-code order so that each step updates only
+  the rows one column touches; works for any balanced bipartite graph
+  (hypercubes included).
 * ``count_kasteleyn`` - determinant of the signed biadjacency under a
   Kasteleyn orientation; needs the planar embedding.  The determinant
   (``det_bareiss``) is a fraction-free elimination confined to the band
@@ -114,16 +116,35 @@ def enumerate_matchings(
     yield from rec()
 
 
-# -- permanent via Ryser ----------------------------------------------------
+# -- permanent via Glynn ----------------------------------------------------
+
+
+def _row_col_split(g: MatchGraph) -> tuple[list[int], list[int], list[int]]:
+    """Rows (class-0 vertices), columns (class-1 vertices) and each
+    vertex's position within its own class."""
+    if g.color is None:
+        raise GraphError("graph carries no bipartition")
+    classes: tuple[list[int], list[int]] = ([], [])
+    pos = []
+    for v, c in enumerate(g.color):
+        pos.append(len(classes[c]))
+        classes[c].append(v)
+    return classes[0], classes[1], pos
 
 
 def count_permanent(g: MatchGraph, limit: int = PERMANENT_LIMIT) -> int:
-    """Permanent of the 0/1 biadjacency by inclusion-exclusion over column
-    subsets (Gray-code order, exact integers)."""
-    if g.color is None:
-        raise GraphError("count_permanent needs a bipartition")
-    rows = [v for v in range(g.n) if g.color[v] == 0]
-    cols = [v for v in range(g.n) if g.color[v] == 1]
+    """Permanent of the 0/1 biadjacency by Glynn's formula,
+    perm(A) = sum over d of prod(d) * prod_i (sum_j d_j a_ij) / 2^(m-1),
+    where d runs over the sign vectors of the columns with d_m = +1.
+
+    The 2^(m-1) vectors are walked in Gray-code order from d = (+1, ..., +1),
+    so each row sum starts at the row's degree and one step flips one d_j:
+    only the rows adjacent to column j change, by 2 each.  The product of
+    the nonzero row sums is kept by exact division and multiplication at
+    those rows, next to a count of zero sums; a term is added only when
+    that count is 0.  A step costs O(degree of column j), not O(m).
+    """
+    rows, cols, pos = _row_col_split(g)
     if len(rows) != len(cols):
         raise GraphError(
             f"bipartition classes have sizes {len(rows)} != {len(cols)}"
@@ -134,40 +155,41 @@ def count_permanent(g: MatchGraph, limit: int = PERMANENT_LIMIT) -> int:
     if m == 0:
         return 1
 
-    col_pos = {v: k for k, v in enumerate(cols)}
-    row_masks = []
-    for v in rows:
-        mask = 0
-        for u in g.adj[v]:
-            mask |= 1 << col_pos[u]
-        row_masks.append(mask)
-
-    sums = [0] * m
-    total = 0
-    parity = 0  # |S| mod 2
-    gray_prev = 0
-    for k in range(1, 1 << m):
-        gray = k ^ (k >> 1)
-        bit = gray ^ gray_prev
-        gray_prev = gray
-        j = bit.bit_length() - 1
-        delta = 1 if gray & bit else -1
-        for i in range(m):
-            if (row_masks[i] >> j) & 1:
-                sums[i] += delta
-        parity ^= 1
-        prod = 1
-        for s in sums:
-            if not s:
-                prod = 0
-                break
+    col_rows = [[pos[u] for u in g.adj[v]] for v in cols]
+    sums = [len(g.adj[v]) for v in rows]
+    zeros = sums.count(0)
+    prod = 1
+    for s in sums:
+        if s:
             prod *= s
-        if prod:
-            total += -prod if parity else prod
-    perm = total if m % 2 == 0 else -total
-    if perm < 0:
-        raise ArithmeticError("permanent of a 0/1 matrix came out negative")
-    return perm
+    total = 0 if zeros else prod
+    steps = [-2] * m  # -2 * d_j: what flipping column j adds to its rows
+    for k in range(1, 1 << (m - 1)):
+        j = (k & -k).bit_length() - 1  # below m-1, so d_m stays +1
+        step = steps[j]
+        steps[j] = -step
+        for i in col_rows[j]:
+            old = sums[i]
+            new = old + step
+            sums[i] = new
+            if old:
+                prod //= old  # exact: old is one of prod's factors
+            else:
+                zeros -= 1
+            if new:
+                prod *= new
+            else:
+                zeros += 1
+        if not zeros:
+            if k & 1:  # prod(d) is -1 after an odd number of flips
+                total -= prod
+            else:
+                total += prod
+    if total < 0 or total & ((1 << (m - 1)) - 1):
+        raise ArithmeticError(
+            "Glynn sum of a 0/1 matrix is not a nonnegative multiple of 2^(m-1)"
+        )
+    return total >> (m - 1)
 
 
 # -- Kasteleyn orientation and determinant ----------------------------------
@@ -249,16 +271,12 @@ def signed_biadjacency(
 ) -> tuple[list[int], list[int], list[list[int]]]:
     """Rows are class-0 vertices, columns class-1; entries +1 when the edge
     is oriented row -> column, -1 the other way, 0 for non-edges."""
-    if g.color is None:
-        raise GraphError("signed biadjacency needs a bipartition")
-    rows = [v for v in range(g.n) if g.color[v] == 0]
-    cols = [v for v in range(g.n) if g.color[v] == 1]
-    col_pos = {v: k for k, v in enumerate(cols)}
+    rows, cols, pos = _row_col_split(g)
     mat = [[0] * len(cols) for _ in rows]
     for r, v in enumerate(rows):
         for u in g.adj[v]:
             e = (v, u) if v < u else (u, v)
-            mat[r][col_pos[u]] = 1 if orient[e] == (v, u) else -1
+            mat[r][pos[u]] = 1 if orient[e] == (v, u) else -1
     return rows, cols, mat
 
 

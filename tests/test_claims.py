@@ -138,6 +138,8 @@ class TestOracles:
         report = verify_oracles(seed=1, cases=50)
         assert report.verdict == "PASS"
         assert report.computed["cases"] == 50
+        # the draw repeats small regions: 25 of the 50 specs differ at seed 1
+        assert report.computed["distinct_cases"] == 25
         assert set(report.computed["kinds"]) == {
             "HEXAGON", "AZTEC_DIAMOND", "AZTEC_RECTANGLE",
             "AZTEC_WINDOW", "HYPERCUBE",
@@ -154,6 +156,7 @@ class TestOracles:
         a.pop("runtime_ms")
         b.pop("runtime_ms")
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+        assert 1 <= a["computed"]["distinct_cases"] <= a["computed"]["cases"]
 
     def test_cases_bound(self):
         with pytest.raises(BoundError):

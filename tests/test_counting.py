@@ -77,10 +77,80 @@ class TestBrute:
                 assert sorted(covered) == list(range(g.n))
 
 
+def bipartite_graph(matrix, order=None):
+    """Graph whose rows and columns are the two classes of a square 0/1
+    matrix, with no embedding.  ``order`` relabels the vertices: row i is
+    vertex order[i] and column j is vertex order[m + j]."""
+    m = len(matrix)
+    order = list(range(2 * m)) if order is None else order
+    color = [0] * (2 * m)
+    for j in range(m):
+        color[order[m + j]] = 1
+    edges = [(order[i], order[m + j])
+             for i in range(m) for j in range(m) if matrix[i][j]]
+    return MatchGraph(labels=range(2 * m), edges=edges, color=color)
+
+
+def random_01(rng, m, density):
+    return [[int(rng.random() < density) for _ in range(m)] for _ in range(m)]
+
+
 class TestPermanent:
     def test_single_edge(self):
         g = MatchGraph(labels=[0, 1], edges=[(0, 1)], color=[0, 1])
         assert count_permanent(g) == 1
+
+    def test_single_pair_without_edge(self):
+        g = MatchGraph(labels=[0, 1], edges=[], color=[0, 1])
+        assert count_permanent(g) == 0
+
+    def test_empty_graph_counts_one(self):
+        assert count_permanent(MatchGraph(labels=[], edges=[], color=[])) == 1
+
+    def test_complete_bipartite(self):
+        for m in range(1, 9):
+            g = bipartite_graph([[1] * m for _ in range(m)])
+            assert count_permanent(g) == math.factorial(m)
+
+    def test_random_graphs_against_brute(self):
+        rng = random.Random(19)
+        for m in range(1, 10):
+            for density in (0.3, 0.5, 0.7):
+                for _ in range(3):
+                    matrix = random_01(rng, m, density)
+                    order = list(range(2 * m))
+                    rng.shuffle(order)
+                    g = bipartite_graph(matrix, order)
+                    assert count_permanent(g) == count_brute(g), (matrix, order)
+
+    def test_zero_degree_row_or_column_counts_zero(self):
+        rng = random.Random(5)
+        for m in (2, 3, 6, 7):
+            for k in (0, m // 2, m - 1):
+                matrix = [[1] * m for _ in range(m)]
+                matrix[k] = [0] * m
+                assert count_permanent(bipartite_graph(matrix)) == 0
+                matrix = random_01(rng, m, 0.7)
+                for row in matrix:
+                    row[k] = 0
+                assert count_permanent(bipartite_graph(matrix)) == 0
+
+    def test_column_permutation_invariance(self):
+        rng = random.Random(7)
+        for m in (5, 8, 9):
+            matrix = random_01(rng, m, 0.6)
+            expected = count_permanent(bipartite_graph(matrix))
+            assert expected == count_brute(bipartite_graph(matrix))
+            for _ in range(5):
+                perm = list(range(m))
+                rng.shuffle(perm)
+                shuffled = [[row[p] for p in perm] for row in matrix]
+                assert count_permanent(bipartite_graph(shuffled)) == expected
+
+    def test_needs_bipartition(self):
+        g = MatchGraph(labels=range(2), edges=[(0, 1)])
+        with pytest.raises(GraphError):
+            count_permanent(g)
 
     def test_hypercubes(self):
         for n, expected in CUBE_COUNTS.items():
