@@ -1,9 +1,11 @@
 """Transfer-matrix counting around Aztec windows and degree detection.
 
-For a fixed ring thickness w the tiling count is swept column by column
-around the annulus; boundary states on a radial cut are w-bit masks.  The
-counts, viewed as a sequence in the inner order x, are then examined with
-finite differences.
+For a fixed ring thickness w the tiling count is one frontier DP swept
+column by column around the annulus; seam dominoes stay in the frontier
+until the sweep closes the ring.  The single-column step operator of a
+straight arm is shown as a dense 2^w x 2^w matrix.  The counts, viewed
+as a sequence in the inner order x, are then examined with finite
+differences.
 """
 
 from matchenum import (

@@ -2,8 +2,9 @@
 
 Region builders (hexagons on the triangular lattice, Aztec diamonds,
 rectangles and windows on the square lattice, hypercubes), three mutually
-checking exact counters, a transfer-matrix engine for Aztec windows,
-exact Kasteleyn spectra, and a harness of named verification claims.
+checking exact counters, a frontier DP engine over any graph and vertex
+order (Aztec windows are swept around the ring), exact Kasteleyn
+spectra, and a harness of named verification claims.
 """
 
 from .graphs import Face, GraphError, MatchGraph
@@ -37,6 +38,7 @@ from .transfer import (
     column_transfer_matrix,
     count_sequence,
     detect_polynomial,
+    frontier_count,
     transfer_count,
 )
 from .spectra import CharPoly, SignedMatrix, kasteleyn_matrix, kk_star_charpoly, singular_values
@@ -83,6 +85,7 @@ __all__ = [
     "det_bareiss",
     "detect_polynomial",
     "enumerate_matchings",
+    "frontier_count",
     "hexagon_cell_count",
     "hexagon_cells",
     "kasteleyn_matrix",

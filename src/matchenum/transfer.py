@@ -1,12 +1,21 @@
-"""Transfer-matrix counting for Aztec windows and polynomial detection.
+"""Frontier (profile) DP counting, Aztec windows and polynomial detection.
 
-The annulus is swept once around: columns of the upper half left to right,
-columns of the lower half right to left, then back up to the start.  A
-radial cut crosses exactly w cells, so boundary states are w-bit masks
-marking cells already covered by a domino crossing the cut.  Closure
-around the ring is handled by fixing the state on one seam cut, running
-the full sweep, and keeping only runs that return to the same state; the
-total is the trace of the composed sweep operator.
+``frontier_count`` counts the perfect matchings of any graph by sweeping
+its vertices in a given order.  A vertex that has a neighbour earlier in
+the order takes a slot in the frontier when that neighbour is processed
+and frees it when it is processed itself; a state is an int bitmask over
+the slots, a set bit marking a vertex already covered by an edge from an
+earlier vertex.  The frontier width (the number of slots) bounds the
+number of states by 2^width.
+
+Aztec windows are swept once around the annulus: columns of the upper
+half left to right, columns of the lower half right to left, then back up
+to the start.  The seam partners (-1, j) come last in that order, so a
+domino chosen across the seam at (0, j) keeps its bit in the frontier
+until the sweep returns to (-1, j); closure around the ring needs no
+special case.  One sweep replaces a trace over the 2^w seam states; its
+frontier width is 2w + 1 for w >= 2: the w seam bits plus a broken-line
+cut of w + 1 cells between two columns.
 
 Everything is exact integer arithmetic.
 """
@@ -14,14 +23,15 @@ Everything is exact integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 import json
 from typing import Optional, Sequence
 
 from .counting import BoundError
-from .regions import RegionError, RegionSpec, aztec_window_cells
+from .graphs import GraphError, MatchGraph
+from .regions import RegionError, RegionSpec, build_aztec_window
 
-CUT_WIDTH_LIMIT = 24  # 2**24 boundary states caps memory at desk scale
+FRONTIER_LIMIT = 22  # slots; a 2**22-state table is the desk-scale ceiling
+COLUMN_MATRIX_LIMIT = 10  # dense 2**w x 2**w column operator, w <= 10
 
 Cell = tuple[int, int]
 
@@ -50,53 +60,78 @@ def _ring_slices(x: int, w: int) -> list[list[Cell]]:
     return slices
 
 
-def _seam_rows(x: int, w: int) -> range:
-    # vertical seam between columns -1 and 0, north of the hole
-    return range(x, x + w)
+def _compile_order(
+    g: MatchGraph, order: Sequence[int]
+) -> tuple[list[tuple[int, tuple[int, ...]]], int]:
+    """Reduce a vertex order to per-step ``(vbit, fwd_bits)`` and the width.
 
-
-def _sweep_count(x: int, w: int) -> int:
-    slices = _ring_slices(x, w)
-    order = [c for s in slices for c in s]
-    assert len(order) == 2 * w * (2 * x + w + 1)
-    pos = {c: k for k, c in enumerate(order)}
-
-    seam = [((-1, j), (0, j)) for j in _seam_rows(x, w)]
-    seam_edges = set(seam) | {(b, a) for a, b in seam}
-
-    def forward_neighbors(c: Cell) -> list[Cell]:
-        i, j = c
-        out = []
-        for nb in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)):
-            if nb in pos and pos[nb] > pos[c] and (c, nb) not in seam_edges:
-                out.append(nb)
-        return out
-
-    fwd = {c: forward_neighbors(c) for c in order}
-
-    total = 0
-    for r in range(w + 1):
-        for rows in combinations(_seam_rows(x, w), r):
-            # seam dominoes fixed in advance; both of their cells arrive
-            # pre-covered and must be consumed by the sweep
-            state = frozenset((0, j) for j in rows) | frozenset((-1, j) for j in rows)
-            states = {state: 1}
-            for c in order:
-                nxt: dict[frozenset, int] = {}
-                for st, cnt in states.items():
-                    if c in st:
-                        s2 = st - {c}
-                        nxt[s2] = nxt.get(s2, 0) + cnt
+    ``vbit`` is the slot bit of the processed vertex (0 if it never entered
+    the frontier); ``fwd_bits`` are the slot bits of its later neighbours.
+    """
+    n = g.n
+    order = list(order)
+    if len(order) != n or set(order) != set(range(n)):
+        raise GraphError(f"vertex order must be a permutation of range({n})")
+    pos = [0] * n
+    for k, v in enumerate(order):
+        pos[v] = k
+    slot = [-1] * n
+    free: list[int] = []
+    width = 0
+    steps = []
+    for v in order:
+        s = slot[v]
+        vbit = 0
+        if s >= 0:
+            vbit = 1 << s
+            free.append(s)
+        fwd = []
+        for u in g.adj[v]:
+            if pos[u] > pos[v]:
+                if slot[u] < 0:
+                    if free:
+                        slot[u] = free.pop()
                     else:
-                        for nb in fwd[c]:
-                            if nb not in st:
-                                s2 = st | {nb}
-                                nxt[s2] = nxt.get(s2, 0) + cnt
-                states = nxt
-                if not states:
-                    break
-            total += states.get(frozenset(), 0)
-    return total
+                        slot[u] = width
+                        width += 1
+                fwd.append(1 << slot[u])
+        steps.append((vbit, tuple(fwd)))
+    return steps, width
+
+
+def frontier_count(g: MatchGraph, order: Sequence[int]) -> int:
+    """Exact perfect-matching count of ``g`` by a frontier DP along ``order``.
+
+    ``order`` must be a permutation of the vertex indices.  Raises
+    BoundError before any DP step when the frontier width of the order
+    exceeds FRONTIER_LIMIT.
+    """
+    steps, width = _compile_order(g, order)
+    if width > FRONTIER_LIMIT:
+        raise BoundError(
+            f"frontier width {width} exceeds the limit {FRONTIER_LIMIT}"
+        )
+    states = {0: 1}
+    for vbit, fwd in steps:
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for st, cnt in states.items():
+            if st & vbit:
+                st ^= vbit
+                nxt[st] = get(st, 0) + cnt
+            else:
+                for bit in fwd:
+                    if not st & bit:
+                        s2 = st | bit
+                        nxt[s2] = get(s2, 0) + cnt
+        if not nxt:
+            return 0
+        states = nxt
+    return states.get(0, 0)
+
+
+def _window_order(g: MatchGraph, x: int, w: int) -> list[int]:
+    return [g.index[c] for s in _ring_slices(x, w) for c in s]
 
 
 def transfer_count(spec: RegionSpec) -> int:
@@ -106,10 +141,13 @@ def transfer_count(spec: RegionSpec) -> int:
     x, w = spec.params["x"], spec.params["w"]
     if x < 1 or w < 1:
         raise RegionError("Aztec window needs x >= 1 and w >= 1")
-    if w > CUT_WIDTH_LIMIT:
-        raise BoundError(f"cut width {w} exceeds the limit {CUT_WIDTH_LIMIT}")
-    assert len(aztec_window_cells(x, w)) == 2 * w * (2 * x + w + 1)
-    return _sweep_count(x, w)
+    # the ring order has frontier width 2w + 1 (w >= 2); refuse before building
+    if 2 * w + 1 > FRONTIER_LIMIT:
+        raise BoundError(
+            f"frontier width {2 * w + 1} exceeds the limit {FRONTIER_LIMIT}"
+        )
+    g = build_aztec_window(x, w)
+    return frontier_count(g, _window_order(g, x, w))
 
 
 def count_sequence(w: int, x_from: int, x_to: int) -> list[int]:
@@ -132,8 +170,10 @@ def column_transfer_matrix(x: int, w: int) -> list[list[int]]:
     """
     if x < 1 or w < 1:
         raise RegionError("Aztec window needs x >= 1 and w >= 1")
-    if w > CUT_WIDTH_LIMIT:
-        raise BoundError(f"cut width {w} exceeds the limit {CUT_WIDTH_LIMIT}")
+    if w > COLUMN_MATRIX_LIMIT:
+        raise BoundError(
+            f"dense column operator needs w <= {COLUMN_MATRIX_LIMIT}, got {w}"
+        )
     slices = _ring_slices(x, w)
     col_a, col_b = slices[0], slices[1]
     pos_b = {c: k for k, c in enumerate(col_b)}

@@ -5,17 +5,26 @@ import pytest
 
 from matchenum import (
     BoundError,
+    GraphError,
+    MatchGraph,
     RegionError,
     RegionSpec,
     build_aztec_window,
+    build_hypercube,
     column_transfer_matrix,
     count_brute,
     count_kasteleyn,
     count_sequence,
     detect_polynomial,
+    frontier_count,
     transfer_count,
 )
 from matchenum.regions import _square_graph
+from matchenum.transfer import (
+    FRONTIER_LIMIT,
+    _compile_order,
+    _window_order,
+)
 
 
 def window_spec(x, w):
@@ -24,7 +33,7 @@ def window_spec(x, w):
 
 class TestTransferCount:
     @pytest.mark.parametrize("x", [1, 2, 3])
-    @pytest.mark.parametrize("w", [1, 2, 3])
+    @pytest.mark.parametrize("w", [1, 2, 3, 4, 5, 6, 7])
     def test_agrees_with_kasteleyn(self, x, w):
         assert transfer_count(window_spec(x, w)) == count_kasteleyn(
             build_aztec_window(x, w)
@@ -40,6 +49,97 @@ class TestTransferCount:
     def test_cut_width_limit(self):
         with pytest.raises(BoundError):
             transfer_count(window_spec(1, 25))
+
+    def test_frontier_limit_admits_w10_and_refuses_w11(self):
+        g = build_aztec_window(1, 10)
+        assert _compile_order(g, _window_order(g, 1, 10))[1] <= FRONTIER_LIMIT
+        with pytest.raises(BoundError):
+            transfer_count(window_spec(1, 11))
+        # the engine's own check, on the graph in ring order
+        g = build_aztec_window(1, 11)
+        with pytest.raises(BoundError):
+            frontier_count(g, _window_order(g, 1, 11))
+
+    def test_pinned_w8_x4(self):
+        assert transfer_count(window_spec(4, 8)) == 73898794978115584
+
+    @pytest.mark.parametrize("x, w", [(1, 2), (2, 3), (3, 4), (2, 5)])
+    def test_count_does_not_depend_on_the_order(self, x, w):
+        g = build_aztec_window(x, w)
+        ring = _window_order(g, x, w)
+        expected = transfer_count(window_spec(x, w))
+        assert frontier_count(g, ring[::-1]) == expected
+        for start in (1, len(ring) // 3, len(ring) - 1):
+            assert frontier_count(g, ring[start:] + ring[:start]) == expected
+
+    @pytest.mark.parametrize("w", [2, 3, 6, 10])
+    def test_ring_order_frontier_width(self, w):
+        # w seam bits held around the ring plus a broken-line cut of w + 1
+        g = build_aztec_window(2, w)
+        assert _compile_order(g, _window_order(g, 2, w))[1] == 2 * w + 1
+
+
+def random_graph(rng, n, density, bipartite):
+    labels = list(range(n))
+    rng.shuffle(labels)
+    side = [k % 2 for k in range(n)]  # balanced classes when n is even
+    edges = [
+        (u, v)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if (not bipartite or side[u] != side[v]) and rng.random() < density
+    ]
+    return MatchGraph(labels, edges)
+
+
+def weight_then_index(n):
+    return sorted(range(1 << n), key=lambda v: (bin(v).count("1"), v))
+
+
+class TestFrontierCount:
+    @pytest.mark.parametrize("bipartite", [True, False])
+    def test_random_graphs_against_brute(self, bipartite):
+        rng = random.Random(404 + bipartite)
+        for _ in range(60):
+            n = rng.randint(1, 20)
+            density = rng.choice((0.3, 0.45, 0.6) if bipartite else (0.15, 0.25, 0.35))
+            g = random_graph(rng, n, density, bipartite)
+            order = list(range(n))
+            rng.shuffle(order)
+            assert frontier_count(g, order) == count_brute(g), (n, g.edges, order)
+
+    def test_empty_graph_counts_one(self):
+        assert frontier_count(MatchGraph([], []), []) == 1
+
+    def test_isolated_vertex_counts_zero(self):
+        assert frontier_count(MatchGraph(["a"], []), [0]) == 0
+        # an isolated vertex next to a matchable edge, in every position
+        g = MatchGraph("abc", [(0, 1)])
+        for order in ([0, 1, 2], [2, 0, 1], [0, 2, 1]):
+            assert frontier_count(g, order) == 0
+
+    @pytest.mark.parametrize("n, f", [(1, 1), (2, 2), (3, 9), (4, 272), (5, 589185)])
+    def test_hypercubes(self, n, f):
+        assert frontier_count(build_hypercube(n), weight_then_index(n)) == f
+
+    def test_five_cube_frontier_width(self):
+        assert _compile_order(build_hypercube(5), weight_then_index(5))[1] == 14
+
+    @pytest.mark.parametrize(
+        "order", [[0, 1], [0, 1, 2, 2], [0, 1, 2, 4], [1, 2, 3, 0, 0], [0, 1, 2, "3"]]
+    )
+    def test_order_must_be_a_permutation(self, order):
+        g = MatchGraph("abcd", [(0, 1), (2, 3)])
+        with pytest.raises(GraphError):
+            frontier_count(g, order)
+
+    def test_shuffled_grid_is_refused_before_the_dp(self):
+        g = _square_graph({(i, j) for i in range(12) for j in range(12)})
+        order = list(range(g.n))
+        random.Random(3).shuffle(order)
+        assert _compile_order(g, order)[1] > FRONTIER_LIMIT
+        with pytest.raises(BoundError):
+            frontier_count(g, order)
 
 
 class TestCountSequence:
@@ -69,6 +169,10 @@ class TestCountSequence:
 
 
 class TestColumnTransferMatrix:
+    def test_dense_limit(self):
+        with pytest.raises(BoundError):
+            column_transfer_matrix(1, 11)
+
     def test_dimension_depends_only_on_thickness(self):
         for w in (1, 2, 3):
             mats = [column_transfer_matrix(x, w) for x in (1, 2, 3)]
