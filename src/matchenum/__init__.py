@@ -7,7 +7,7 @@ order (Aztec windows are swept around the ring), exact Kasteleyn
 spectra, and a harness of named verification claims.
 """
 
-from .graphs import Face, GraphError, MatchGraph
+from .graphs import GraphError, MatchGraph
 from .regions import (
     RegionError,
     RegionSpec,
@@ -34,17 +34,14 @@ from .counting import (
     kasteleyn_orient,
 )
 from .transfer import (
-    PolyReport,
     column_transfer_matrix,
     count_sequence,
     detect_polynomial,
     frontier_count,
     transfer_count,
 )
-from .spectra import CharPoly, SignedMatrix, kasteleyn_matrix, kk_star_charpoly, singular_values
+from .spectra import kasteleyn_matrix, kk_star_charpoly, singular_values
 from .claims import (
-    ClaimReport,
-    OrbitDecomposition,
     orbit_decomposition,
     random_region,
     verify_oracles,
@@ -57,16 +54,10 @@ from .claims import (
 
 __all__ = [
     "BoundError",
-    "CharPoly",
-    "ClaimReport",
-    "Face",
     "GraphError",
     "MatchGraph",
-    "OrbitDecomposition",
-    "PolyReport",
     "RegionError",
     "RegionSpec",
-    "SignedMatrix",
     "TriCell",
     "build_aztec_diamond",
     "build_aztec_rectangle",

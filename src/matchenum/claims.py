@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .counting import (
+    PERMANENT_LIMIT,
     BoundError,
     count_brute,
     count_kasteleyn,
@@ -403,7 +404,7 @@ def verify_oracles(seed: int, cases: int) -> ClaimReport:
             got["kasteleyn"] = count_kasteleyn(g)
         if g.color is not None and g.is_balanced():
             half = g.n // 2
-            if half <= 20:
+            if half <= PERMANENT_LIMIT:
                 got["permanent"] = count_permanent(g)
             if g.coords is not None and half <= SPECTRA_DIMENSION_LIMIT:
                 cp = kk_star_charpoly(kasteleyn_matrix(g))

@@ -1,16 +1,18 @@
 """Exact perfect-matching counts by three independent methods.
 
 * ``count_brute``     - backtracking on the minimum-degree vertex; the
-  ground-truth oracle for everything else.
+  ground-truth oracle for everything else.  ``enumerate_matchings`` walks
+  the same search and yields the matchings themselves.
 * ``count_permanent`` - Glynn's formula on the 0/1 biadjacency, with the
   column signs walked in Gray-code order so that each step updates only
   the rows one column touches; works for any balanced bipartite graph
   (hypercubes included).
 * ``count_kasteleyn`` - determinant of the signed biadjacency under a
-  Kasteleyn orientation; needs the planar embedding.  The determinant
-  (``det_bareiss``) is a fraction-free elimination confined to the band
-  of the matrix, which lexicographic lattice labels keep narrow: 20
-  diagonals on each side for the order-20 Aztec diamond's 420 rows.
+  Kasteleyn orientation; needs the planar embedding, which may be
+  disconnected.  The determinant (``det_bareiss``) is a fraction-free
+  elimination confined to the band of the matrix, which lexicographic
+  lattice labels keep narrow: 20 diagonals on each side for the order-20
+  Aztec diamond's 420 rows.
 
 Everything here is exact integer arithmetic; no floating point at all.
 """
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .graphs import GraphError, MatchGraph
 
@@ -34,58 +36,24 @@ class BoundError(ValueError):
 # -- backtracking oracle ----------------------------------------------------
 
 
-def count_brute(g: MatchGraph, limit: int = BRUTE_FORCE_LIMIT) -> int:
-    """Exact number of perfect matchings by branch-and-count.
+def _matchings(g: MatchGraph) -> Iterator[list[int]]:
+    """Yield every perfect matching of g as its ``mate`` array (mate[v] is
+    v's partner).  The one list is reused, so read it before resuming.
 
-    Branches on a minimum-degree vertex, so degree-1 vertices propagate
-    as forced edges and degree-0 vertices prune immediately.
+    Backtracks on a minimum-degree vertex, so degree-1 vertices propagate
+    as forced edges and degree-0 vertices prune immediately.  The stack
+    holds each branch vertex with an iterator over its untried partners.
     """
-    if g.n > limit:
-        raise BoundError(f"{g.n} vertices exceeds the brute-force limit {limit}")
-    if g.n % 2:
-        return 0
-    adj = [set(ns) for ns in g.adj]
-    alive = set(range(g.n))
-
-    def detach(v: int) -> None:
-        for u in adj[v]:
-            adj[u].remove(v)
-        alive.remove(v)
-
-    def attach(v: int) -> None:
-        for u in adj[v]:
-            adj[u].add(v)
-        alive.add(v)
-
-    def rec() -> int:
-        if not alive:
-            return 1
-        v = min(alive, key=lambda u: len(adj[u]))
-        if not adj[v]:
-            return 0
-        total = 0
-        detach(v)
-        for u in tuple(adj[v]):
-            detach(u)
-            total += rec()
-            attach(u)
-        attach(v)
-        return total
-
-    return rec()
-
-
-def enumerate_matchings(
-    g: MatchGraph, limit: int = BRUTE_FORCE_LIMIT
-) -> Iterator[frozenset[tuple[int, int]]]:
-    """Yield every perfect matching as a frozenset of sorted edge pairs."""
-    if g.n > limit:
-        raise BoundError(f"{g.n} vertices exceeds the brute-force limit {limit}")
+    if g.n > BRUTE_FORCE_LIMIT:
+        raise BoundError(
+            f"{g.n} vertices exceeds the brute-force limit {BRUTE_FORCE_LIMIT}"
+        )
     if g.n % 2:
         return
     adj = [set(ns) for ns in g.adj]
     alive = set(range(g.n))
-    chosen: list[tuple[int, int]] = []
+    mate = [-1] * g.n
+    stack: list[tuple[int, Iterator[int]]] = []
 
     def detach(v: int) -> None:
         for u in adj[v]:
@@ -97,23 +65,46 @@ def enumerate_matchings(
             adj[u].add(v)
         alive.add(v)
 
-    def rec() -> Iterator[frozenset[tuple[int, int]]]:
-        if not alive:
-            yield frozenset(chosen)
-            return
-        v = min(alive, key=lambda u: len(adj[u]))
-        if not adj[v]:
-            return
-        detach(v)
-        for u in tuple(adj[v]):
-            detach(u)
-            chosen.append((v, u) if v < u else (u, v))
-            yield from rec()
-            chosen.pop()
-            attach(u)
-        attach(v)
+    def degree(v: int) -> int:
+        return len(adj[v])
 
-    yield from rec()
+    while True:
+        if not alive:
+            yield mate
+        else:
+            v = min(alive, key=degree)
+            if adj[v]:
+                detach(v)
+                mate[v] = -1  # no partner tried yet
+                stack.append((v, iter(tuple(adj[v]))))
+        # undo the deepest branch and take its next partner
+        while stack:
+            v, partners = stack[-1]
+            if mate[v] >= 0:
+                attach(mate[v])
+            u = next(partners, -1)
+            if u >= 0:
+                detach(u)
+                mate[v] = u
+                mate[u] = v
+                break
+            stack.pop()
+            attach(v)
+        else:
+            return
+
+
+def count_brute(g: MatchGraph) -> int:
+    """Exact number of perfect matchings: the leaves of the backtracking
+    search, up to ``BRUTE_FORCE_LIMIT`` vertices."""
+    return sum(1 for _ in _matchings(g))
+
+
+def enumerate_matchings(g: MatchGraph) -> Iterator[frozenset[tuple[int, int]]]:
+    """Yield every perfect matching as a frozenset of sorted edge pairs, in
+    the order of the backtracking search behind ``count_brute``."""
+    for mate in _matchings(g):
+        yield frozenset((v, u) for v, u in enumerate(mate) if v < u)
 
 
 # -- permanent via Glynn ----------------------------------------------------
@@ -132,7 +123,7 @@ def _row_col_split(g: MatchGraph) -> tuple[list[int], list[int], list[int]]:
     return classes[0], classes[1], pos
 
 
-def count_permanent(g: MatchGraph, limit: int = PERMANENT_LIMIT) -> int:
+def count_permanent(g: MatchGraph) -> int:
     """Permanent of the 0/1 biadjacency by Glynn's formula,
     perm(A) = sum over d of prod(d) * prod_i (sum_j d_j a_ij) / 2^(m-1),
     where d runs over the sign vectors of the columns with d_m = +1.
@@ -150,8 +141,10 @@ def count_permanent(g: MatchGraph, limit: int = PERMANENT_LIMIT) -> int:
             f"bipartition classes have sizes {len(rows)} != {len(cols)}"
         )
     m = len(rows)
-    if m > limit:
-        raise BoundError(f"class size {m} exceeds the permanent limit {limit}")
+    if m > PERMANENT_LIMIT:
+        raise BoundError(
+            f"class size {m} exceeds the permanent limit {PERMANENT_LIMIT}"
+        )
     if m == 0:
         return 1
 
@@ -200,20 +193,19 @@ Orientation = dict[tuple[int, int], tuple[int, int]]
 def kasteleyn_orient(g: MatchGraph, seed: int = 0) -> Orientation:
     """Edge orientation making every bounded face clockwise-odd.
 
-    Builds a spanning tree of the dual graph rooted at the outer face and
-    fixes face parities from the leaves upward; ``seed`` shuffles the dual
-    traversal so tests can probe different (equally valid) orientations.
-    Maps each edge (u, v) with u < v to its oriented (tail, head) pair.
+    Builds one spanning tree of the dual graph per component, rooted at
+    that component's outer walk, and fixes face parities from the leaves
+    upward.  The condition is per face, so a disconnected embedding (islands
+    nested in holes included) needs no split into components.  ``seed``
+    shuffles the dual traversal so tests can probe different (equally
+    valid) orientations.  Maps each edge (u, v) with u < v to its oriented
+    (tail, head) pair.
     """
     if g.coords is None:
         raise GraphError("kasteleyn_orient needs an embedding")
-    if not g.is_connected():
-        raise GraphError("kasteleyn_orient needs a connected graph")
 
     orient: Orientation = {e: e for e in g.edges}
     faces = g.faces()
-    if not faces:
-        return orient
     face_of = g.face_of_dart()
 
     dual: list[list[tuple[int, tuple[int, int]]]] = [[] for _ in faces]
@@ -224,14 +216,14 @@ def kasteleyn_orient(g: MatchGraph, seed: int = 0) -> Orientation:
             dual[f1].append((f2, (u, v)))
             dual[f2].append((f1, (u, v)))
 
-    outer = [i for i, f in enumerate(faces) if not f.bounded]
-    root = outer[0]
+    # every component's outer walk roots its own tree of the dual forest
+    roots = [i for i, f in enumerate(faces) if not f.bounded]
     rng = random.Random(seed)
 
     parent_edge: dict[int, tuple[int, int]] = {}
     order = []
-    seen = {root}
-    stack = [root]
+    seen = set(roots)
+    stack = roots[::-1]
     while stack:
         f = stack.pop()
         order.append(f)
@@ -256,7 +248,7 @@ def kasteleyn_orient(g: MatchGraph, seed: int = 0) -> Orientation:
     # children first: flipping a face's parent edge never touches a face
     # that was already fixed
     for f in reversed(order):
-        if f == root or not faces[f].bounded:
+        if not faces[f].bounded:
             continue
         if cw_count(f) % 2 == 0:
             e = parent_edge[f]
@@ -348,8 +340,9 @@ def det_bareiss(matrix: list[list[int]]) -> int:
 def count_kasteleyn(g: MatchGraph, seed: int = 0) -> int:
     """|det| of the Kasteleyn-signed biadjacency.
 
-    Imbalanced graphs count 0 (no perfect matching exists); disconnected
-    graphs are counted component by component.
+    Imbalanced graphs count 0 (no perfect matching exists).  A balanced
+    graph with an imbalanced component gives a singular matrix, so it
+    counts 0 as well.
     """
     if g.coords is None:
         raise GraphError("count_kasteleyn needs an embedding")
@@ -357,18 +350,7 @@ def count_kasteleyn(g: MatchGraph, seed: int = 0) -> int:
         raise GraphError("count_kasteleyn needs a bipartition")
     if not g.is_balanced():
         return 0
-    comps = g.components()
-    if len(comps) > 1:
-        total = 1
-        for comp in comps:
-            total *= count_kasteleyn(g.subgraph(comp), seed=seed)
-            if total == 0:
-                return 0
-        return total
-    orient = kasteleyn_orient(g, seed=seed)
-    _, _, mat = signed_biadjacency(g, orient)
-    if len(mat) != len(mat[0] if mat else []):
-        return 0
+    _, _, mat = signed_biadjacency(g, kasteleyn_orient(g, seed=seed))
     return abs(det_bareiss(mat))
 
 
@@ -390,17 +372,12 @@ def count_auto(g: MatchGraph) -> int:
     raise BoundError(f"no exact method applies to {g.n} vertices")
 
 
-def count_with_forced_edge(
-    g: MatchGraph, e: tuple[int, int], method: Optional[str] = None
-) -> int:
+def count_with_forced_edge(g: MatchGraph, e: tuple[int, int]) -> int:
     """Matchings containing e = matchings of g minus both endpoints of e."""
     u, v = e
     if not g.has_edge(u, v):
         raise GraphError(f"({u}, {v}) is not an edge of the graph")
-    h = g.delete_vertices((u, v))
-    if method is None:
-        return count_auto(h)
-    return COUNTERS[method](h)
+    return count_auto(g.delete_vertices((u, v)))
 
 
 def containment_counts(g: MatchGraph, e: tuple[int, int]) -> tuple[int, int]:

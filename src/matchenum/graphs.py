@@ -18,7 +18,8 @@ from typing import Hashable, Iterable, Optional, Sequence
 
 class GraphError(ValueError):
     """Raised for malformed graphs or operations missing a prerequisite
-    (no embedding, no bipartition, disconnected where connectivity is due).
+    (no embedding, no bipartition, or a disconnected graph given to
+    ``euler_check``, the one operation that needs connectivity).
     """
 
 

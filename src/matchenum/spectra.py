@@ -51,17 +51,6 @@ class CharPoly:
         return json.dumps([str(c) for c in self.coeffs])
 
 
-def _full_orientation(g: MatchGraph, seed: int = 0):
-    if g.is_connected():
-        return kasteleyn_orient(g, seed=seed)
-    orient = {}
-    for comp in g.components():
-        sub = g.subgraph(comp)
-        for (a, b), (t, h) in kasteleyn_orient(sub, seed=seed).items():
-            orient[(comp[a], comp[b])] = (comp[t], comp[h])
-    return orient
-
-
 def kasteleyn_matrix(g: MatchGraph, seed: int = 0) -> SignedMatrix:
     """Signed biadjacency whose |det| is the perfect matching count."""
     if g.coords is None:
@@ -71,8 +60,7 @@ def kasteleyn_matrix(g: MatchGraph, seed: int = 0) -> SignedMatrix:
     if not g.is_balanced():
         a, b = g.class_sizes()
         raise GraphError(f"bipartition classes have sizes {a} != {b}")
-    orient = _full_orientation(g, seed=seed)
-    rows, cols, mat = signed_biadjacency(g, orient)
+    rows, cols, mat = signed_biadjacency(g, kasteleyn_orient(g, seed=seed))
     return SignedMatrix(
         entries=tuple(tuple(r) for r in mat),
         row_vertices=tuple(rows),

@@ -8,6 +8,7 @@ from matchenum import (
     BoundError,
     GraphError,
     MatchGraph,
+    TriCell,
     build_aztec_diamond,
     build_aztec_window,
     build_hexagon,
@@ -32,6 +33,26 @@ HEX_COUNTS = {
 }
 DIAMOND_COUNTS = {1: 2, 2: 8, 3: 64}
 CUBE_COUNTS = {1: 1, 2: 2, 3: 9, 4: 272}
+
+
+def nested_island_hexagon():
+    """The 3^6 hexagon minus the six cells around its central 6-cycle: an
+    island of 6 cells (2 tilings) nested in a ring of 42 cells (16 tilings),
+    so 32 in all."""
+    sides = (3,) * 6
+    g = build_hexagon(sides)
+    # the six cells around the lattice point (0, 3), the hexagon's centre
+    core = {TriCell(0, 3, "up"), TriCell(-1, 3, "up"), TriCell(0, 2, "up"),
+            TriCell(-1, 3, "down"), TriCell(0, 2, "down"), TriCell(-1, 2, "down")}
+    ring = {g.labels[u] for c in core for u in g.adj[g.index[c]]} - core
+    return build_hexagon(sides, holes=sorted(ring))
+
+
+def clockwise_edges(orient, face):
+    """Edges of a bounded face oriented clockwise (the walk runs
+    counter-clockwise, so such an edge opposes its dart)."""
+    return sum(1 for a, b in face.darts
+               if orient[(a, b) if a < b else (b, a)] == (b, a))
 
 
 def cycle_graph(n):
@@ -65,14 +86,19 @@ class TestBrute:
     def test_size_bound(self):
         with pytest.raises(BoundError):
             count_brute(build_hypercube(7))
+        with pytest.raises(BoundError):
+            next(enumerate_matchings(build_hypercube(7)))
 
     def test_enumeration_matches_count(self):
-        for sides in HEX_COUNTS:
-            g = build_hexagon(sides)
+        cases = [(build_hexagon(sides), count) for sides, count in HEX_COUNTS.items()]
+        cases.append((build_hypercube(4), CUBE_COUNTS[4]))  # no embedding
+        cases.append((MatchGraph(labels=range(3), edges=[(0, 1), (1, 2)]), 0))
+        for g, count in cases:
             matchings = list(enumerate_matchings(g))
-            assert len(matchings) == HEX_COUNTS[sides]
+            assert len(matchings) == count == count_brute(g)
             assert len(set(matchings)) == len(matchings)
             for m in matchings:
+                assert all(u < v and g.has_edge(u, v) for u, v in m)
                 covered = [v for e in m for v in e]
                 assert sorted(covered) == list(range(g.n))
 
@@ -176,32 +202,32 @@ class TestKasteleynOrientation:
         lambda: build_hexagon((2, 2, 2, 2, 2, 2)),
         lambda: build_aztec_diamond(3),
         lambda: build_aztec_window(1, 2),
+        nested_island_hexagon,
     ])
     def test_every_bounded_face_is_clockwise_odd(self, make):
         g = make()
-        orient = kasteleyn_orient(g)
-        for face in g.bounded_faces():
-            cw = sum(1 for a, b in face.darts
-                     if orient[(a, b) if a < b else (b, a)] == (b, a))
-            assert cw % 2 == 1
+        for seed in range(3):
+            orient = kasteleyn_orient(g, seed=seed)
+            for face in g.bounded_faces():
+                assert clockwise_edges(orient, face) % 2 == 1
 
     def test_four_cycle_condition(self):
         g = build_aztec_diamond(1)
         orient = kasteleyn_orient(g)
         (face,) = g.bounded_faces()
-        cw = sum(1 for a, b in face.darts
-                 if orient[(a, b) if a < b else (b, a)] == (b, a))
-        assert cw in (1, 3)
+        assert clockwise_edges(orient, face) in (1, 3)
 
     def test_needs_embedding(self):
         with pytest.raises(GraphError):
             kasteleyn_orient(build_hypercube(3))
 
-    def test_needs_connected(self):
+    def test_disconnected_embedding(self):
+        # two components, no bounded face: every edge is oriented and kept
         g = MatchGraph(labels=range(4), edges=[(0, 1), (2, 3)],
-                       coords=[(0, 0), (1, 0), (5, 0), (6, 0)])
-        with pytest.raises(GraphError):
-            kasteleyn_orient(g)
+                       coords=[(0, 0), (1, 0), (5, 0), (6, 0)], color=[0, 1, 0, 1])
+        assert not g.is_connected()
+        assert kasteleyn_orient(g) == {(0, 1): (0, 1), (2, 3): (2, 3)}
+        assert count_kasteleyn(g) == 1
 
 
 class TestKasteleynCount:
@@ -236,6 +262,40 @@ class TestKasteleynCount:
         h = build_hexagon(sides, holes=[g.labels[start], g.labels[opposite]])
         assert not h.is_connected()
         assert count_brute(h) == count_kasteleyn(h) == 1
+
+    def test_nested_island(self):
+        g = nested_island_hexagon()
+        assert sorted(map(len, g.components())) == [6, 42]
+        assert count_kasteleyn(g) == count_brute(g) == 32
+        assert {count_kasteleyn(g, seed=s) for s in range(6)} == {32}
+
+    def test_disconnected_aztec_subgraphs(self):
+        # deleting the ends of a few edges cuts diamonds into pieces; every
+        # piece needs its own dual tree for its faces to come out odd
+        rng = random.Random(1)
+        diamonds = [build_aztec_diamond(n) for n in (3, 4)]
+        checked = nonzero = 0
+        while checked < 40:
+            g = rng.choice(diamonds)
+            cut = rng.sample(g.edges, rng.randint(1, 4))
+            h = g.delete_vertices({v for e in cut for v in e})
+            if h.is_connected():
+                continue
+            orient = kasteleyn_orient(h)
+            for face in h.bounded_faces():
+                assert clockwise_edges(orient, face) % 2 == 1
+            count = count_brute(h)
+            assert count_kasteleyn(h) == count
+            checked += 1
+            nonzero += count > 0
+        assert nonzero >= 10
+
+    def test_balanced_graph_with_imbalanced_components(self):
+        # a path of 3 vertices next to a single vertex of the other class
+        g = MatchGraph(labels=range(4), edges=[(0, 1), (1, 2)],
+                       coords=[(0, 0), (1, 0), (2, 0), (5, 0)], color=[0, 1, 0, 1])
+        assert g.is_balanced()
+        assert count_kasteleyn(g) == count_brute(g) == 0
 
     def test_orientation_seed_invariance(self):
         for g in (build_hexagon((2, 2, 2, 2, 2, 2)), build_aztec_window(1, 2)):

@@ -16,6 +16,7 @@ from matchenum import (
     random_region,
     singular_values,
 )
+from test_counting import nested_island_hexagon
 
 
 def four_cycle():
@@ -62,6 +63,7 @@ class TestCharPoly:
         (four_cycle, 2),
         (lambda: build_hexagon((1, 1, 1, 1, 1, 1)), 2),
         (lambda: build_hexagon((2, 2, 2, 2, 2, 2)), 20),
+        (nested_island_hexagon, 32),
     ])
     def test_constant_term_is_count_squared(self, make, count):
         g = make()
