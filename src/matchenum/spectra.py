@@ -4,19 +4,23 @@ and floating-point singular values of K.
 The characteristic polynomial is computed over exact integers (every
 division in the recurrence is exact), so the counting identity
 |constant term| = (matching count)^2 can be asserted as integer equality.
-Floating point appears only in the singular values.
+Floating point appears only in the singular values: eigenvalues of
+K*K^T by Householder reduction to tridiagonal form and implicit-shift QL.
+Both refuse K larger than SPECTRUM_DIMENSION_LIMIT with BoundError.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 
-from .counting import kasteleyn_orient, signed_biadjacency
+from .counting import BoundError, kasteleyn_orient, signed_biadjacency
 from .graphs import GraphError, MatchGraph
 
-JACOBI_TOL = 1e-12
+SPECTRUM_DIMENSION_LIMIT = 80  # K dimension; charpoly at 80: ~0.9 s on a 2-vCPU Xeon
+QL_ITERATION_LIMIT = 60  # QL sweeps allowed per eigenvalue
 
 
 @dataclass(frozen=True)
@@ -68,18 +72,29 @@ def kasteleyn_matrix(g: MatchGraph, seed: int = 0) -> SignedMatrix:
     )
 
 
+def _check_dimension(k: SignedMatrix) -> None:
+    if k.dimension > SPECTRUM_DIMENSION_LIMIT:
+        raise BoundError(
+            f"K dimension {k.dimension} exceeds the spectrum limit "
+            f"{SPECTRUM_DIMENSION_LIMIT}"
+        )
+
+
 def _kk_star(k: SignedMatrix) -> list[list[int]]:
+    """K*K^T summed over the nonzeros of each column of K."""
     m = k.dimension
-    e = k.entries
-    n = len(e[0]) if m else 0
+    n = len(k.entries[0]) if m else 0
+    cols: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for i, row in enumerate(k.entries):
+        for t, v in enumerate(row):
+            if v:
+                cols[t].append((i, v))
     out = [[0] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i, m):
-            s = 0
-            for t in range(n):
-                s += e[i][t] * e[j][t]
-            out[i][j] = s
-            out[j][i] = s
+    for col in cols:
+        for i, vi in col:
+            oi = out[i]
+            for j, vj in col:
+                oi[j] += vi * vj
     return out
 
 
@@ -89,6 +104,7 @@ def kk_star_charpoly(k: SignedMatrix) -> CharPoly:
     Faddeev-LeVerrier recurrence over the integers; the trace divisions
     are exact and asserted to be so.
     """
+    _check_dimension(k)
     a = _kk_star(k)
     m = len(a)
     coeffs = [0] * (m + 1)
@@ -121,40 +137,103 @@ def kk_star_charpoly(k: SignedMatrix) -> CharPoly:
     return CharPoly(tuple(coeffs))
 
 
-def _jacobi_eigenvalues(a: list[list[float]], tol: float = JACOBI_TOL) -> list[float]:
-    n = len(a)
-    if n == 0:
-        return []
-    a = [[float(v) for v in row] for row in a]
-    scale = math.sqrt(sum(v * v for row in a for v in row)) or 1.0
-    for _ in range(200):
-        off = math.sqrt(sum(a[p][q] ** 2 for p in range(n) for q in range(p + 1, n)))
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p][q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = (a[q][q] - a[p][p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                for k in range(n):
-                    akp, akq = a[k][p], a[k][q]
-                    a[k][p] = c * akp - s * akq
-                    a[k][q] = s * akp + c * akq
-                for k in range(n):
-                    apk, aqk = a[p][k], a[q][k]
-                    a[p][k] = c * apk - s * aqk
-                    a[q][k] = s * apk + c * aqk
-    return [a[i][i] for i in range(n)]
+def _tridiagonalize(a: list[list[float]]) -> tuple[list[float], list[float]]:
+    """Householder reduction of the symmetric ``a`` to tridiagonal form,
+    eigenvalues only (no transform is accumulated); ``a`` is consumed.
 
-
-def singular_values(k: SignedMatrix, tol: float = JACOBI_TOL) -> list[float]:
-    """Singular values of K in descending order (Jacobi iteration on K*K^T).
-
-    Their product equals the matching count up to floating round-off.
+    Returns the diagonal d and the off-diagonal e, where e[i] couples
+    d[i] and d[i + 1] and e[n - 1] = 0.  Row i is reflected onto column
+    i - 1, last row first, so the active block is always the leading
+    i x i one.
     """
-    eigs = _jacobi_eigenvalues([[float(v) for v in row] for row in _kk_star(k)], tol)
+    n = len(a)
+    d = [0.0] * n
+    e = [0.0] * n
+    for i in range(n - 1, 0, -1):
+        d[i] = a[i][i]
+        x = a[i][:i]
+        scale = sum(map(abs, x))
+        if i == 1 or scale == 0.0:
+            e[i - 1] = x[-1]
+            continue
+        u = [v / scale for v in x]
+        h = sum(v * v for v in u)
+        f = u[-1]
+        g = -math.copysign(math.sqrt(h), f)
+        e[i - 1] = scale * g
+        h -= f * g  # |u|^2 / 2 once u[-1] becomes f - g
+        u[-1] = f - g
+        # A <- P A P with P = I - u u^T / h, as a rank-two update
+        p = [sum(map(operator.mul, a[j], u)) / h for j in range(i)]
+        half = sum(map(operator.mul, u, p)) / (h + h)
+        q = [pj - half * uj for pj, uj in zip(p, u)]
+        for j in range(i):  # grouped so that a stays exactly symmetric
+            uj, qj = u[j], q[j]
+            a[j] = [ajk - (uj * qk + qj * uk) for ajk, uk, qk in zip(a[j], u, q)]
+    if n:
+        d[0] = a[0][0]
+    return d, e
+
+
+def _tridiagonal_eigenvalues(d: list[float], e: list[float]) -> list[float]:
+    """Eigenvalues of the symmetric tridiagonal (d, e) by QL iteration with
+    implicit Wilkinson shifts (Bowdler, Martin, Reinsch and Wilkinson 1968).
+
+    ``d`` and ``e`` are laid out as ``_tridiagonalize`` returns them and
+    are consumed.  Raises ArithmeticError when an eigenvalue takes more
+    than QL_ITERATION_LIMIT sweeps instead of returning a partial result.
+    """
+    n = len(d)
+    for l in range(n):
+        iterations = 0
+        while True:
+            m = l
+            while m < n - 1:
+                dd = abs(d[m]) + abs(d[m + 1])
+                if abs(e[m]) + dd == dd:
+                    break
+                m += 1
+            if m == l:
+                break
+            if iterations == QL_ITERATION_LIMIT:
+                raise ArithmeticError(
+                    f"QL iteration did not converge in {QL_ITERATION_LIMIT} sweeps"
+                )
+            iterations += 1
+            g = (d[l + 1] - d[l]) / (2.0 * e[l])
+            r = math.hypot(g, 1.0)
+            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
+            s = c = 1.0
+            p = 0.0
+            for i in range(m - 1, l - 1, -1):
+                f = s * e[i]
+                b = c * e[i]
+                r = math.hypot(f, g)
+                e[i + 1] = r
+                if r == 0.0:  # the rotation underflowed: split here, sweep again
+                    d[i + 1] -= p
+                    e[m] = 0.0
+                    break
+                s = f / r
+                c = g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+            else:
+                d[l] -= p
+                e[l] = g
+                e[m] = 0.0
+    return d
+
+
+def singular_values(k: SignedMatrix) -> list[float]:
+    """Singular values of K in descending order: the square roots of the
+    eigenvalues of K*K^T, by Householder tridiagonalization and implicit
+    QL.  Their product equals the matching count up to floating round-off.
+    """
+    _check_dimension(k)
+    a = [[float(v) for v in row] for row in _kk_star(k)]
+    eigs = _tridiagonal_eigenvalues(*_tridiagonalize(a))
     return sorted((math.sqrt(max(e, 0.0)) for e in eigs), reverse=True)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -184,6 +185,27 @@ class TestSpectrum:
         code, _, err = run(capsys, "spectrum", "--region", path)
         assert code == 2
         assert "classes" in err
+
+    def test_counting_identity_at_dimension_48(self, capsys, region_file):
+        path = region_file("hex.json", {
+            "kind": "HEXAGON", "params": {"sides": [4, 4, 4, 4, 4, 4]},
+        })
+        code, out, _ = run(capsys, "spectrum", "--region", path)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["dimension"] == 48
+        assert doc["count"] == "232848"  # MacMahon's box formula for 4 x 4 x 4
+        assert abs(int(doc["charpoly"][0])) == int(doc["count"]) ** 2
+        assert len(doc["singular_values"]) == 48
+
+    def test_oversized_region_refused(self, capsys, region_file):
+        path = region_file("ad.json", {"kind": "AZTEC_DIAMOND", "params": {"n": 12}})
+        start = time.perf_counter()
+        code, out, err = run(capsys, "spectrum", "--region", path)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert "K dimension 156 exceeds the spectrum limit" in err
 
 
 class TestVerify:

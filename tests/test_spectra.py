@@ -5,22 +5,43 @@ import numpy as np
 import pytest
 
 from matchenum import (
+    BoundError,
     GraphError,
     MatchGraph,
     build_aztec_diamond,
     build_aztec_window,
     build_hexagon,
+    count_auto,
     count_brute,
     kasteleyn_matrix,
     kk_star_charpoly,
     random_region,
     singular_values,
 )
+from matchenum import spectra
+from matchenum.spectra import SignedMatrix, _kk_star
 from test_counting import nested_island_hexagon
 
 
 def four_cycle():
     return build_aztec_diamond(1)
+
+
+def eigvalsh_of_kk_star(k):
+    entries = np.array(k.entries, dtype=float).reshape(k.dimension, k.dimension)
+    return np.sort(np.linalg.eigvalsh(entries @ entries.T))
+
+
+def assert_squares_match_eigvalsh(k):
+    """Squared singular values against LAPACK, to round-off of ||K K^T||."""
+    sv = singular_values(k)
+    assert sv == sorted(sv, reverse=True)
+    assert all(isinstance(s, float) for s in sv)
+    ref = eigvalsh_of_kk_star(k)
+    got = np.sort(np.square(sv))
+    assert got.shape == ref.shape
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(ref), initial=0.0)))
+    assert np.all(np.abs(got - np.maximum(ref, 0.0)) <= tol)
 
 
 class TestKasteleynMatrix:
@@ -50,6 +71,21 @@ class TestKasteleynMatrix:
         g = MatchGraph(labels=[0, 1], edges=[(0, 1)], color=[0, 1])
         with pytest.raises(GraphError):
             kasteleyn_matrix(g)
+
+
+class TestKKStar:
+    @pytest.mark.parametrize("make", [
+        four_cycle,
+        lambda: build_hexagon((2, 3, 4, 2, 3, 4)),
+        lambda: build_aztec_diamond(4),
+        lambda: build_aztec_window(2, 4),
+        nested_island_hexagon,
+    ])
+    def test_equals_dense_product(self, make):
+        k = kasteleyn_matrix(make())
+        e = k.entries
+        dense = [[sum(a * b for a, b in zip(ei, ej)) for ej in e] for ei in e]
+        assert _kk_star(k) == dense
 
 
 class TestCharPoly:
@@ -114,6 +150,11 @@ class TestCharPoly:
 
 
 class TestSingularValues:
+    def test_empty(self):
+        k = SignedMatrix(entries=(), row_vertices=(), col_vertices=())
+        assert singular_values(k) == []
+        assert kk_star_charpoly(k).coeffs == (1,)
+
     def test_one_by_one(self):
         g = MatchGraph(labels=[0, 1], edges=[(0, 1)],
                        coords=[(0, 0), (1, 0)], color=[0, 1])
@@ -131,12 +172,63 @@ class TestSingularValues:
         assert math.prod(sv) == pytest.approx(count, rel=1e-9)
 
     def test_squares_match_charpoly_roots(self):
-        # squared singular values against an independent eigensolver
+        # squared singular values against an independent eigensolver, up
+        # to K of dimension 48 (hexagon 4^6) and 42 (Aztec diamond n = 6)
         for make in (lambda: build_hexagon((2, 2, 2, 2, 2, 2)),
-                     lambda: build_aztec_diamond(3)):
-            k = kasteleyn_matrix(make())
-            sv = singular_values(k)
-            entries = np.array(k.entries, dtype=float)
-            eig = np.sort(np.linalg.eigvalsh(entries @ entries.T))
-            got = np.sort(np.square(sv))
-            assert np.allclose(got, eig, rtol=1e-6, atol=1e-9)
+                     lambda: build_aztec_diamond(3),
+                     lambda: build_hexagon((4, 4, 4, 4, 4, 4)),
+                     lambda: build_aztec_diamond(6)):
+            assert_squares_match_eigvalsh(kasteleyn_matrix(make()))
+
+    def test_matches_eigvalsh_on_random_regions(self):
+        rng = random.Random(1)
+        checked = zero_counts = 0
+        while checked < 24:
+            _, g = random_region(rng)
+            if g.coords is None or g.color is None or not g.is_balanced():
+                continue
+            k = kasteleyn_matrix(g)
+            assert_squares_match_eigvalsh(k)
+            if count_auto(g) == 0:
+                assert min(singular_values(k)) < 1e-6
+                zero_counts += 1
+            checked += 1
+        assert zero_counts >= 3
+
+    def test_repeated_eigenvalues(self):
+        # the Aztec diamond's symmetry gives K K^T multiple eigenvalues
+        k = kasteleyn_matrix(build_aztec_diamond(4))
+        ref = eigvalsh_of_kk_star(k)
+        assert np.any(np.diff(ref) < 1e-9)
+        assert_squares_match_eigvalsh(k)
+        assert math.prod(singular_values(k)) == pytest.approx(1024, rel=1e-9)
+
+    def test_diagonal_needs_no_iteration(self, monkeypatch):
+        monkeypatch.setattr(spectra, "QL_ITERATION_LIMIT", 0)
+        k = SignedMatrix(entries=((1, 0, 0), (0, -3, 0), (0, 0, 2)),
+                         row_vertices=(0, 1, 2), col_vertices=(3, 4, 5))
+        assert singular_values(k) == [3.0, 2.0, 1.0]
+
+    def test_non_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(spectra, "QL_ITERATION_LIMIT", 0)
+        k = SignedMatrix(entries=((1, 0), (1, 1)),  # K K^T = [[1, 1], [1, 2]]
+                         row_vertices=(0, 2), col_vertices=(1, 3))
+        with pytest.raises(ArithmeticError):
+            singular_values(k)
+
+
+class TestDimensionBound:
+    def test_limit_admits_hexagon_5(self):
+        k = kasteleyn_matrix(build_hexagon((5, 5, 5, 5, 5, 5)))
+        assert k.dimension == 75 <= spectra.SPECTRUM_DIMENSION_LIMIT
+
+    @pytest.mark.parametrize("compute", [kk_star_charpoly, singular_values])
+    def test_refused_before_any_work(self, compute, monkeypatch):
+        k = kasteleyn_matrix(build_aztec_diamond(9))  # dimension 90
+
+        def no_work(_):
+            raise AssertionError("K K^T built past the bound")
+
+        monkeypatch.setattr(spectra, "_kk_star", no_work)
+        with pytest.raises(BoundError, match="spectrum limit"):
+            compute(k)
