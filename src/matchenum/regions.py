@@ -287,12 +287,23 @@ def build_aztec_rectangle(
     return _square_graph(remaining)
 
 
+def aztec_window_row(x: int, w: int, i: int) -> list[int]:
+    """The j of the window's cells (i, j), ascending.  Row i of the order-n
+    diamond is -t-1 <= j <= t with t = n-1-a, where |2i+1| = 2a+1; the
+    window's row is the outer diamond's minus the inner one's."""
+    a = i if i >= 0 else -i - 1
+    outer = x + w - 1 - a
+    inner = max(x - 1 - a, -1)  # -1: the inner diamond misses row i
+    return [*range(-outer - 1, -inner - 1), *range(inner + 1, outer + 1)]
+
+
 def aztec_window_cells(x: int, w: int) -> set[tuple[int, int]]:
+    """Cells of the order-x diamond's complement in the order-(x+w) one,
+    built row by row in time linear in their number, 2w(2x+w+1)."""
     if x < 1 or w < 1:
         raise RegionError("Aztec window needs x >= 1 and w >= 1")
-    outer = aztec_diamond_cells(x + w)
-    inner = aztec_diamond_cells(x)
-    return outer - inner
+    n = x + w
+    return {(i, j) for i in range(-n, n) for j in aztec_window_row(x, w, i)}
 
 
 def build_aztec_window(x: int, w: int) -> MatchGraph:

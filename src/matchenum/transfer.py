@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 from .counting import BoundError
 from .graphs import GraphError, MatchGraph
-from .regions import RegionError, RegionSpec, build_aztec_window
+from .regions import RegionError, RegionSpec, aztec_window_row, build_aztec_window
 
 FRONTIER_LIMIT = 22  # slots; a 2**22-state table is the desk-scale ceiling
 COLUMN_MATRIX_LIMIT = 10  # dense 2**w x 2**w column operator, w <= 10
@@ -44,14 +44,11 @@ def _ring_slices(x: int, w: int) -> list[list[Cell]]:
     """
     outer = x + w
 
-    def in_window(i: int, j: int) -> bool:
-        return x < max(abs(i + j + 1), abs(i - j)) <= outer
-
     def north(i: int) -> list[Cell]:
-        return [(i, j) for j in range(0, outer + 1) if in_window(i, j)]
+        return [(i, j) for j in aztec_window_row(x, w, i) if j >= 0]
 
     def south(i: int) -> list[Cell]:
-        return [(i, j) for j in range(-outer - 1, 0) if in_window(i, j)]
+        return [(i, j) for j in aztec_window_row(x, w, i) if j < 0]
 
     slices = [north(i) for i in range(0, outer)]
     slices += [south(i) for i in range(outer - 1, -outer - 1, -1)]

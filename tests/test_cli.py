@@ -80,6 +80,16 @@ class TestCount:
         assert code == 2
         assert "limit" in err
 
+    def test_auto_refuses_six_cube(self, capsys, region_file):
+        # 64 vertices would pass the brute bound, but the search is unbounded
+        path = region_file("q6.json", {"kind": "HYPERCUBE", "params": {"n": 6}})
+        start = time.perf_counter()
+        code, out, err = run(capsys, "count", "--region", path)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert "class size 32 exceeds the permanent limit 20" in err
+
     def test_out_file(self, capsys, region_file, tmp_path):
         path = region_file("hex.json", {
             "kind": "HEXAGON", "params": {"sides": [1, 1, 2, 1, 1, 2]},

@@ -15,6 +15,7 @@ from matchenum import (
     build_hypercube,
     central_rhombus_edge,
     containment_ratio,
+    count_auto,
     count_brute,
     count_kasteleyn,
     count_permanent,
@@ -24,6 +25,8 @@ from matchenum import (
     kasteleyn_orient,
     random_region,
 )
+from matchenum import counting
+from matchenum.counting import _row_col_split, _split_columns
 
 # values frozen from the backtracking oracle
 HEX_COUNTS = {
@@ -156,10 +159,14 @@ class TestPermanent:
                 matrix = [[1] * m for _ in range(m)]
                 matrix[k] = [0] * m
                 assert count_permanent(bipartite_graph(matrix)) == 0
-                matrix = random_01(rng, m, 0.7)
-                for row in matrix:
-                    row[k] = 0
-                assert count_permanent(bipartite_graph(matrix)) == 0
+                for density in (0.7, 0.3):  # 0.3 leaves free columns
+                    matrix = random_01(rng, m, density)
+                    for row in matrix:
+                        row[k] = 0
+                    assert count_permanent(bipartite_graph(matrix)) == 0
+                    matrix = random_01(rng, m, density)
+                    matrix[k] = [0] * m
+                    assert count_permanent(bipartite_graph(matrix)) == 0
 
     def test_column_permutation_invariance(self):
         rng = random.Random(7)
@@ -195,6 +202,80 @@ class TestPermanent:
     def test_class_size_bound(self):
         with pytest.raises(BoundError):
             count_permanent(build_hypercube(6))
+
+
+def split_columns(g):
+    """Free and walked columns of g's biadjacency, and each column's rows."""
+    _, cols, pos = _row_col_split(g)
+    col_rows = [[pos[u] for u in g.adj[v]] for v in cols]
+    return (*_split_columns(col_rows), col_rows)
+
+
+class TestFactoredGlynn:
+    def test_every_small_matrix_against_brute(self):
+        for m in (1, 2, 3):
+            for bits in range(1 << (m * m)):
+                matrix = [[bits >> (i * m + j) & 1 for j in range(m)]
+                          for i in range(m)]
+                g = bipartite_graph(matrix)
+                assert count_permanent(g) == count_brute(g), matrix
+
+    def test_sparse_random_against_brute(self):
+        rng = random.Random(23)
+        for m in range(4, 13):
+            for density in (0.15, 0.25, 0.35):
+                for _ in range(3):
+                    matrix = random_01(rng, m, density)
+                    if rng.random() < 0.5:  # most are singular without it
+                        for i in range(m):
+                            matrix[i][i] = 1
+                    order = list(range(2 * m))
+                    rng.shuffle(order)
+                    g = bipartite_graph(matrix, order)
+                    assert count_permanent(g) == count_brute(g), (matrix, order)
+
+    def test_split_is_disjoint_and_keeps_last_column_walked(self):
+        rng = random.Random(29)
+        for m in range(1, 12):
+            g = bipartite_graph(random_01(rng, m, 0.3))
+            free, walked, col_rows = split_columns(g)
+            assert sorted(free + walked) == list(range(m))
+            assert walked[-1] == m - 1
+            claimed = [i for j in free for i in col_rows[j]]
+            assert len(claimed) == len(set(claimed))
+            assert all(col_rows[j] for j in free)
+
+    def test_permutation_matrices_free_all_but_the_last_column(self):
+        rng = random.Random(31)
+        for m in (1, 2, 5, 12, 20):
+            perm = list(range(m))
+            rng.shuffle(perm)
+            g = bipartite_graph([[int(perm[i] == j) for j in range(m)]
+                                 for i in range(m)])
+            free, walked, _ = split_columns(g)
+            assert walked == [m - 1] and len(free) == m - 1
+            assert count_permanent(g) == 1
+
+    def test_free_factor_zero_at_the_start(self):
+        # rows 0 and 1 meet only column 0: F_0 = 1 * 1 - (-1) * (-1) = 0
+        rng = random.Random(41)
+        for m in (3, 5, 8):
+            matrix = random_01(rng, m, 0.5)
+            for i in range(m):
+                matrix[i][0] = int(i < 2)
+            matrix[0] = [1] + [0] * (m - 1)
+            matrix[1] = [1] + [0] * (m - 1)
+            g = bipartite_graph(matrix)
+            assert 0 in split_columns(g)[0]
+            assert count_permanent(g) == 0 == count_brute(g)
+
+    @pytest.mark.parametrize("make,walked,m", [
+        (lambda: build_aztec_window(1, 3), 12, 18),
+        (lambda: build_hypercube(5), 14, 16),
+    ], ids=["window_x1_w3", "five_cube"])
+    def test_walked_column_counts(self, make, walked, m):
+        free, walk, _ = split_columns(make())
+        assert (len(walk), len(free) + len(walk)) == (walked, m)
 
 
 class TestKasteleynOrientation:
@@ -317,6 +398,24 @@ class TestOracleAgreement:
                 assert count_kasteleyn(g) == reference
             if g.color is not None and g.is_balanced() and g.n // 2 <= 20:
                 assert count_permanent(g) == reference
+
+
+class TestCountAuto:
+    def test_unembedded_bipartite_graph_goes_to_the_permanent(self, monkeypatch):
+        def no_search(g):
+            raise AssertionError("backtracking search started")
+
+        monkeypatch.setattr(counting, "count_brute", no_search)
+        assert count_auto(build_hypercube(4)) == CUBE_COUNTS[4]
+        # 64 vertices pass the brute bound, but 32 columns are refused
+        with pytest.raises(BoundError, match="permanent limit"):
+            count_auto(build_hypercube(6))
+
+    def test_uncolored_graph_goes_to_brute(self):
+        assert count_auto(cycle_graph(7)) == 0
+        # two triangles joined by the edge (0, 3), which every matching uses
+        assert count_auto(MatchGraph(labels=range(6), edges=[
+            (0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3)])) == 1
 
 
 class TestForcedEdges:

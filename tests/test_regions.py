@@ -16,7 +16,11 @@ from matchenum import (
     hexagon_cell_count,
     hexagon_cells,
 )
-from matchenum.regions import aztec_rectangle_cells, aztec_window_cells
+from matchenum.regions import (
+    aztec_diamond_cells,
+    aztec_rectangle_cells,
+    aztec_window_cells,
+)
 
 
 def all_hex_side_tuples(max_side):
@@ -239,6 +243,13 @@ class TestAztecWindow:
         assert aztec_window_cells(1, 2) == (
             set(build_aztec_diamond(3).labels) - set(build_aztec_diamond(1).labels)
         )
+
+    def test_rows_equal_the_diamond_scan(self):
+        for x in range(1, 7):
+            for w in range(1, 7):
+                assert aztec_window_cells(x, w) == (
+                    aztec_diamond_cells(x + w) - aztec_diamond_cells(x)
+                ), (x, w)
 
     def test_one_hole_face(self):
         g = build_aztec_window(1, 2)

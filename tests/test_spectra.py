@@ -209,6 +209,15 @@ class TestSingularValues:
                          row_vertices=(0, 1, 2), col_vertices=(3, 4, 5))
         assert singular_values(k) == [3.0, 2.0, 1.0]
 
+    def test_negative_round_off_clamped_to_zero(self, monkeypatch):
+        # K K^T is positive semidefinite, so an eigenvalue that round-off
+        # pushes below zero is a zero singular value, not sqrt(|e|)
+        monkeypatch.setattr(spectra, "_tridiagonal_eigenvalues",
+                            lambda d, e: [4.0, -1e-6, 1.0])
+        k = SignedMatrix(entries=((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+                         row_vertices=(0, 1, 2), col_vertices=(3, 4, 5))
+        assert singular_values(k) == [2.0, 1.0, 0.0]
+
     def test_non_convergence_raises(self, monkeypatch):
         monkeypatch.setattr(spectra, "QL_ITERATION_LIMIT", 0)
         k = SignedMatrix(entries=((1, 0), (1, 1)),  # K K^T = [[1, 1], [1, 2]]

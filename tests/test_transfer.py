@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 
@@ -23,6 +24,7 @@ from matchenum.regions import _square_graph
 from matchenum.transfer import (
     FRONTIER_LIMIT,
     _compile_order,
+    _ring_slices,
     _window_order,
 )
 
@@ -59,6 +61,25 @@ class TestTransferCount:
         g = build_aztec_window(1, 11)
         with pytest.raises(BoundError):
             frontier_count(g, _window_order(g, 1, 11))
+
+    def test_ring_slices_equal_the_column_scan(self):
+        # the slices as a full scan of each column finds them
+        for x in range(1, 7):
+            for w in range(1, 7):
+                def column(i, js):
+                    return [(i, j) for j in js
+                            if x < max(abs(i + j + 1), abs(i - j)) <= x + w]
+                north, south = range(0, x + w + 1), range(-x - w - 1, 0)
+                scan = [column(i, north) for i in range(0, x + w)]
+                scan += [column(i, south) for i in range(x + w - 1, -x - w - 1, -1)]
+                scan += [column(i, north) for i in range(-x - w, 0)]
+                assert _ring_slices(x, w) == scan, (x, w)
+
+    def test_long_thin_window_is_built_in_linear_time(self):
+        # 8012 cells; building the window scanned a quadratic box before
+        start = time.perf_counter()
+        assert transfer_count(window_spec(1000, 2)) == 8
+        assert time.perf_counter() - start < 5.0
 
     def test_pinned_w8_x4(self):
         assert transfer_count(window_spec(4, 8)) == 73898794978115584
