@@ -3,8 +3,9 @@
 For a fixed ring thickness w the tiling count is one frontier DP swept
 column by column around the annulus; seam dominoes stay in the frontier
 until the sweep closes the ring.  The single-column step operator of a
-straight arm is shown as a dense 2^w x 2^w matrix.  The counts, viewed
-as a sequence in the inner order x, are then examined with finite
+straight arm comes from the same DP, run over one column from each
+incoming mask, and is shown as a dense 2^w x 2^w matrix.  The counts,
+viewed as a sequence in the inner order x, are then examined with finite
 differences.
 """
 

@@ -39,6 +39,7 @@ from .transfer import count_sequence, detect_polynomial
 PASS, FAIL, REPORT_ONLY = "PASS", "FAIL", "REPORT_ONLY"
 
 SPECTRA_DIMENSION_LIMIT = 30  # charpoly checked up to this K dimension
+ASYMPTOTIC_MARGIN = 1e-9  # g(n+1) - g(n) must exceed this to count as a rise
 
 
 @dataclass(frozen=True)
@@ -296,7 +297,7 @@ def verify_problem19_orbits(n: int) -> ClaimReport:
     return _finish("problem19-orbits", {"n": n}, computed, expected, t0)
 
 
-def verify_problem19_asymptotic(n_max: int, margin: float = 1e-9) -> ClaimReport:
+def verify_problem19_asymptotic(n_max: int) -> ClaimReport:
     """Tabulate g(n) = f(n)^(2^(1-n)) beside n/e and check that g is
     strictly increasing on the desk range.
 
@@ -318,7 +319,7 @@ def verify_problem19_asymptotic(n_max: int, margin: float = 1e-9) -> ClaimReport
             "g": gval,
             "n_over_e": n / math.e,
         })
-    increasing = all(b - a > margin for a, b in zip(gs, gs[1:]))
+    increasing = all(b - a > ASYMPTOTIC_MARGIN for a, b in zip(gs, gs[1:]))
     computed = {"table": rows, "strictly_increasing": increasing}
     verdict = REPORT_ONLY if increasing else FAIL
     return _finish(

@@ -18,9 +18,7 @@ from typing import Hashable, Iterable, Optional, Sequence
 
 class GraphError(ValueError):
     """Raised for malformed graphs or operations missing a prerequisite
-    (no embedding, no bipartition, or a disconnected graph given to
-    ``euler_check``, the one operation that needs connectivity).
-    """
+    (no embedding or no bipartition)."""
 
 
 Dart = tuple[int, int]
@@ -150,27 +148,6 @@ class MatchGraph:
         a, b = self.class_sizes()
         return a == b
 
-    def components(self) -> list[list[int]]:
-        seen = [False] * self.n
-        comps = []
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            stack, comp = [s], []
-            seen[s] = True
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for u in self.adj[v]:
-                    if not seen[u]:
-                        seen[u] = True
-                        stack.append(u)
-            comps.append(sorted(comp))
-        return comps
-
-    def is_connected(self) -> bool:
-        return self.n <= 1 or len(self.components()) == 1
-
     # -- derived graphs -----------------------------------------------
 
     def subgraph(self, keep: Iterable[int]) -> "MatchGraph":
@@ -269,13 +246,6 @@ class MatchGraph:
 
     def bounded_faces(self) -> list[Face]:
         return [f for f in self.faces() if f.bounded]
-
-    def euler_check(self) -> bool:
-        """V - E + F = 2 with the outer face counted (connected graphs)."""
-        if not self.is_connected():
-            raise GraphError("Euler relation stated for connected graphs")
-        f = len(self.faces()) if self.edges else 1
-        return self.n - len(self.edges) + f == 2
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"MatchGraph(n={self.n}, m={len(self.edges)})"

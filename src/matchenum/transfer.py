@@ -1,12 +1,17 @@
 """Frontier (profile) DP counting, Aztec windows and polynomial detection.
 
-``frontier_count`` counts the perfect matchings of any graph by sweeping
-its vertices in a given order.  A vertex that has a neighbour earlier in
-the order takes a slot in the frontier when that neighbour is processed
-and frees it when it is processed itself; a state is an int bitmask over
-the slots, a set bit marking a vertex already covered by an edge from an
-earlier vertex.  The frontier width (the number of slots) bounds the
-number of states by 2^width.
+One DP loop, ``_advance``, serves every result of this module.  It runs
+the compiled steps of a vertex order over a table of states.  A vertex
+that has a neighbour earlier in the order takes a slot in the frontier
+when that neighbour is processed and frees it when it is processed
+itself; a state is an int bitmask over the slots, a set bit marking a
+vertex already covered by an edge from an earlier vertex.  The frontier
+width (the number of slots) bounds the number of states by 2^width.
+
+``frontier_count`` runs the loop over a whole graph from the empty state.
+``column_transfer_matrix`` runs it over one column of the window's band,
+from each incoming mask in turn, and reads the surviving states as the
+cells of the next column that the column's dominoes cover.
 
 Aztec windows are swept once around the annulus: columns of the upper
 half left to right, columns of the lower half right to left, then back up
@@ -33,37 +38,18 @@ from .regions import RegionError, RegionSpec, aztec_window_row, build_aztec_wind
 FRONTIER_LIMIT = 22  # slots; a 2**22-state table is the desk-scale ceiling
 COLUMN_MATRIX_LIMIT = 10  # dense 2**w x 2**w column operator, w <= 10
 
-Cell = tuple[int, int]
-
-
-def _ring_slices(x: int, w: int) -> list[list[Cell]]:
-    """Columns of the annulus in one cyclic sweep order.
-
-    Upper half (j >= 0) west to east, lower half east to west; every
-    column holds at most w contiguous cells.
-    """
-    outer = x + w
-
-    def north(i: int) -> list[Cell]:
-        return [(i, j) for j in aztec_window_row(x, w, i) if j >= 0]
-
-    def south(i: int) -> list[Cell]:
-        return [(i, j) for j in aztec_window_row(x, w, i) if j < 0]
-
-    slices = [north(i) for i in range(0, outer)]
-    slices += [south(i) for i in range(outer - 1, -outer - 1, -1)]
-    slices += [north(i) for i in range(-outer, 0)]
-    assert all(slices) and all(len(s) <= w for s in slices)
-    return slices
+Step = tuple[int, tuple[int, ...]]
 
 
 def _compile_order(
     g: MatchGraph, order: Sequence[int]
-) -> tuple[list[tuple[int, tuple[int, ...]]], int]:
-    """Reduce a vertex order to per-step ``(vbit, fwd_bits)`` and the width.
+) -> tuple[list[Step], int, list[int]]:
+    """Reduce a vertex order to per-step ``(vbit, fwd_bits)``, the width
+    and each vertex's final slot.
 
     ``vbit`` is the slot bit of the processed vertex (0 if it never entered
     the frontier); ``fwd_bits`` are the slot bits of its later neighbours.
+    A vertex's final slot is -1 when it never entered the frontier.
     """
     n = g.n
     order = list(order)
@@ -93,22 +79,12 @@ def _compile_order(
                         width += 1
                 fwd.append(1 << slot[u])
         steps.append((vbit, tuple(fwd)))
-    return steps, width
+    return steps, width, slot
 
 
-def frontier_count(g: MatchGraph, order: Sequence[int]) -> int:
-    """Exact perfect-matching count of ``g`` by a frontier DP along ``order``.
-
-    ``order`` must be a permutation of the vertex indices.  Raises
-    BoundError before any DP step when the frontier width of the order
-    exceeds FRONTIER_LIMIT.
-    """
-    steps, width = _compile_order(g, order)
-    if width > FRONTIER_LIMIT:
-        raise BoundError(
-            f"frontier width {width} exceeds the limit {FRONTIER_LIMIT}"
-        )
-    states = {0: 1}
+def _advance(steps: Sequence[Step], states: dict[int, int]) -> dict[int, int]:
+    """Run compiled steps on a ``{state: count}`` table; ``{}`` once every
+    state has died."""
     for vbit, fwd in steps:
         nxt: dict[int, int] = {}
         get = nxt.get
@@ -122,29 +98,52 @@ def frontier_count(g: MatchGraph, order: Sequence[int]) -> int:
                         s2 = st | bit
                         nxt[s2] = get(s2, 0) + cnt
         if not nxt:
-            return 0
+            return {}
         states = nxt
-    return states.get(0, 0)
+    return states
 
 
-def _window_order(g: MatchGraph, x: int, w: int) -> list[int]:
-    return [g.index[c] for s in _ring_slices(x, w) for c in s]
+def frontier_count(g: MatchGraph, order: Sequence[int]) -> int:
+    """Exact perfect-matching count of ``g`` by a frontier DP along ``order``.
+
+    ``order`` must be a permutation of the vertex indices.  Raises
+    BoundError before any DP step when the frontier width of the order
+    exceeds FRONTIER_LIMIT.
+    """
+    steps, width, _ = _compile_order(g, order)
+    if width > FRONTIER_LIMIT:
+        raise BoundError(
+            f"frontier width {width} exceeds the limit {FRONTIER_LIMIT}"
+        )
+    return _advance(steps, {0: 1}).get(0, 0)
+
+
+def _window_order(g: MatchGraph) -> list[int]:
+    """The window's cells in one cyclic sweep: the upper half (j >= 0)
+    west to east from i = 0, the lower half east to west, then the upper
+    half's columns i < 0 west to east; each column bottom to top."""
+
+    def key(v: int) -> tuple[int, int, int]:
+        i, j = g.labels[v]
+        if j < 0:
+            return (1, -i, j)
+        return (0 if i >= 0 else 2, i, j)
+
+    return sorted(range(g.n), key=key)
 
 
 def transfer_count(spec: RegionSpec) -> int:
     """Exact matching count of an Aztec window by the ring sweep."""
     if spec.kind != "AZTEC_WINDOW":
-        raise RegionError("transfer_count only applies to AZTEC_WINDOW regions")
+        raise RegionError("the transfer method applies only to AZTEC_WINDOW regions")
     x, w = spec.params["x"], spec.params["w"]
-    if x < 1 or w < 1:
-        raise RegionError("Aztec window needs x >= 1 and w >= 1")
     # the ring order has frontier width 2w + 1 (w >= 2); refuse before building
     if 2 * w + 1 > FRONTIER_LIMIT:
         raise BoundError(
             f"frontier width {2 * w + 1} exceeds the limit {FRONTIER_LIMIT}"
         )
     g = build_aztec_window(x, w)
-    return frontier_count(g, _window_order(g, x, w))
+    return frontier_count(g, _window_order(g))
 
 
 def count_sequence(w: int, x_from: int, x_to: int) -> list[int]:
@@ -164,6 +163,10 @@ def column_transfer_matrix(x: int, w: int) -> list[list[int]]:
     dominoes inside the column, horizontal pokes into the next column)
     leaving outgoing state B, else 0.  The dimension 2**w depends only on
     the ring thickness, never on the inner order x.
+
+    Each row is one run of the frontier DP over the open cells of the
+    column i = 0 followed by the column i = 1; the states that survive
+    the first column's steps are the row's outgoing masks.
     """
     if x < 1 or w < 1:
         raise RegionError("Aztec window needs x >= 1 and w >= 1")
@@ -171,40 +174,33 @@ def column_transfer_matrix(x: int, w: int) -> list[list[int]]:
         raise BoundError(
             f"dense column operator needs w <= {COLUMN_MATRIX_LIMIT}, got {w}"
         )
-    slices = _ring_slices(x, w)
-    col_a, col_b = slices[0], slices[1]
-    pos_b = {c: k for k, c in enumerate(col_b)}
+    col_a, col_b = (
+        [(i, j) for j in aztec_window_row(x, w, i) if j >= 0] for i in (0, 1)
+    )
     size = 1 << w
     matrix = [[0] * size for _ in range(size)]
     for a_mask in range(size):
-        for b_mask in _column_completions(col_a, pos_b, a_mask):
-            if matrix[a_mask][b_mask]:
+        cells = [c for k, c in enumerate(col_a) if not a_mask >> k & 1]
+        open_a = len(cells)
+        cells += col_b
+        index = {c: v for v, c in enumerate(cells)}
+        # up the column, or across into the next one
+        edges = [
+            (index[(i, j)], index[nb])
+            for i, j in cells[:open_a]
+            for nb in ((i, j + 1), (i + 1, j))
+            if nb in index
+        ]
+        steps, _, slot = _compile_order(MatchGraph(cells, edges), range(len(cells)))
+        for state, cnt in _advance(steps[:open_a], {0: 1}).items():
+            if cnt != 1:
                 raise ArithmeticError("column completion counted twice")
+            b_mask = 0
+            for k, s in enumerate(slot[open_a:]):
+                if s >= 0 and state >> s & 1:
+                    b_mask |= 1 << k
             matrix[a_mask][b_mask] = 1
     return matrix
-
-
-def _column_completions(col_a, pos_b, a_mask):
-    """Outgoing poke masks for one column given the incoming covered mask."""
-    w = len(col_a)
-
-    def rec(k: int, covered: int, b_mask: int):
-        if k == w:
-            yield b_mask
-            return
-        if (covered >> k) & 1:
-            yield from rec(k + 1, covered, b_mask)
-            return
-        i, j = col_a[k]
-        # vertical domino with the cell above (next in the column)
-        if k + 1 < w and col_a[k + 1] == (i, j + 1) and not (covered >> (k + 1)) & 1:
-            yield from rec(k + 2, covered, b_mask)
-        # horizontal domino poking into the next column
-        nb = (i + 1, j)
-        if nb in pos_b:
-            yield from rec(k + 1, covered, b_mask | (1 << pos_b[nb]))
-
-    yield from rec(0, a_mask, 0)
 
 
 # -- polynomial detection ---------------------------------------------------

@@ -56,6 +56,15 @@ class TestCount:
         assert code == 2
         assert "AZTEC_WINDOW" in err
 
+    @pytest.mark.parametrize("x, w", [(0, 2), (2, 0)])
+    def test_transfer_on_empty_window_exits_2(self, capsys, region_file, x, w):
+        path = region_file("aw.json", {"kind": "AZTEC_WINDOW",
+                                       "params": {"x": x, "w": w}})
+        code, out, err = run(capsys, "count", "--region", path, "--method", "transfer")
+        assert code == 2
+        assert out == ""
+        assert "x >= 1 and w >= 1" in err
+
     def test_malformed_json(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{nope")

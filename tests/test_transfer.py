@@ -24,7 +24,6 @@ from matchenum.regions import _square_graph
 from matchenum.transfer import (
     FRONTIER_LIMIT,
     _compile_order,
-    _ring_slices,
     _window_order,
 )
 
@@ -48,22 +47,27 @@ class TestTransferCount:
         with pytest.raises(RegionError):
             transfer_count(RegionSpec("AZTEC_DIAMOND", {"n": 2}))
 
+    @pytest.mark.parametrize("x, w", [(0, 2), (2, 0), (0, 0)])
+    def test_empty_order_or_thickness_is_refused(self, x, w):
+        with pytest.raises(RegionError, match="x >= 1 and w >= 1"):
+            transfer_count(window_spec(x, w))
+
     def test_cut_width_limit(self):
         with pytest.raises(BoundError):
             transfer_count(window_spec(1, 25))
 
     def test_frontier_limit_admits_w10_and_refuses_w11(self):
         g = build_aztec_window(1, 10)
-        assert _compile_order(g, _window_order(g, 1, 10))[1] <= FRONTIER_LIMIT
+        assert _compile_order(g, _window_order(g))[1] <= FRONTIER_LIMIT
         with pytest.raises(BoundError):
             transfer_count(window_spec(1, 11))
         # the engine's own check, on the graph in ring order
         g = build_aztec_window(1, 11)
         with pytest.raises(BoundError):
-            frontier_count(g, _window_order(g, 1, 11))
+            frontier_count(g, _window_order(g))
 
     def test_ring_slices_equal_the_column_scan(self):
-        # the slices as a full scan of each column finds them
+        # the sweep visits the columns as a full scan of each column finds them
         for x in range(1, 7):
             for w in range(1, 7):
                 def column(i, js):
@@ -73,7 +77,10 @@ class TestTransferCount:
                 scan = [column(i, north) for i in range(0, x + w)]
                 scan += [column(i, south) for i in range(x + w - 1, -x - w - 1, -1)]
                 scan += [column(i, north) for i in range(-x - w, 0)]
-                assert _ring_slices(x, w) == scan, (x, w)
+                assert all(scan) and all(len(c) <= w for c in scan), (x, w)
+                g = build_aztec_window(x, w)
+                swept = [g.labels[v] for v in _window_order(g)]
+                assert swept == [c for col in scan for c in col], (x, w)
 
     def test_long_thin_window_is_built_in_linear_time(self):
         # 8012 cells; building the window scanned a quadratic box before
@@ -87,7 +94,7 @@ class TestTransferCount:
     @pytest.mark.parametrize("x, w", [(1, 2), (2, 3), (3, 4), (2, 5)])
     def test_count_does_not_depend_on_the_order(self, x, w):
         g = build_aztec_window(x, w)
-        ring = _window_order(g, x, w)
+        ring = _window_order(g)
         expected = transfer_count(window_spec(x, w))
         assert frontier_count(g, ring[::-1]) == expected
         for start in (1, len(ring) // 3, len(ring) - 1):
@@ -97,7 +104,7 @@ class TestTransferCount:
     def test_ring_order_frontier_width(self, w):
         # w seam bits held around the ring plus a broken-line cut of w + 1
         g = build_aztec_window(2, w)
-        assert _compile_order(g, _window_order(g, 2, w))[1] == 2 * w + 1
+        assert _compile_order(g, _window_order(g))[1] == 2 * w + 1
 
 
 def random_graph(rng, n, density, bipartite):
@@ -205,7 +212,30 @@ class TestColumnTransferMatrix:
             m = column_transfer_matrix(2, w)
             assert all(v in (0, 1) for row in m for v in row)
 
-    @pytest.mark.parametrize("w", [1, 2, 3])
+    def test_nonzero_entries_are_pinned(self):
+        # a(w) = 2 a(w-1) + a(w-2): the completions of each incoming mask
+        pinned = [1, 3, 7, 17, 41, 99, 239, 577]
+        for w, nonzero in enumerate(pinned, start=1):
+            m = column_transfer_matrix(1, w)
+            assert sum(v != 0 for row in m for v in row) == nonzero, w
+
+    @pytest.mark.parametrize("w", [1, 2, 3, 4, 5])
+    def test_entries_are_brute_completions(self, w):
+        # [A][B] counts the matchings of column 0 without the cells in A
+        # plus the cells in B of column 1, which sits one step lower, using
+        # column 0's vertical edges and the edges across
+        t = column_transfer_matrix(1, w)
+        for a in range(1 << w):
+            for b in range(1 << w):
+                cells = [(0, k) for k in range(w) if not a >> k & 1]
+                cells += [(1, k - 1) for k in range(w) if b >> k & 1]
+                index = {c: v for v, c in enumerate(cells)}
+                edges = [(index[(0, j)], index[nb])
+                         for i, j in cells if i == 0
+                         for nb in ((0, j + 1), (1, j)) if nb in index]
+                assert t[a][b] == count_brute(MatchGraph(cells, edges)), (a, b)
+
+    @pytest.mark.parametrize("w", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_matrix_power_counts_staircase_strips(self, w, k):
         # the single-column step operator must reproduce the matchings of a
