@@ -10,7 +10,7 @@ from matchenum import (
     build_hypercube,
     count_brute,
     count_permanent,
-    orbit_decomposition,
+    verify_problem19_orbits,
 )
 from matchenum.claims import matching_orbits
 
@@ -26,10 +26,10 @@ for n in range(1, 6):
 print()
 print("=== orbits under the n coordinate reflections ===")
 for n in (2, 3, 4):
-    decomp = orbit_decomposition(n)
-    sizes = decomp.orbit_sizes
-    print(f"n={n}: {decomp.total} matchings split into orbit sizes {list(sizes)}")
-    print(f"   fixed points: {decomp.fixed_point_count} "
+    orbits = verify_problem19_orbits(n).computed
+    print(f"n={n}: {orbits['total']} matchings split into orbit sizes "
+          f"{orbits['orbit_sizes']}")
+    print(f"   fixed points: {orbits['fixed_point_count']} "
           "(one all-parallel matching per coordinate direction)")
 
 # every fixed matching really is all-parallel

@@ -42,7 +42,6 @@ from .transfer import (
 )
 from .spectra import kasteleyn_matrix, kk_star_charpoly, singular_values
 from .claims import (
-    orbit_decomposition,
     random_region,
     verify_oracles,
     verify_problem1,
@@ -82,7 +81,6 @@ __all__ = [
     "kasteleyn_matrix",
     "kasteleyn_orient",
     "kk_star_charpoly",
-    "orbit_decomposition",
     "random_region",
     "singular_values",
     "transfer_count",

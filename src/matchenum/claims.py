@@ -38,7 +38,6 @@ from .transfer import count_sequence, detect_polynomial
 
 PASS, FAIL, REPORT_ONLY = "PASS", "FAIL", "REPORT_ONLY"
 
-SPECTRA_DIMENSION_LIMIT = 30  # charpoly checked up to this K dimension
 ASYMPTOTIC_MARGIN = 1e-9  # g(n+1) - g(n) must exceed this to count as a rise
 
 
@@ -216,15 +215,6 @@ def verify_problem19_parity(n_max: int) -> ClaimReport:
     return _finish("problem19-parity", {"n_max": n_max}, computed, expected, t0)
 
 
-@dataclass(frozen=True)
-class OrbitDecomposition:
-    """Matchings of the n-cube grouped under the n coordinate reflections."""
-
-    orbit_sizes: tuple[int, ...]  # sorted multiset, powers of two
-    fixed_point_count: int
-    total: int
-
-
 def matching_orbits(n: int) -> list[list[frozenset]]:
     """Orbits of the perfect matchings of the n-cube under the group
     generated by the n coordinate reflections (all 2**n XOR masks)."""
@@ -249,16 +239,6 @@ def matching_orbits(n: int) -> list[list[frozenset]]:
             seen[i] = True
         orbits.append([matchings[i] for i in sorted(orbit)])
     return orbits
-
-
-def orbit_decomposition(n: int) -> OrbitDecomposition:
-    orbits = matching_orbits(n)
-    sizes = tuple(sorted(len(o) for o in orbits))
-    return OrbitDecomposition(
-        orbit_sizes=sizes,
-        fixed_point_count=sum(1 for s in sizes if s == 1),
-        total=sum(sizes),
-    )
 
 
 def _all_parallel(matching: frozenset) -> bool:
@@ -407,7 +387,7 @@ def verify_oracles(seed: int, cases: int) -> ClaimReport:
             half = g.n // 2
             if half <= PERMANENT_LIMIT:
                 got["permanent"] = count_permanent(g)
-            if g.coords is not None and half <= SPECTRA_DIMENSION_LIMIT:
+            if g.coords is not None:
                 cp = kk_star_charpoly(kasteleyn_matrix(g))
                 got["charpoly_constant_identity"] = (
                     abs(cp.constant_term) == reference * reference

@@ -95,11 +95,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class OutputError(Exception):
+    """The --out file cannot be written."""
+
+
 def _load_spec(path: str) -> RegionSpec:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise RegionError(f"cannot read region file {path!r}: {exc}") from None
     return RegionSpec.from_json(text)
 
@@ -107,9 +111,12 @@ def _load_spec(path: str) -> RegionSpec:
 def _emit(text: str, out: Optional[str]) -> None:
     if out is None:
         print(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
+    except OSError as exc:
+        raise OutputError(f"cannot write output file {out!r}: {exc}") from None
 
 
 def _report_text(report, fmt: str) -> str:
@@ -240,7 +247,7 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (RegionError, GraphError, BoundError) as exc:
+    except (RegionError, GraphError, BoundError, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

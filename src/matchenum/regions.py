@@ -12,12 +12,19 @@ Coordinate conventions (the single source of geometric truth):
 * Hexagons: side lengths s1..s6 are walked counter-clockwise from the
   origin along the unit directions E, NE, NW, W, SW, SE.  The walk closes
   iff s1 - s4 = s5 - s2 = s3 - s6, and then the cell counts satisfy
-  #UP - #DOWN = s1 - s4.
+  #UP - #DOWN = s1 - s4.  Opposite sides lie on the lattice lines b = 0
+  and b = s2+s3, a = s1 and a = s1-s3-s4, a+b = 0 and a+b = s1+s2, so
+  the closed hexagon is the intersection of three strips, and a unit
+  triangle is inside iff its three corners are: UP(x, y) and DOWN(x, y)
+  need 0 <= y < s2+s3 and s1-s3-s4 <= x < s1, and x+y in [0, s1+s2-1]
+  for UP, [-1, s1+s2-2] for DOWN.
 
 * Square lattice: the unit square (i, j) has corners (i, j)..(i+1, j+1)
   and centre stored doubled as (2i+1, 2j+1); its color is (i+j) mod 2.
-  The order-n Aztec diamond is the set of squares with
-  |2i+1| + |2j+1| <= 2n.
+  In the diagonal coordinates p = i+j+1, q = i-j (p + q is always odd)
+  the order-n Aztec diamond is the box |p| <= n, |q| <= n, since
+  |2i+1| + |2j+1| = max(|2p|, |2q|), and the a x b Aztec rectangle is
+  |p| <= a, -a <= q <= 2b-a.
 """
 
 from __future__ import annotations
@@ -41,9 +48,6 @@ class TriCell(NamedTuple):
 
 UP, DOWN = "up", "down"
 
-# unit steps E, NE, NW, W, SW, SE in (a, b) lattice coordinates
-_HEX_DIRS = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
-
 HYPERCUBE_LIMIT = 12  # 2**12 vertices; counting routines bound themselves
 
 
@@ -52,25 +56,6 @@ def _tri_center3(cell: TriCell) -> tuple[int, int]:
     if cell.orient == UP:
         return (3 * cell.x + 1, 3 * cell.y + 1)
     return (3 * cell.x + 2, 3 * cell.y + 2)
-
-
-def _tri_neighbors(cell: TriCell) -> tuple[TriCell, ...]:
-    x, y = cell.x, cell.y
-    if cell.orient == UP:
-        return (TriCell(x, y, DOWN), TriCell(x - 1, y, DOWN), TriCell(x, y - 1, DOWN))
-    return (TriCell(x, y, UP), TriCell(x + 1, y, UP), TriCell(x, y + 1, UP))
-
-
-def hexagon_boundary(sides: Sequence[int]) -> list[tuple[int, int]]:
-    """Corner points of the hexagon walk, starting and ending at the origin."""
-    s = validate_hex_sides(sides)
-    pts = [(0, 0)]
-    a, b = 0, 0
-    for length, (da, db) in zip(s, _HEX_DIRS):
-        a += length * da
-        b += length * db
-        pts.append((a, b))
-    return pts
 
 
 def validate_hex_sides(sides: Sequence[int]) -> tuple[int, ...]:
@@ -88,42 +73,16 @@ def validate_hex_sides(sides: Sequence[int]) -> tuple[int, ...]:
 
 
 def hexagon_cells(sides: Sequence[int]) -> set[TriCell]:
-    """All unit triangles strictly inside the hexagon.
-
-    A cell is inside iff its centroid lies strictly left of every
-    (counter-clockwise) boundary side; centroids scaled by 3 keep the
-    half-plane tests in exact integers.
-    """
+    """All unit triangles of the hexagon: per row y and orientation, the
+    x range left by the three strips (see the module docstring)."""
     s = validate_hex_sides(sides)
-    pts = hexagon_boundary(s)
-    halfplanes = []
-    for k in range(6):
-        if s[k] == 0:
-            continue
-        p, q = pts[k], pts[k + 1]
-        halfplanes.append((p, (q[0] - p[0], q[1] - p[1])))
-
-    cells: set[TriCell] = set()
-    if not halfplanes:
-        return cells
-    amin = min(p[0] for p in pts) - 1
-    amax = max(p[0] for p in pts) + 1
-    bmin = min(p[1] for p in pts) - 1
-    bmax = max(p[1] for p in pts) + 1
-    for x in range(amin, amax + 1):
-        for y in range(bmin, bmax + 1):
-            for orient in (UP, DOWN):
-                cell = TriCell(x, y, orient)
-                cx, cy = _tri_center3(cell)
-                ok = True
-                for (px, py), (dx, dy) in halfplanes:
-                    # cross((q-p), centroid/3 - p) > 0, scaled by 3
-                    if dx * (cy - 3 * py) - dy * (cx - 3 * px) <= 0:
-                        ok = False
-                        break
-                if ok:
-                    cells.add(cell)
-    return cells
+    return {
+        TriCell(x, y, orient)
+        for y in range(s[1] + s[2])
+        for orient, shift in ((UP, 0), (DOWN, 1))
+        for x in range(max(s[0] - s[2] - s[3], -y - shift),
+                       min(s[0], s[0] + s[1] - y - shift))
+    }
 
 
 def hexagon_cell_count(sides: Sequence[int]) -> int:
@@ -138,12 +97,12 @@ def _tri_graph(cells: set[TriCell]) -> MatchGraph:
     labels = sorted(cells)
     index = {c: i for i, c in enumerate(labels)}
     edges = []
-    for c in labels:
-        if c.orient != UP:
+    for k, (x, y, orient) in enumerate(labels):
+        if orient != UP:
             continue
-        for nb in _tri_neighbors(c):
+        for nb in (TriCell(x, y, DOWN), TriCell(x - 1, y, DOWN), TriCell(x, y - 1, DOWN)):
             if nb in index:
-                edges.append((index[c], index[nb]))
+                edges.append((k, index[nb]))
     coords = [_tri_center3(c) for c in labels]
     color = [0 if c.orient == UP else 1 for c in labels]
     return MatchGraph(labels, edges, coords=coords, color=color)
@@ -173,10 +132,12 @@ def central_rhombus_edge(sides: Sequence[int]) -> tuple[TriCell, TriCell]:
     """The unique UP/DOWN cell pair whose rhombus centre is the hexagon centre.
 
     Defined for side tuples (a, a, b, a, a, b) with a and b of opposite
-    parity; the hexagon is then centrally symmetric with centre
-    ((a-b)/2, (a+b)/2), a half-integer point that lands on exactly one
-    rhombus midpoint.  Existence and uniqueness are checked by scanning
-    every adjacent pair.
+    parity; the hexagon is then centrally symmetric with doubled centre
+    (a-b, a+b), both coordinates odd.  Of the three edges of UP(x, y) only
+    the one shared with DOWN(x, y) has a doubled midpoint with both
+    coordinates odd, (2x+1, 2y+1), so the pair is UP/DOWN(x, y) with
+    x = (a-b-1)/2 and y = (a+b-1)/2; it exists iff both cells lie in the
+    hexagon.
     """
     s = validate_hex_sides(sides)
     if not (s[0] == s[1] == s[3] == s[4] and s[2] == s[5]):
@@ -184,30 +145,12 @@ def central_rhombus_edge(sides: Sequence[int]) -> tuple[TriCell, TriCell]:
     a, b = s[0], s[2]
     if (a + b) % 2 == 0:
         raise RegionError(f"a={a} and b={b} must have opposite parity")
-
-    center2 = (a - b, a + b)  # doubled lattice coordinates of the centre
+    x, y = (a - b - 1) // 2, (a + b - 1) // 2
+    pair = (TriCell(x, y, UP), TriCell(x, y, DOWN))
     cells = hexagon_cells(s)
-    hits = []
-    for c in cells:
-        if c.orient != UP:
-            continue
-        for nb in _tri_neighbors(c):
-            if nb not in cells:
-                continue
-            # midpoint of the shared lattice edge, doubled
-            if nb == TriCell(c.x, c.y, DOWN):
-                mid2 = (2 * c.x + 1, 2 * c.y + 1)
-            elif nb == TriCell(c.x - 1, c.y, DOWN):
-                mid2 = (2 * c.x, 2 * c.y + 1)
-            else:
-                mid2 = (2 * c.x + 1, 2 * c.y)
-            if mid2 == center2:
-                hits.append((c, nb))
-    if len(hits) != 1:
-        raise RegionError(
-            f"expected exactly one central rhombus, found {len(hits)}"
-        )
-    return hits[0]
+    if not cells.issuperset(pair):
+        raise RegionError(f"the hexagon {s} has no central rhombus")
+    return pair
 
 
 # -- square-lattice regions -----------------------------------------------
@@ -226,15 +169,20 @@ def _square_graph(cells: set[tuple[int, int]]) -> MatchGraph:
     return MatchGraph(labels, edges, coords=coords, color=color)
 
 
+def _diagonal_box(p_max: int, q_min: int, q_max: int) -> set[tuple[int, int]]:
+    # squares with |p| <= p_max and q_min <= q <= q_max, where p = i+j+1 and
+    # q = i-j; p + q is odd, so q steps by 2 from the first odd sum
+    return {
+        ((p + q - 1) // 2, (p - q - 1) // 2)
+        for p in range(-p_max, p_max + 1)
+        for q in range(q_min + 1 - (p + q_min) % 2, q_max + 1, 2)
+    }
+
+
 def aztec_diamond_cells(n: int) -> set[tuple[int, int]]:
     if n < 1:
         raise RegionError("Aztec diamond order must be >= 1")
-    cells = set()
-    for i in range(-n, n):
-        for j in range(-n, n):
-            if abs(2 * i + 1) + abs(2 * j + 1) <= 2 * n:
-                cells.add((i, j))
-    return cells
+    return _diagonal_box(n, -n, n)
 
 
 def build_aztec_diamond(n: int) -> MatchGraph:
@@ -251,12 +199,7 @@ def aztec_rectangle_cells(a: int, b: int) -> set[tuple[int, int]]:
     """
     if not (1 <= a <= b):
         raise RegionError("Aztec rectangle needs 1 <= a <= b")
-    cells = set()
-    for i in range(-a - b - 1, a + b + 2):
-        for j in range(-a - b - 1, a + b + 2):
-            if abs(i + j + 1) <= a and -a <= i - j <= 2 * b - a:
-                cells.add((i, j))
-    return cells
+    return _diagonal_box(a, -a, 2 * b - a)
 
 
 def build_aztec_rectangle(
@@ -445,6 +388,8 @@ class RegionSpec:
     def from_json(cls, text: str) -> "RegionSpec":
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers syntax errors and integer literals past
+            # Python's digit limit; RecursionError, nesting past its depth
             raise RegionError(f"malformed region JSON: {exc}") from None
         return cls.from_dict(doc)

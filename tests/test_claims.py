@@ -7,7 +7,6 @@ from matchenum import (
     BoundError,
     count_permanent,
     build_hypercube,
-    orbit_decomposition,
     verify_oracles,
     verify_problem1,
     verify_problem14,
@@ -104,11 +103,11 @@ class TestProblem19Orbits:
             assert orbits.computed["total"] == parity.computed["f"][n - 1]
 
     def test_decomposition_object(self):
-        d = orbit_decomposition(3)
-        assert d.total == 9
-        assert d.fixed_point_count == 3
-        assert sum(d.orbit_sizes) == d.total
-        assert all(s & (s - 1) == 0 for s in d.orbit_sizes)
+        d = verify_problem19_orbits(3).computed
+        assert d["total"] == "9"
+        assert d["fixed_point_count"] == 3
+        assert sum(d["orbit_sizes"]) == int(d["total"])
+        assert all(s & (s - 1) == 0 for s in d["orbit_sizes"])
 
     def test_orbits_partition_matchings(self):
         orbits = matching_orbits(3)

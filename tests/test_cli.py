@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 
 import pytest
@@ -109,6 +110,38 @@ class TestCount:
         assert code == 0
         assert out == ""
         assert target.read_text().strip() == "3"
+
+    def test_out_into_missing_directory_exits_2(self, capsys, region_file, tmp_path):
+        path = region_file("ad.json", {"kind": "AZTEC_DIAMOND", "params": {"n": 2}})
+        target = tmp_path / "missing" / "out.txt"
+        code, out, err = run(capsys, "count", "--region", path, "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot write output file")
+
+    def test_non_utf8_region_file_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"kind": "AZTEC_DIAMOND", "params": {"n": \xff}}')
+        code, _, err = run(capsys, "count", "--region", str(path))
+        assert code == 2
+        assert err.startswith("error: cannot read region file")
+
+    def test_deeply_nested_json_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200000)
+        code, _, err = run(capsys, "count", "--region", str(path))
+        assert code == 2
+        assert err.startswith("error: malformed region JSON")
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this Python parses integer literals of any length")
+    def test_oversized_integer_literal_exits_2(self, capsys, tmp_path):
+        # past Python's default limit of 4300 digits for int parsing
+        path = tmp_path / "huge.json"
+        path.write_text('{"kind": "AZTEC_DIAMOND", "params": {"n": %s}}' % ("9" * 5000))
+        code, _, err = run(capsys, "count", "--region", str(path))
+        assert code == 2
+        assert err.startswith("error: malformed region JSON")
 
 
 class TestStrictParameters:

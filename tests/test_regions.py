@@ -36,6 +36,71 @@ def all_hex_side_tuples(max_side):
     return out
 
 
+def centroid_hexagon_cells(sides):
+    """Reference: the unit triangles whose centroid lies strictly left of
+    every nonzero side of the counter-clockwise boundary walk, found by a
+    bounding-box scan; centroids are scaled by 3 to stay integral."""
+    steps = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
+    corners = [(0, 0)]
+    for length, (da, db) in zip(sides, steps):
+        a, b = corners[-1]
+        corners.append((a + length * da, b + length * db))
+    edges = [
+        (p, (q[0] - p[0], q[1] - p[1]))
+        for p, q, length in zip(corners, corners[1:], sides) if length
+    ]
+    if not edges:
+        return set()
+    cells = set()
+    for x in range(min(a for a, _ in corners) - 1, max(a for a, _ in corners) + 2):
+        for y in range(min(b for _, b in corners) - 1, max(b for _, b in corners) + 2):
+            for orient, (cx, cy) in (("up", (3 * x + 1, 3 * y + 1)),
+                                     ("down", (3 * x + 2, 3 * y + 2))):
+                if all(dx * (cy - 3 * py) - dy * (cx - 3 * px) > 0
+                       for (px, py), (dx, dy) in edges):
+                    cells.add(TriCell(x, y, orient))
+    return cells
+
+
+def square_scan(inside, radius):
+    """Reference: the squares (i, j) with |i|, |j| <= radius that satisfy
+    the predicate ``inside``."""
+    span = range(-radius, radius + 1)
+    return {(i, j) for i in span for j in span if inside(i, j)}
+
+
+def diamond_scan(n):
+    return square_scan(lambda i, j: abs(2 * i + 1) + abs(2 * j + 1) <= 2 * n, n)
+
+
+def rectangle_scan(a, b):
+    return square_scan(
+        lambda i, j: abs(i + j + 1) <= a and -a <= i - j <= 2 * b - a, a + b + 1
+    )
+
+
+def central_midpoint_hits(sides):
+    """Reference: the UP/DOWN edges of the hexagon whose doubled shared-edge
+    midpoint is the doubled centre (a-b, a+b), by searching every edge."""
+    g = build_hexagon(sides)
+    a, b = sides[0], sides[2]
+    center2 = (a - b, a + b)
+    hits = []
+    for u, v in g.edges:
+        cu, cv = g.labels[u], g.labels[v]
+        if cu.orient == "down":
+            cu, cv = cv, cu
+        if cv == TriCell(cu.x, cu.y, "down"):
+            mid2 = (2 * cu.x + 1, 2 * cu.y + 1)
+        elif cv == TriCell(cu.x - 1, cu.y, "down"):
+            mid2 = (2 * cu.x, 2 * cu.y + 1)
+        else:
+            mid2 = (2 * cu.x + 1, 2 * cu.y)
+        if mid2 == center2:
+            hits.append((cu, cv))
+    return hits
+
+
 class TestMatchGraph:
     def test_rejects_self_loops(self):
         from matchenum import GraphError
@@ -80,6 +145,10 @@ class TestHexagon:
         g = build_hexagon((2, 2, 2, 2, 2, 2))
         assert g.n == 24
         assert g.class_sizes() == (12, 12)
+
+    def test_strips_equal_the_centroid_scan(self):
+        for sides in all_hex_side_tuples(4):
+            assert hexagon_cells(sides) == centroid_hexagon_cells(sides), sides
 
     def test_cell_count_matches_closed_form(self):
         for sides in all_hex_side_tuples(4):
@@ -135,21 +204,23 @@ class TestCentralRhombus:
         g.edge_by_labels(up, down)  # must exist
         # uniqueness oracle: the doubled midpoint of every other rhombus
         # differs from the doubled centre
-        a, b = sides[0], sides[2]
-        center2 = (a - b, a + b)
-        hits = 0
-        for u, v in g.edges:
-            cu, cv = g.labels[u], g.labels[v]
-            if cu.orient == "down":
-                cu, cv = cv, cu
-            if cv == TriCell(cu.x, cu.y, "down"):
-                mid2 = (2 * cu.x + 1, 2 * cu.y + 1)
-            elif cv == TriCell(cu.x - 1, cu.y, "down"):
-                mid2 = (2 * cu.x, 2 * cu.y + 1)
-            else:
-                mid2 = (2 * cu.x + 1, 2 * cu.y)
-            hits += mid2 == center2
-        assert hits == 1
+        assert central_midpoint_hits(sides) == [(up, down)]
+
+    def test_formula_equals_the_midpoint_search(self):
+        for a in range(7):
+            for b in range(1 - a % 2, 7, 2):
+                sides = (a, a, b, a, a, b)
+                hits = central_midpoint_hits(sides)
+                if hits:
+                    assert [central_rhombus_edge(sides)] == hits, sides
+                else:
+                    with pytest.raises(RegionError):
+                        central_rhombus_edge(sides)
+
+    def test_missing_rhombus_rejected(self):
+        assert hexagon_cells((0, 0, 1, 0, 0, 1)) == set()
+        with pytest.raises(RegionError, match="no central rhombus"):
+            central_rhombus_edge((0, 0, 1, 0, 0, 1))
 
     def test_equal_parity_rejected(self):
         with pytest.raises(RegionError):
@@ -172,6 +243,10 @@ class TestAztecDiamond:
         assert g.n == cells == 2 * n * (n + 1)
         assert g.is_balanced()
 
+    def test_cells_equal_the_inequality_scan(self):
+        for n in range(1, 11):
+            assert aztec_diamond_cells(n) == diamond_scan(n), n
+
     def test_faces_are_squares(self):
         g = build_aztec_diamond(3)
         assert g.n - len(g.edges) + len(g.faces()) == 2
@@ -190,6 +265,11 @@ class TestAztecRectangle:
         # canonical labeled form: identical label set and adjacency
         assert ar.labels == ad.labels
         assert ar.edges == ad.edges
+
+    def test_cells_equal_the_inequality_scan(self):
+        for b in range(1, 9):
+            for a in range(1, b + 1):
+                assert aztec_rectangle_cells(a, b) == rectangle_scan(a, b), (a, b)
 
     def test_class_sizes(self):
         for a, b in ((1, 2), (1, 3), (2, 3)):
@@ -248,7 +328,7 @@ class TestAztecWindow:
         for x in range(1, 7):
             for w in range(1, 7):
                 assert aztec_window_cells(x, w) == (
-                    aztec_diamond_cells(x + w) - aztec_diamond_cells(x)
+                    diamond_scan(x + w) - diamond_scan(x)
                 ), (x, w)
 
     def test_one_hole_face(self):
