@@ -1,8 +1,9 @@
 """Transfer-matrix counting around Aztec windows and degree detection.
 
-For a fixed ring thickness w the tiling count is one frontier DP swept
-column by column around the annulus; seam dominoes stay in the frontier
-until the sweep closes the ring.  The single-column step operator of a
+For a fixed ring thickness w the frontier DP sweeps one quadrant of the
+annulus, column by column; the window is invariant under a quarter turn,
+so the tiling count is trace(T^4) of the quarter operator T this sweep
+gives.  The single-column step operator of a
 straight arm comes from the same DP, run over one column from each
 incoming mask, and is shown as a dense 2^w x 2^w matrix.  The counts,
 viewed as a sequence in the inner order x, are then examined with finite

@@ -30,6 +30,7 @@ Coordinate conventions (the single source of geometric truth):
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
@@ -49,6 +50,21 @@ class TriCell(NamedTuple):
 UP, DOWN = "up", "down"
 
 HYPERCUBE_LIMIT = 12  # 2**12 vertices; counting routines bound themselves
+REGION_CELL_LIMIT = 1 << 16  # cells of a lattice region, checked before any is listed
+
+
+def _brief(value) -> str:
+    # a bad value can be a huge or deeply nested list: reprlib elides long
+    # and deep parts, and messages echo at most 80 characters of the rest
+    text = reprlib.repr(value)
+    return text if len(text) <= 80 else text[:77] + "..."
+
+
+def _check_cell_count(count: int, what: str) -> None:
+    # the count is a closed form in the parameters, so this runs before
+    # any cell is allocated
+    if count > REGION_CELL_LIMIT:
+        raise RegionError(f"{what} has more than {REGION_CELL_LIMIT} cells")
 
 
 def _tri_center3(cell: TriCell) -> tuple[int, int]:
@@ -66,7 +82,7 @@ def validate_hex_sides(sides: Sequence[int]) -> tuple[int, ...]:
         raise RegionError("hexagon side lengths must be nonnegative")
     if not (s[0] - s[3] == s[4] - s[1] == s[2] - s[5]):
         raise RegionError(
-            f"side tuple {s} violates the closure condition "
+            f"side tuple {_brief(s)} violates the closure condition "
             "s1 - s4 = s5 - s2 = s3 - s6"
         )
     return s
@@ -76,6 +92,7 @@ def hexagon_cells(sides: Sequence[int]) -> set[TriCell]:
     """All unit triangles of the hexagon: per row y and orientation, the
     x range left by the three strips (see the module docstring)."""
     s = validate_hex_sides(sides)
+    _check_cell_count(hexagon_cell_count(s), "the hexagon")
     return {
         TriCell(x, y, orient)
         for y in range(s[1] + s[2])
@@ -119,11 +136,13 @@ def build_hexagon(sides: Sequence[int], holes: Iterable[TriCell] = ()) -> MatchG
     for h in holes:
         h = TriCell(int(h[0]), int(h[1]), str(h[2]))
         if h.orient not in (UP, DOWN):
-            raise RegionError(f"hole orientation must be 'up' or 'down', got {h.orient!r}")
+            raise RegionError(
+                f"hole orientation must be 'up' or 'down', got {_brief(h.orient)}"
+            )
         if h not in cells:
-            raise RegionError(f"hole {h} lies outside the region")
+            raise RegionError(f"hole {_brief(h)} lies outside the region")
         if h in seen_holes:
-            raise RegionError(f"hole {h} listed twice")
+            raise RegionError(f"hole {_brief(h)} listed twice")
         seen_holes.add(h)
     return _tri_graph(cells - seen_holes)
 
@@ -141,7 +160,7 @@ def central_rhombus_edge(sides: Sequence[int]) -> tuple[TriCell, TriCell]:
     """
     s = validate_hex_sides(sides)
     if not (s[0] == s[1] == s[3] == s[4] and s[2] == s[5]):
-        raise RegionError(f"sides {s} are not of the (a, a, b, a, a, b) form")
+        raise RegionError(f"sides {_brief(s)} are not of the (a, a, b, a, a, b) form")
     a, b = s[0], s[2]
     if (a + b) % 2 == 0:
         raise RegionError(f"a={a} and b={b} must have opposite parity")
@@ -149,7 +168,7 @@ def central_rhombus_edge(sides: Sequence[int]) -> tuple[TriCell, TriCell]:
     pair = (TriCell(x, y, UP), TriCell(x, y, DOWN))
     cells = hexagon_cells(s)
     if not cells.issuperset(pair):
-        raise RegionError(f"the hexagon {s} has no central rhombus")
+        raise RegionError(f"the hexagon {_brief(s)} has no central rhombus")
     return pair
 
 
@@ -182,6 +201,7 @@ def _diagonal_box(p_max: int, q_min: int, q_max: int) -> set[tuple[int, int]]:
 def aztec_diamond_cells(n: int) -> set[tuple[int, int]]:
     if n < 1:
         raise RegionError("Aztec diamond order must be >= 1")
+    _check_cell_count(2 * n * (n + 1), "the Aztec diamond")
     return _diagonal_box(n, -n, n)
 
 
@@ -199,6 +219,7 @@ def aztec_rectangle_cells(a: int, b: int) -> set[tuple[int, int]]:
     """
     if not (1 <= a <= b):
         raise RegionError("Aztec rectangle needs 1 <= a <= b")
+    _check_cell_count(a * (b + 1) + (a + 1) * b, "the Aztec rectangle")
     return _diagonal_box(a, -a, 2 * b - a)
 
 
@@ -216,9 +237,9 @@ def build_aztec_rectangle(
     for r in removed:
         r = (int(r[0]), int(r[1]))
         if r not in cells:
-            raise RegionError(f"removed vertex {r} is not in the region")
+            raise RegionError(f"removed vertex {_brief(r)} is not in the region")
         if r in seen:
-            raise RegionError(f"removed vertex {r} listed twice")
+            raise RegionError(f"removed vertex {_brief(r)} listed twice")
         seen.add(r)
     remaining = cells - seen
     ones = sum((i + j) & 1 for i, j in remaining)
@@ -245,6 +266,7 @@ def aztec_window_cells(x: int, w: int) -> set[tuple[int, int]]:
     built row by row in time linear in their number, 2w(2x+w+1)."""
     if x < 1 or w < 1:
         raise RegionError("Aztec window needs x >= 1 and w >= 1")
+    _check_cell_count(2 * w * (2 * x + w + 1), "the Aztec window")
     n = x + w
     return {(i, j) for i in range(-n, n) for j in aztec_window_row(x, w, i)}
 
@@ -293,19 +315,25 @@ KIND_PARAMS = {
 def _strict_int(value, what: str) -> int:
     # bool is a subclass of int, and int() would silently truncate floats
     if not isinstance(value, int) or isinstance(value, bool):
-        raise RegionError(f"{what} must be an integer, got {value!r}")
+        raise RegionError(
+            f"{what} must be an integer, got {type(value).__name__} {_brief(value)}"
+        )
     return value
 
 
 def _strict_list(value, what: str) -> list:
     if not isinstance(value, (list, tuple)):
-        raise RegionError(f"{what} must be a list, got {value!r}")
+        raise RegionError(
+            f"{what} must be a list, got {type(value).__name__} {_brief(value)}"
+        )
     return value
 
 
 def _strict_ints(value, what: str, length: int) -> None:
     if len(_strict_list(value, what)) != length:
-        raise RegionError(f"{what} must have {length} entries, got {value!r}")
+        raise RegionError(
+            f"{what} must have {length} entries, got {len(value)}: {_brief(value)}"
+        )
     for v in value:
         _strict_int(v, f"each entry of {what}")
 
@@ -326,7 +354,7 @@ class RegionSpec:
 
     def __post_init__(self):
         if self.kind not in KIND_PARAMS:
-            raise RegionError(f"unknown region kind {self.kind!r}")
+            raise RegionError(f"unknown region kind {_brief(self.kind)}")
         if self.holes and self.kind != "HEXAGON":
             raise RegionError("holes are only supported for HEXAGON regions")
         required = KIND_PARAMS[self.kind]
@@ -337,7 +365,9 @@ class RegionSpec:
         for name, value in self.params.items():
             what = f"{self.kind} parameter {name!r}"
             if name not in required + optional:
-                raise RegionError(f"{self.kind} spec has unknown parameter {name!r}")
+                raise RegionError(
+                    f"{self.kind} spec has unknown parameter {_brief(name)}"
+                )
             if name == "sides":
                 _strict_ints(value, what, length=6)
             elif name == "removed":
@@ -378,7 +408,10 @@ class RegionSpec:
         holes = []
         for h in _strict_list(d.get("holes", []), "'holes'"):
             if not isinstance(h, (list, tuple)) or len(h) != 3:
-                raise RegionError(f"each hole must be [x, y, 'up'|'down'], got {h!r}")
+                raise RegionError(
+                    "each hole must be [x, y, 'up'|'down'], "
+                    f"got {type(h).__name__} {_brief(h)}"
+                )
             x, y, orient = h
             holes.append(TriCell(_strict_int(x, "a hole's x"),
                                  _strict_int(y, "a hole's y"), str(orient)))

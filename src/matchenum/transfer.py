@@ -13,14 +13,18 @@ width (the number of slots) bounds the number of states by 2^width.
 from each incoming mask in turn, and reads the surviving states as the
 cells of the next column that the column's dominoes cover.
 
-Aztec windows are swept once around the annulus: columns of the upper
-half left to right, columns of the lower half right to left, then back up
-to the start.  The seam partners (-1, j) come last in that order, so a
-domino chosen across the seam at (0, j) keeps its bit in the frontier
-until the sweep returns to (-1, j); closure around the ring needs no
-special case.  One sweep replaces a trace over the 2^w seam states; its
-frontier width is 2w + 1 for w >= 2: the w seam bits plus a broken-line
-cut of w + 1 cells between two columns.
+An Aztec window is invariant under the quarter turn (i, j) -> (j, -i-1),
+so the loop sweeps only its first quadrant, the cells with i >= 0 and
+j >= 0, which the ring order visits first.  The states that survive are
+read as pairs (a, b): a is the set of seam cells (-1, j) covered from
+(0, j), b the set of cut cells (i, -1) covered from (i, 0).  Their counts
+form the quarter operator T[a][b].  The quarter turn carries the seam
+pair {(-1, j), (0, j)} onto the cut pair {(j, 0), (j, -1)}, so seam index
+j and cut index i = j are the same index, and the ring closes as
+count = trace(T^4), the transfer-matrix method of Stanley, Enumerative
+Combinatorics I, 4.7.  Seam and cut have w cells each; the whole ring
+order, which ``frontier_count`` can still sweep, has frontier width
+2w + 1 for w >= 2.
 
 Everything is exact integer arithmetic.
 """
@@ -132,8 +136,30 @@ def _window_order(g: MatchGraph) -> list[int]:
     return sorted(range(g.n), key=key)
 
 
+def _quarter_operator(x: int, w: int) -> dict[int, dict[int, int]]:
+    """The window's quarter operator as ``{a: {b: count}}``.
+
+    ``count`` is the number of ways to cover the first quadrant's cells
+    with dominoes inside it or across its two edges, the dominoes across
+    being exactly those at seam cells (-1, x + k) for the set bits k of
+    ``a`` and at cut cells (x + k, -1) for the set bits k of ``b``.
+    """
+    g = build_aztec_window(x, w)
+    steps, _, slot = _compile_order(g, _window_order(g))
+    quadrant = sum(i >= 0 and j >= 0 for i, j in g.labels)
+    seam = [1 << slot[g.index[(-1, x + k)]] for k in range(w)]
+    cut = [1 << slot[g.index[(x + k, -1)]] for k in range(w)]
+    quarter: dict[int, dict[int, int]] = {}
+    for state, cnt in _advance(steps[:quadrant], {0: 1}).items():
+        a = sum(1 << k for k, bit in enumerate(seam) if state & bit)
+        b = sum(1 << k for k, bit in enumerate(cut) if state & bit)
+        quarter.setdefault(a, {})[b] = cnt
+    return quarter
+
+
 def transfer_count(spec: RegionSpec) -> int:
-    """Exact matching count of an Aztec window by the ring sweep."""
+    """Exact matching count of an Aztec window as trace(T^4) of its
+    quarter operator T, swept over the first quadrant only."""
     if spec.kind != "AZTEC_WINDOW":
         raise RegionError("the transfer method applies only to AZTEC_WINDOW regions")
     x, w = spec.params["x"], spec.params["w"]
@@ -142,8 +168,17 @@ def transfer_count(spec: RegionSpec) -> int:
         raise BoundError(
             f"frontier width {2 * w + 1} exceeds the limit {FRONTIER_LIMIT}"
         )
-    g = build_aztec_window(x, w)
-    return frontier_count(g, _window_order(g))
+    t = _quarter_operator(x, w)
+    t2: dict[int, dict[int, int]] = {}
+    for a, row in t.items():
+        acc: dict[int, int] = {}
+        for b, u in row.items():
+            for c, v in t.get(b, {}).items():
+                acc[c] = acc.get(c, 0) + u * v
+        t2[a] = acc
+    return sum(
+        v * t2.get(c, {}).get(a, 0) for a, row in t2.items() for c, v in row.items()
+    )
 
 
 def count_sequence(w: int, x_from: int, x_to: int) -> list[int]:

@@ -162,6 +162,41 @@ class TestStrictParameters:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"kind": "AZTEC_DIAMOND", "params": {"n": [0] * 200000}},
+         "'n' must be an integer, got list [0, 0,"),
+        ({"kind": "HEXAGON", "params": {"sides": list(range(200000))}},
+         "'sides' must have 6 entries, got 200000: [0, 1,"),
+        ({"kind": "M" * 200000, "params": {}}, "unknown region kind 'MMM"),
+        ({"kind": "HEXAGON", "params": {"sides": [2, 2, 2, 2, 2, 2]},
+          "holes": ["x" * 200000]}, "each hole must be [x, y, 'up'|'down'], got str"),
+    ], ids=["list-n", "long-sides", "long-kind", "long-hole"])
+    def test_huge_value_gives_a_short_message(self, capsys, region_file, doc, message):
+        path = region_file("big.json", doc)
+        code, out, err = run(capsys, "count", "--region", path)
+        assert code == 2
+        assert out == ""
+        assert message in err
+        assert len(err.encode()) < 400
+
+
+class TestCellLimit:
+    @pytest.mark.parametrize("doc, method", [
+        ({"kind": "AZTEC_DIAMOND", "params": {"n": 10**6}}, "auto"),
+        ({"kind": "AZTEC_RECTANGLE", "params": {"a": 10**6, "b": 10**6}}, "auto"),
+        ({"kind": "AZTEC_WINDOW", "params": {"x": 10**6, "w": 2}}, "transfer"),
+        ({"kind": "HEXAGON", "params": {"sides": [10**6] * 6}}, "auto"),
+    ], ids=["diamond", "rectangle", "window", "hexagon"])
+    def test_oversized_region_exits_2_at_once(self, capsys, region_file, doc, method):
+        path = region_file("big.json", doc)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "count", "--region", path, "--method", method)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert "more than 65536 cells" in err
+
+
 class TestRatio:
     def test_central_edge(self, capsys, region_file):
         path = region_file("hex.json", {

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -17,6 +18,7 @@ from matchenum import (
     hexagon_cells,
 )
 from matchenum.regions import (
+    REGION_CELL_LIMIT,
     aztec_diamond_cells,
     aztec_rectangle_cells,
     aztec_window_cells,
@@ -428,3 +430,30 @@ class TestRegionSpec:
     def test_strict_parameter_types(self, kind, params):
         with pytest.raises(RegionError):
             RegionSpec(kind, params)
+
+
+class TestCellLimit:
+    # the largest admitted region of each kind and the next one up; the
+    # rectangle and the window sit exactly on the limit
+    @pytest.mark.parametrize("cells, admitted, refused", [
+        (aztec_diamond_cells, (180,), (181,)),
+        (aztec_rectangle_cells, (1, 21845), (1, 21846)),
+        (aztec_window_cells, (16383, 1), (16384, 1)),
+        (hexagon_cells, ([104] * 6,), ([105] * 6,)),
+    ], ids=["diamond", "rectangle", "window", "hexagon"])
+    def test_limit_is_exact(self, cells, admitted, refused):
+        assert len(cells(*admitted)) <= REGION_CELL_LIMIT
+        with pytest.raises(RegionError, match=f"more than {REGION_CELL_LIMIT} cells"):
+            cells(*refused)
+
+    @pytest.mark.parametrize("kind, params", [
+        ("AZTEC_DIAMOND", {"n": 10**6}),
+        ("AZTEC_RECTANGLE", {"a": 10**6, "b": 10**6}),
+        ("AZTEC_WINDOW", {"x": 10**6, "w": 2}),
+        ("HEXAGON", {"sides": [10**6] * 6}),
+    ])
+    def test_oversized_spec_is_refused_before_building(self, kind, params):
+        start = time.perf_counter()
+        with pytest.raises(RegionError, match=f"more than {REGION_CELL_LIMIT} cells"):
+            RegionSpec(kind, params).build()
+        assert time.perf_counter() - start < 1.0

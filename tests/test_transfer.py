@@ -24,6 +24,7 @@ from matchenum.regions import _square_graph
 from matchenum.transfer import (
     FRONTIER_LIMIT,
     _compile_order,
+    _quarter_operator,
     _window_order,
 )
 
@@ -32,8 +33,14 @@ def window_spec(x, w):
     return RegionSpec("AZTEC_WINDOW", {"x": x, "w": w})
 
 
+def ring_count(x, w):
+    # the whole ring swept by the generic engine, the quarter trace's reference
+    g = build_aztec_window(x, w)
+    return frontier_count(g, _window_order(g))
+
+
 class TestTransferCount:
-    @pytest.mark.parametrize("x", [1, 2, 3])
+    @pytest.mark.parametrize("x", [1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize("w", [1, 2, 3, 4, 5, 6, 7])
     def test_agrees_with_kasteleyn(self, x, w):
         assert transfer_count(window_spec(x, w)) == count_kasteleyn(
@@ -105,6 +112,46 @@ class TestTransferCount:
         # w seam bits held around the ring plus a broken-line cut of w + 1
         g = build_aztec_window(2, w)
         assert _compile_order(g, _window_order(g))[1] == 2 * w + 1
+
+
+class TestQuarterTrace:
+    @pytest.mark.parametrize(
+        "x, w",
+        [(x, w) for w in range(1, 8) for x in range(1, 11)] + [(x, 8) for x in range(1, 6)],
+    )
+    def test_equals_the_full_ring(self, x, w):
+        assert transfer_count(window_spec(x, w)) == ring_count(x, w)
+
+    @pytest.mark.parametrize("w", [1, 3, 5, 7])
+    def test_odd_thickness_vanishes_past_half_its_width(self, w):
+        for x in range(1, (w + 3) // 2 + 3):
+            count = transfer_count(window_spec(x, w))
+            assert (count == 0) == (x > (w + 1) // 2), (x, w, count)
+
+    @pytest.mark.parametrize("w", range(1, 9))
+    def test_quarter_table_is_symmetric(self, w):
+        # the reflection (i, j) -> (j, i) maps the first quadrant onto itself
+        # and the seam cell (-1, j) onto the cut cell (j, -1)
+        for x in (1, 2, 3):
+            entries = {
+                (a, b): cnt
+                for a, row in _quarter_operator(x, w).items()
+                for b, cnt in row.items()
+            }
+            assert entries == {(b, a): cnt for (a, b), cnt in entries.items()}, x
+
+    def test_even_thickness_support_does_not_depend_on_x(self):
+        # C(w + 1, w / 2) rows; the entries grow with x, their positions do not
+        for w, rows, nonzero in [(2, 3, 4), (4, 10, 22), (6, 35, 140)]:
+            supports = []
+            for x in range(1, 6):
+                t = _quarter_operator(x, w)
+                supports.append({(a, b) for a, row in t.items() for b in row})
+                assert len(t) == rows, (x, w)
+            assert all(sup == supports[0] for sup in supports), w
+            assert len(supports[0]) == nonzero, w
+        t = _quarter_operator(5, 8)
+        assert (len(t), sum(map(len, t.values()))) == (126, 969)
 
 
 def random_graph(rng, n, density, bipartite):
