@@ -3,8 +3,9 @@
 Region builders (hexagons on the triangular lattice, Aztec diamonds,
 rectangles and windows on the square lattice, hypercubes), three mutually
 checking exact counters, a frontier DP engine over any graph and vertex
-order (Aztec windows are swept around the ring), exact Kasteleyn
-spectra, and a harness of named verification claims.
+order (Aztec windows are counted from two operators it sweeps once per
+thickness), exact Kasteleyn spectra, and a harness of named
+verification claims.
 """
 
 from .graphs import GraphError, MatchGraph
@@ -34,6 +35,7 @@ from .counting import (
     kasteleyn_orient,
 )
 from .transfer import (
+    column_annihilator,
     column_transfer_matrix,
     count_sequence,
     detect_polynomial,
@@ -64,6 +66,7 @@ __all__ = [
     "build_hexagon",
     "build_hypercube",
     "central_rhombus_edge",
+    "column_annihilator",
     "column_transfer_matrix",
     "containment_ratio",
     "count_auto",

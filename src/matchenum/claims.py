@@ -34,7 +34,7 @@ from .regions import (
     central_rhombus_edge,
 )
 from .spectra import kasteleyn_matrix, kk_star_charpoly
-from .transfer import count_sequence, detect_polynomial
+from .transfer import column_annihilator, count_sequence, detect_polynomial
 
 PASS, FAIL, REPORT_ONLY = "PASS", "FAIL", "REPORT_ONLY"
 
@@ -150,31 +150,69 @@ def verify_problem1(n: int, off_center: bool = False) -> ClaimReport:
 # -- problem 14: window counts are polynomial in the inner order ------------
 
 
-def verify_problem14(w: int, x_to: int) -> ClaimReport:
-    """Count Aztec windows of thickness w for x = 1..x_to and look for a
-    vanishing order of finite differences.
+def _power_coefficients(newton: list[int], onset: int) -> list[Fraction]:
+    """Coefficients, lowest power first, of sum_i newton[i] * C(x - onset, i)."""
+    coeffs = [Fraction(0)] * len(newton)
+    basis = [Fraction(1)]  # C(x - onset, i) in powers of x
+    for i, c in enumerate(newton):
+        for p, b in enumerate(basis):
+            coeffs[p] += c * b
+        # C(x - onset, i + 1) = C(x - onset, i) * (x - onset - i) / (i + 1)
+        basis = [(lower - (onset + i) * b) / (i + 1)
+                 for lower, b in zip([Fraction(0), *basis], [*basis, Fraction(0)])]
+    return coeffs
 
-    PASS when a finite degree fits the whole window of nonzero counts;
-    windows containing zero counts are reported as data (tileability is
-    not asserted); an all-positive window with no vanishing differences
-    is a FAIL.
+
+def verify_problem14(w: int, x_to: int) -> ClaimReport:
+    """Aztec windows of thickness w: the count is a polynomial in the inner
+    order x from an onset on, proved and found exactly.
+
+    The count is trace((A^x T0)^4) (see ``transfer``).  With
+    A^j (A - I)^k = 0 from ``column_annihilator``, it is a polynomial of
+    degree <= D = 4(k - 1) for x >= j (zero for k = 0; D is then taken as
+    0).  The D + 1 counts from the onset fix it in Newton form, and two
+    more held-out counts must fit it: PASS is a proof for this w, with
+    (j, k, d) and the coefficients in the report.  The counts for
+    x = 1..x_to and their difference table are reported as well.
+    Windows with zero counts (odd w, past half their width) are reported,
+    not asserted.  Counts out of reach raise BoundError or RegionError.
     """
     t0 = time.perf_counter()
     if x_to < 3:
         raise BoundError("problem14 needs x_to >= 3 for difference detection")
-    counts = count_sequence(w, 1, x_to)
-    report = detect_polynomial(counts, x_from=1, w=w)
+    j, k = column_annihilator(w)
+    onset, bound = max(j, 1), max(4 * (k - 1), 0)
+    last = onset + bound + 2
+    counts = count_sequence(w, 1, max(x_to, last))
+    report = detect_polynomial(counts[:x_to], x_from=1, w=w)
+    fit = detect_polynomial(counts[onset - 1:last], x_from=onset, w=w)
+    d = fit.detected_degree
+    proved = d is not None and d <= bound
+    newton = [row[0] for row in fit.differences[:d + 1]] if proved else []
     computed = {
-        "degree_finite": report.detected_degree is not None,
+        "degree_finite": proved,
         "poly": report.to_dict(),
+        "certificate": {
+            "j": j,
+            "k": k,
+            "d": d if proved else None,
+            "onset": onset,
+            "degree_bound": bound,
+            "fit_points": [onset, onset + bound],
+            "held_out": [last - 1, last],
+            "newton": [str(c) for c in newton],
+            "coefficients": [str(c) for c in _power_coefficients(newton, onset)],
+        },
     }
     params = {"w": w, "x_from": 1, "x_to": x_to}
-    if not any(counts) or (report.detected_degree is None and 0 in counts):
+    if 0 in counts:
         computed["zero_counts"] = True
         return _finish("problem14", params, computed, None, t0)
     expected = {
         "degree_finite": True,
-        "note": "counts for fixed thickness follow a polynomial in the inner order",
+        "note": "A^j (A - I)^k = 0 makes the count a polynomial of degree "
+                "<= 4(k - 1) in the inner order for x >= j; D + 1 counts fix "
+                "it and two held-out counts fit it",
     }
     return _finish("problem14", params, computed, expected, t0)
 

@@ -28,6 +28,9 @@ from .graphs import GraphError, MatchGraph
 
 BRUTE_FORCE_LIMIT = 64   # vertices
 PERMANENT_LIMIT = 20     # columns (one color class)
+# rows (one color class) of the dense Kasteleyn matrix, 2048^2 list slots
+# (32 MiB); the order-44 diamond's 1980 rows take ~3.4 s on a 2-vCPU Xeon
+KASTELEYN_LIMIT = 2048
 
 
 class BoundError(ValueError):
@@ -320,12 +323,22 @@ def kasteleyn_orient(g: MatchGraph, seed: int = 0) -> Orientation:
     return orient
 
 
+def _check_kasteleyn_size(g: MatchGraph) -> None:
+    rows = g.color.count(0)
+    if rows > KASTELEYN_LIMIT:
+        raise BoundError(
+            f"class size {rows} exceeds the Kasteleyn limit {KASTELEYN_LIMIT}"
+        )
+
+
 def signed_biadjacency(
     g: MatchGraph, orient: Orientation
 ) -> tuple[list[int], list[int], list[list[int]]]:
     """Rows are class-0 vertices, columns class-1; entries +1 when the edge
-    is oriented row -> column, -1 the other way, 0 for non-edges."""
+    is oriented row -> column, -1 the other way, 0 for non-edges.  The
+    matrix is dense, so BoundError past KASTELEYN_LIMIT rows comes first."""
     rows, cols, pos = _row_col_split(g)
+    _check_kasteleyn_size(g)
     mat = [[0] * len(cols) for _ in rows]
     for r, v in enumerate(rows):
         for u in g.adj[v]:
@@ -412,6 +425,7 @@ def count_kasteleyn(g: MatchGraph, seed: int = 0) -> int:
         raise GraphError("count_kasteleyn needs a bipartition")
     if not g.is_balanced():
         return 0
+    _check_kasteleyn_size(g)  # before the orientation's face walk, too
     _, _, mat = signed_biadjacency(g, kasteleyn_orient(g, seed=seed))
     return abs(det_bareiss(mat))
 

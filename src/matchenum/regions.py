@@ -261,12 +261,20 @@ def aztec_window_row(x: int, w: int, i: int) -> list[int]:
     return [*range(-outer - 1, -inner - 1), *range(inner + 1, outer + 1)]
 
 
+def aztec_window_cell_count(x: int, w: int) -> int:
+    """Closed-form cell count 2w(2x+w+1) of the window; RegionError for
+    x < 1 or w < 1 and past REGION_CELL_LIMIT, like the window itself."""
+    if x < 1 or w < 1:
+        raise RegionError("Aztec window needs x >= 1 and w >= 1")
+    count = 2 * w * (2 * x + w + 1)
+    _check_cell_count(count, "the Aztec window")
+    return count
+
+
 def aztec_window_cells(x: int, w: int) -> set[tuple[int, int]]:
     """Cells of the order-x diamond's complement in the order-(x+w) one,
     built row by row in time linear in their number, 2w(2x+w+1)."""
-    if x < 1 or w < 1:
-        raise RegionError("Aztec window needs x >= 1 and w >= 1")
-    _check_cell_count(2 * w * (2 * x + w + 1), "the Aztec window")
+    aztec_window_cell_count(x, w)
     n = x + w
     return {(i, j) for i in range(-n, n) for j in aztec_window_row(x, w, i)}
 

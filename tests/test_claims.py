@@ -5,6 +5,7 @@ import pytest
 
 from matchenum import (
     BoundError,
+    RegionError,
     count_permanent,
     build_hypercube,
     verify_oracles,
@@ -53,6 +54,56 @@ class TestProblem14:
     def test_window_too_short(self):
         with pytest.raises(BoundError):
             verify_problem14(2, 2)
+
+    # (j, k, d): A^j (A - I)^k = 0, and the count is a polynomial of degree
+    # d <= 4(k - 1) for x >= j; odd w is zero from x = j = w + 1 on
+    CERTIFICATES = {2: (1, 1, 0), 3: (4, 0, 0), 4: (2, 2, 4), 5: (6, 0, 0),
+                    6: (3, 3, 8), 7: (8, 0, 0), 8: (4, 5, 16), 9: (10, 0, 0),
+                    10: (5, 7, 24)}
+
+    @pytest.mark.parametrize("w", range(2, 11))
+    def test_every_thickness_is_certified(self, w):
+        report = verify_problem14(w, 3)
+        cert = report.computed["certificate"]
+        j, k, d = self.CERTIFICATES[w]
+        assert (cert["j"], cert["k"], cert["d"]) == (j, k, d)
+        assert cert["onset"] == j and cert["degree_bound"] == max(4 * (k - 1), 0)
+        assert cert["held_out"] == [j + cert["degree_bound"] + 1, j + cert["degree_bound"] + 2]
+        assert len(cert["newton"]) == len(cert["coefficients"]) == d + 1
+        if w % 2:
+            assert report.verdict == "REPORT_ONLY"
+            assert cert["coefficients"] == ["0"]
+        else:
+            assert report.verdict == "PASS"
+            assert report.computed["degree_finite"] is True
+            assert d == 4 * (k - 1)
+
+    def test_w4_polynomial_and_its_diamond_base(self):
+        # 256 (x^2 + 2x + 2)^2, proved for x >= 2; at x = 0 it gives the
+        # order-4 diamond's 2^10, though x = 0 is below the proved onset
+        cert = verify_problem14(4, 12).computed["certificate"]
+        coeffs = [Fraction(c) for c in cert["coefficients"]]
+        assert coeffs == [1024, 2048, 2048, 1024, 256]
+        assert coeffs[0] == 2 ** 10
+
+    def test_w6_window_that_used_to_fail(self):
+        # eight points cannot show degree 8; the certificate counts to x = 13
+        report = verify_problem14(6, 8)
+        assert report.verdict == "PASS"
+        stored = [33554432, 314703872, 1919025152, 8589934592, 30704402432,
+                  92704735232, 245650030592, 586869112832]
+        assert report.computed["poly"]["counts"] == [str(c) for c in stored]
+        assert report.computed["poly"]["detected_degree"] is None
+        coeffs = [Fraction(c) for c in report.computed["certificate"]["coefficients"]]
+        for x, count in enumerate(stored, start=1):
+            if x >= 3:
+                assert sum(c * x**p for p, c in enumerate(coeffs)) == count
+
+    def test_out_of_reach_is_refused(self):
+        with pytest.raises(BoundError):
+            verify_problem14(11, 8)
+        with pytest.raises(RegionError):
+            verify_problem14(2, 20000)
 
 
 class TestProblem19Parity:

@@ -196,6 +196,27 @@ class TestCellLimit:
         assert out == ""
         assert "more than 65536 cells" in err
 
+    def test_oversized_transfer_window_exits_2(self, capsys, region_file):
+        # the transfer count never builds the window; its closed form is checked
+        path = region_file("wide.json", {"kind": "AZTEC_WINDOW", "params": {"x": 16384, "w": 1}})
+        start = time.perf_counter()
+        code, out, err = run(capsys, "count", "--region", path, "--method", "transfer")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert "more than 65536 cells" in err
+
+
+class TestKasteleynLimit:
+    def test_largest_admitted_diamond_exits_2_at_once(self, capsys, region_file):
+        # 65160 cells pass the cell limit; the dense matrix would need
+        # 32580^2 slots, so the class size is refused before any is allocated
+        path = region_file("ad180.json", {"kind": "AZTEC_DIAMOND", "params": {"n": 180}})
+        start = time.perf_counter()
+        code, out, err = run(capsys, "count", "--region", path)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert "exceeds the Kasteleyn limit 2048" in err
+
 
 class TestRatio:
     def test_central_edge(self, capsys, region_file):
@@ -307,6 +328,15 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--claim", "problem14")
         assert code == 0
         assert json.loads(out)["verdict"] == "PASS"
+
+    def test_problem14_w6_passes_with_a_certificate(self, capsys):
+        code, out, _ = run(capsys, "verify", "--claim", "problem14", "--w", "6",
+                           "--x-to", "8")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["verdict"] == "PASS"
+        cert = doc["computed"]["certificate"]
+        assert (cert["j"], cert["k"], cert["d"]) == (3, 3, 8)
 
     def test_problem19_family(self, capsys):
         for claim in ("problem19-parity", "problem19-orbits", "problem19-asymptotic"):

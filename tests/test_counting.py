@@ -402,6 +402,27 @@ class TestKasteleynCount:
             assert len(counts) == 1
 
 
+class TestKasteleynLimit:
+    def test_class_size_bound_is_exact(self, monkeypatch):
+        g = build_aztec_diamond(3)  # 12 cells in each class
+        monkeypatch.setattr(counting, "KASTELEYN_LIMIT", 12)
+        assert count_kasteleyn(g) == 64
+        monkeypatch.setattr(counting, "KASTELEYN_LIMIT", 11)
+        with pytest.raises(BoundError, match="class size 12"):
+            count_kasteleyn(g)
+        with pytest.raises(BoundError):
+            counting.signed_biadjacency(g, kasteleyn_orient(g))
+
+    def test_refused_before_the_orientation(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the faces were walked")
+
+        monkeypatch.setattr(counting, "kasteleyn_orient", fail)
+        g = build_aztec_diamond(45)  # 2070 cells in each class
+        with pytest.raises(BoundError, match="exceeds the Kasteleyn limit 2048"):
+            count_kasteleyn(g)
+
+
 class TestOracleAgreement:
     def test_corpus_of_small_regions(self):
         rng = random.Random(20240)

@@ -20,12 +20,18 @@ from matchenum import (
     frontier_count,
     transfer_count,
 )
-from matchenum.regions import _square_graph
+from matchenum import transfer
+from matchenum.regions import REGION_CELL_LIMIT, _square_graph, build_aztec_diamond
 from matchenum.transfer import (
     FRONTIER_LIMIT,
+    _advance,
     _compile_order,
-    _quarter_operator,
-    _window_order,
+    _level,
+    _operators,
+    _product,
+    _quarter,
+    _trace4,
+    column_annihilator,
 )
 
 
@@ -33,10 +39,44 @@ def window_spec(x, w):
     return RegionSpec("AZTEC_WINDOW", {"x": x, "w": w})
 
 
+def _window_order(g):
+    # the window's cells in one cyclic sweep: the upper half (j >= 0) west
+    # to east from i = 0, the lower half east to west, then the upper
+    # half's columns i < 0 west to east; each column bottom to top
+    def key(v):
+        i, j = g.labels[v]
+        if j < 0:
+            return (1, -i, j)
+        return (0 if i >= 0 else 2, i, j)
+
+    return sorted(range(g.n), key=key)
+
+
 def ring_count(x, w):
     # the whole ring swept by the generic engine, the quarter trace's reference
     g = build_aztec_window(x, w)
     return frontier_count(g, _window_order(g))
+
+
+def quadrant_operator(g, x, w):
+    # the quarter operator read off a sweep of the first quadrant of a
+    # window (or, with x = 0, of a diamond): seam cells (-1, x + k) and cut
+    # cells (x + k, -1); the ring order visits the quadrant first
+    steps, _, slot = _compile_order(g, _window_order(g))
+    quadrant = sum(i >= 0 and j >= 0 for i, j in g.labels)
+    seam = [1 << slot[g.index[(-1, x + k)]] for k in range(w)]
+    cut = [1 << slot[g.index[(x + k, -1)]] for k in range(w)]
+    quarter = {}
+    for state, cnt in _advance(steps[:quadrant], {0: 1}).items():
+        a = sum(1 << k for k, bit in enumerate(seam) if state & bit)
+        b = sum(1 << k for k, bit in enumerate(cut) if state & bit)
+        quarter.setdefault(a, {})[b] = cnt
+    return quarter
+
+
+def trace4(t):
+    t2 = _product(t, t)
+    return sum(v * t2.get(c, {}).get(a, 0) for a, row in t2.items() for c, v in row.items())
 
 
 class TestTransferCount:
@@ -95,6 +135,24 @@ class TestTransferCount:
         assert transfer_count(window_spec(1000, 2)) == 8
         assert time.perf_counter() - start < 5.0
 
+    def test_cell_limit_is_checked_before_any_work(self, monkeypatch):
+        # the window is never built, so the count refuses it by its closed form
+        def fail(w):
+            raise AssertionError("the operators were swept")
+
+        monkeypatch.setattr(transfer, "_operators", fail)
+        for x, w in [(16384, 1), (10**6, 2), (10**40, 3)]:
+            assert 2 * w * (2 * x + w + 1) > REGION_CELL_LIMIT
+            start = time.perf_counter()
+            with pytest.raises(RegionError, match="more than 65536 cells"):
+                transfer_count(window_spec(x, w))
+            assert time.perf_counter() - start < 1.0
+
+    def test_largest_admitted_window(self):
+        # exactly REGION_CELL_LIMIT cells, and zero past half its width
+        assert 2 * 1 * (2 * 16383 + 1 + 1) == REGION_CELL_LIMIT
+        assert transfer_count(window_spec(16383, 1)) == 0
+
     def test_pinned_w8_x4(self):
         assert transfer_count(window_spec(4, 8)) == 73898794978115584
 
@@ -132,10 +190,10 @@ class TestQuarterTrace:
     def test_quarter_table_is_symmetric(self, w):
         # the reflection (i, j) -> (j, i) maps the first quadrant onto itself
         # and the seam cell (-1, j) onto the cut cell (j, -1)
-        for x in (1, 2, 3):
+        for x in (0, 1, 2, 3):
             entries = {
                 (a, b): cnt
-                for a, row in _quarter_operator(x, w).items()
+                for a, row in _quarter(x, w).items()
                 for b, cnt in row.items()
             }
             assert entries == {(b, a): cnt for (a, b), cnt in entries.items()}, x
@@ -145,13 +203,100 @@ class TestQuarterTrace:
         for w, rows, nonzero in [(2, 3, 4), (4, 10, 22), (6, 35, 140)]:
             supports = []
             for x in range(1, 6):
-                t = _quarter_operator(x, w)
+                t = _quarter(x, w)
                 supports.append({(a, b) for a, row in t.items() for b in row})
                 assert len(t) == rows, (x, w)
             assert all(sup == supports[0] for sup in supports), w
             assert len(supports[0]) == nonzero, w
-        t = _quarter_operator(5, 8)
+        t = _quarter(5, 8)
         assert (len(t), sum(map(len, t.values()))) == (126, 969)
+
+
+class TestOperators:
+    @pytest.mark.parametrize("w", range(1, 9))
+    def test_octant_equals_the_diamond_quadrant_sweep(self, w):
+        assert _operators(w)[0] == quadrant_operator(build_aztec_diamond(w), 0, w)
+
+    @pytest.mark.parametrize("w", range(1, 9))
+    def test_column_operator_steps_the_quarter_operator(self, w):
+        # T(x + 1) = A.T(x), from the diamond's T(0) on
+        t0, a = _operators(w)
+        t = t0
+        for x in range(1, 7):
+            swept = quadrant_operator(build_aztec_window(x, w), x, w)
+            assert _product(a, t) == swept, (x, w)
+            t = swept
+
+    @pytest.mark.parametrize("w", range(1, 11))
+    def test_diamond_trace(self, w):
+        # Elkies, Kuperberg, Larsen and Propp: 2^(w(w+1)/2) tilings
+        assert trace4(_operators(w)[0]) == 2 ** (w * (w + 1) // 2)
+
+    @pytest.mark.parametrize("w", range(1, 11))
+    def test_colouring_lemma(self, w):
+        # level(a) + level(b) is one constant over the nonzero entries of T(x),
+        # so the halved trace equals the plain one
+        for x in (0, 1, 2, 3, 6):
+            t = _quarter(x, w)
+            assert len({_level(a) + _level(b) for a, row in t.items() for b in row}) <= 1
+            if w <= 8:
+                assert _trace4(t) == trace4(t), (x, w)
+
+    def test_sequence_steps_from_the_last_x_reached(self):
+        # descending, repeated and ascending x all give the fresh counts
+        fresh = [ring_count(x, 4) for x in range(1, 6)]
+        for xs in ([5, 4, 3, 2, 1], [2, 2, 5, 1, 3, 4]):
+            assert [transfer_count(window_spec(x, 4)) for x in xs] == [
+                fresh[x - 1] for x in xs
+            ]
+
+
+def dense(op, w):
+    return [[op.get(a, {}).get(b, 0) for b in range(1 << w)] for a in range(1 << w)]
+
+
+def dense_product(p, q):
+    return [[sum(u * q[k][c] for k, u in enumerate(row) if u) for c in range(len(q))]
+            for row in p]
+
+
+class TestColumnAnnihilator:
+    PAIRS = {1: (2, 0), 2: (1, 1), 3: (4, 0), 4: (2, 2), 5: (6, 0),
+             6: (3, 3), 7: (8, 0), 8: (4, 5), 9: (10, 0)}
+
+    @pytest.mark.parametrize("w", range(1, 10))
+    def test_pairs(self, w):
+        # minimal polynomial z^j (z - 1)^k; odd w is nilpotent of index w + 1;
+        # w = 10 is pinned through the problem14 certificate
+        assert column_annihilator(w) == self.PAIRS[w]
+
+    @pytest.mark.parametrize("w", range(1, 6))
+    def test_pair_is_least_by_dense_products(self, w):
+        a = dense(column_transfer_matrix(1, w), w)
+        size = 1 << w
+        eye = [[int(r == c) for c in range(size)] for r in range(size)]
+        a_minus_i = [[a[r][c] - eye[r][c] for c in range(size)] for r in range(size)]
+
+        def term(j, k):
+            m = eye
+            for _ in range(j):
+                m = dense_product(m, a)
+            for _ in range(k):
+                m = dense_product(m, a_minus_i)
+            return any(any(row) for row in m)
+
+        j, k = column_annihilator(w)
+        assert not term(j, k)
+        if j:
+            assert term(j - 1, k)
+        if k:
+            assert term(j, k - 1)
+
+    def test_thickness_limit(self):
+        with pytest.raises(BoundError):
+            column_annihilator(11)
+        with pytest.raises(RegionError):
+            column_annihilator(0)
 
 
 def random_graph(rng, n, density, bipartite):
@@ -251,20 +396,26 @@ class TestColumnTransferMatrix:
     def test_dimension_depends_only_on_thickness(self):
         for w in (1, 2, 3):
             mats = [column_transfer_matrix(x, w) for x in (1, 2, 3)]
-            assert all(len(m) == 1 << w for m in mats)
+            assert all(0 <= m < 1 << w for a, row in mats[0].items() for m in (a, *row))
             assert mats[0] == mats[1] == mats[2]
 
     def test_entries_are_zero_or_one(self):
+        # sparse: only the ones are stored, and no row is empty
         for w in (1, 2, 3):
             m = column_transfer_matrix(2, w)
-            assert all(v in (0, 1) for row in m for v in row)
+            assert all(row and set(row.values()) == {1} for row in m.values())
 
     def test_nonzero_entries_are_pinned(self):
         # a(w) = 2 a(w-1) + a(w-2): the completions of each incoming mask
-        pinned = [1, 3, 7, 17, 41, 99, 239, 577]
+        pinned = [1, 3, 7, 17, 41, 99, 239, 577, 1393, 3363]
         for w, nonzero in enumerate(pinned, start=1):
             m = column_transfer_matrix(1, w)
-            assert sum(v != 0 for row in m for v in row) == nonzero, w
+            assert sum(map(len, m.values())) == nonzero, w
+
+    def test_an_entry_other_than_one_is_refused(self, monkeypatch):
+        monkeypatch.setattr(transfer, "_boundary_operator", lambda *args: {0: {0: 2}})
+        with pytest.raises(ArithmeticError):
+            column_transfer_matrix(1, 2)
 
     @pytest.mark.parametrize("w", [1, 2, 3, 4, 5])
     def test_entries_are_brute_completions(self, w):
@@ -280,7 +431,8 @@ class TestColumnTransferMatrix:
                 edges = [(index[(0, j)], index[nb])
                          for i, j in cells if i == 0
                          for nb in ((0, j + 1), (1, j)) if nb in index]
-                assert t[a][b] == count_brute(MatchGraph(cells, edges)), (a, b)
+                completions = count_brute(MatchGraph(cells, edges))
+                assert t.get(a, {}).get(b, 0) == completions, (a, b)
 
     @pytest.mark.parametrize("w", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
@@ -289,15 +441,15 @@ class TestColumnTransferMatrix:
         # k-column staircase band counted by the backtracking oracle
         cells = {(i, j) for i in range(k) for j in range(-i, -i + w)}
         strip = _square_graph(cells)
-        vec = [0] * (1 << w)
-        vec[0] = 1
+        vec = {0: 1}
         t = column_transfer_matrix(1, w)
         for _ in range(k):
-            vec = [
-                sum(vec[a] * t[a][b] for a in range(len(vec)))
-                for b in range(len(vec))
-            ]
-        assert vec[0] == count_brute(strip)
+            nxt = {}
+            for a, u in vec.items():
+                for b in t.get(a, {}):
+                    nxt[b] = nxt.get(b, 0) + u
+            vec = nxt
+        assert vec.get(0, 0) == count_brute(strip)
 
 
 class TestDetectPolynomial:
