@@ -29,9 +29,9 @@ print("Kasteleyn check:", count_kasteleyn(build_aztec_window(2, 2)))
 
 print()
 print("=== the single-column step operator ===")
-a = column_transfer_matrix(1, 2)
+a = column_transfer_matrix(2)
 print("thickness 2, sparse {incoming mask: {outgoing mask: 1}} "
-      "(masks have w bits, whatever the inner order):")
+      "(masks have w bits; A does not depend on the inner order):")
 for mask, row in sorted(a.items()):
     print(f"   {mask:02b} -> {', '.join(f'{b:02b}' for b in sorted(row))}")
 

@@ -31,6 +31,7 @@ from .regions import (
     RegionSpec,
     TriCell,
     aztec_rectangle_cells,
+    aztec_window_cell_count,
     central_rhombus_edge,
 )
 from .spectra import kasteleyn_matrix, kk_star_charpoly
@@ -180,6 +181,9 @@ def verify_problem14(w: int, x_to: int) -> ClaimReport:
     t0 = time.perf_counter()
     if x_to < 3:
         raise BoundError("problem14 needs x_to >= 3 for difference detection")
+    aztec_window_cell_count(x_to, w)  # the largest window's own refusal
+    if x_to > 64:  # every certificate, up to w = 10, needs x <= 31
+        raise BoundError("problem14 desk bound is x_to <= 64")
     j, k = column_annihilator(w)
     onset, bound = max(j, 1), max(4 * (k - 1), 0)
     last = onset + bound + 2
@@ -422,8 +426,7 @@ def verify_oracles(seed: int, cases: int) -> ClaimReport:
         if g.coords is not None and g.color is not None:
             got["kasteleyn"] = count_kasteleyn(g)
         if g.color is not None and g.is_balanced():
-            half = g.n // 2
-            if half <= PERMANENT_LIMIT:
+            if g.class_sizes()[0] <= PERMANENT_LIMIT:
                 got["permanent"] = count_permanent(g)
             if g.coords is not None:
                 cp = kk_star_charpoly(kasteleyn_matrix(g))

@@ -24,7 +24,7 @@ import random
 from fractions import Fraction
 from typing import Iterator
 
-from .graphs import GraphError, MatchGraph
+from .graphs import Classes, GraphError, MatchGraph
 
 BRUTE_FORCE_LIMIT = 64   # vertices
 PERMANENT_LIMIT = 20     # columns (one color class)
@@ -114,19 +114,6 @@ def enumerate_matchings(g: MatchGraph) -> Iterator[frozenset[tuple[int, int]]]:
 # -- permanent via Glynn ----------------------------------------------------
 
 
-def _row_col_split(g: MatchGraph) -> tuple[list[int], list[int], list[int]]:
-    """Rows (class-0 vertices), columns (class-1 vertices) and each
-    vertex's position within its own class."""
-    if g.color is None:
-        raise GraphError("graph carries no bipartition")
-    classes: tuple[list[int], list[int]] = ([], [])
-    pos = []
-    for v, c in enumerate(g.color):
-        pos.append(len(classes[c]))
-        classes[c].append(v)
-    return classes[0], classes[1], pos
-
-
 def _split_columns(col_rows: list[list[int]]) -> tuple[list[int], list[int]]:
     """Free and walked columns of Glynn's sum.  All but the last column are
     taken in (degree, index) order; one is free if its row set is nonempty
@@ -165,11 +152,7 @@ def count_permanent(g: MatchGraph) -> int:
     multiplication, next to a count of zero ones; a term is added only
     when that count is 0.
     """
-    rows, cols, pos = _row_col_split(g)
-    if len(rows) != len(cols):
-        raise GraphError(
-            f"bipartition classes have sizes {len(rows)} != {len(cols)}"
-        )
+    rows, cols = g.balanced_classes()
     m = len(rows)
     if m > PERMANENT_LIMIT:
         raise BoundError(
@@ -178,7 +161,7 @@ def count_permanent(g: MatchGraph) -> int:
     if m == 0:
         return 1
 
-    col_rows = [[pos[u] for u in g.adj[v]] for v in cols]
+    col_rows = [[g.class_pos[u] for u in g.adj[v]] for v in cols]
     free, walked = ([col_rows[j] for j in js] for js in _split_columns(col_rows))
     owner = [-1] * m  # position in free of the column on row i, or -1
     for f, rs in enumerate(free):
@@ -323,22 +306,31 @@ def kasteleyn_orient(g: MatchGraph, seed: int = 0) -> Orientation:
     return orient
 
 
-def _check_kasteleyn_size(g: MatchGraph) -> None:
-    rows = g.color.count(0)
-    if rows > KASTELEYN_LIMIT:
+def kasteleyn_classes(g: MatchGraph, caller: str) -> Classes:
+    """(rows, columns) of a Kasteleyn matrix, refused unless g has, in this
+    order, an embedding, a bipartition, classes of equal size and at most
+    KASTELEYN_LIMIT rows (the matrix is dense).  ``caller`` names the
+    entry; each entry checks before ``kasteleyn_orient`` walks a face."""
+    if g.coords is None:
+        raise GraphError(f"{caller} needs an embedding")
+    if g.color is None:
+        raise GraphError(f"{caller} needs a bipartition")
+    rows, cols = g.balanced_classes()
+    if len(rows) > KASTELEYN_LIMIT:
         raise BoundError(
-            f"class size {rows} exceeds the Kasteleyn limit {KASTELEYN_LIMIT}"
+            f"class size {len(rows)} exceeds the Kasteleyn limit {KASTELEYN_LIMIT}"
         )
+    return rows, cols
 
 
 def signed_biadjacency(
     g: MatchGraph, orient: Orientation
-) -> tuple[list[int], list[int], list[list[int]]]:
+) -> tuple[tuple[int, ...], tuple[int, ...], list[list[int]]]:
     """Rows are class-0 vertices, columns class-1; entries +1 when the edge
     is oriented row -> column, -1 the other way, 0 for non-edges.  The
-    matrix is dense, so BoundError past KASTELEYN_LIMIT rows comes first."""
-    rows, cols, pos = _row_col_split(g)
-    _check_kasteleyn_size(g)
+    matrix is dense: it is refused as ``kasteleyn_classes`` refuses."""
+    rows, cols = kasteleyn_classes(g, "signed_biadjacency")
+    pos = g.class_pos
     mat = [[0] * len(cols) for _ in rows]
     for r, v in enumerate(rows):
         for u in g.adj[v]:
@@ -415,17 +407,13 @@ def det_bareiss(matrix: list[list[int]]) -> int:
 def count_kasteleyn(g: MatchGraph, seed: int = 0) -> int:
     """|det| of the Kasteleyn-signed biadjacency.
 
-    Imbalanced graphs count 0 (no perfect matching exists).  A balanced
-    graph with an imbalanced component gives a singular matrix, so it
-    counts 0 as well.
+    Imbalanced graphs count 0 (no perfect matching exists); the other
+    refusals are ``kasteleyn_classes``'s.  A balanced graph with an
+    imbalanced component gives a singular matrix, so it counts 0 as well.
     """
-    if g.coords is None:
-        raise GraphError("count_kasteleyn needs an embedding")
-    if g.color is None:
-        raise GraphError("count_kasteleyn needs a bipartition")
-    if not g.is_balanced():
+    if g.coords is not None and g.color is not None and not g.is_balanced():
         return 0
-    _check_kasteleyn_size(g)  # before the orientation's face walk, too
+    kasteleyn_classes(g, "count_kasteleyn")
     _, _, mat = signed_biadjacency(g, kasteleyn_orient(g, seed=seed))
     return abs(det_bareiss(mat))
 

@@ -7,6 +7,10 @@ an orientation-preserving linear map, so cross-product signs and cyclic
 angular order agree with the honest Euclidean drawing and all geometry can
 stay in integer arithmetic.
 
+A two-coloured graph stores its bipartite split once: class 0 is the rows
+and class 1 the columns of every biadjacency matrix, each in vertex order,
+and every vertex keeps its position within its class.
+
 Graphs are frozen after construction and safe to share between threads.
 """
 
@@ -22,6 +26,7 @@ class GraphError(ValueError):
 
 
 Dart = tuple[int, int]
+Classes = tuple[tuple[int, ...], tuple[int, ...]]  # (rows, columns)
 
 
 class Face:
@@ -55,14 +60,15 @@ class MatchGraph:
 
     Optional extras:
       * ``color``  - a two-coloring (0/1 per vertex); every edge must join
-        the two classes.
+        the two classes, stored split as ``classes`` and ``class_pos``.
       * ``coords`` - integer drawing coordinates per vertex; when present,
         the rotation system (neighbours in counter-clockwise order) and the
         face structure of the straight-line embedding are available.
     """
 
     __slots__ = ("labels", "index", "edges", "edge_set", "adj", "color",
-                 "coords", "_rotation", "_faces", "_face_of_dart")
+                 "classes", "class_pos", "coords", "_rotation", "_faces",
+                 "_face_of_dart")
 
     def __init__(
         self,
@@ -77,8 +83,23 @@ class MatchGraph:
             raise GraphError("duplicate vertex labels")
         n = len(self.labels)
 
+        self.classes = self.class_pos = None
+        if color is not None:
+            color = tuple(color)
+            if len(color) != n or any(c not in (0, 1) for c in color):
+                raise GraphError("bipartition must assign 0/1 to every vertex")
+            classes: tuple[list[int], list[int]] = ([], [])
+            pos = []
+            for v, c in enumerate(color):
+                pos.append(len(classes[c]))
+                classes[c].append(v)
+            self.classes = tuple(map(tuple, classes))
+            self.class_pos = tuple(pos)
+        self.color = color
+
         seen: set[tuple[int, int]] = set()
         norm: list[tuple[int, int]] = []
+        adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             if u == v:
                 raise GraphError(f"self-loop at vertex {u}")
@@ -87,25 +108,15 @@ class MatchGraph:
             e = (u, v) if u < v else (v, u)
             if e in seen:
                 raise GraphError(f"duplicate edge {e}")
+            if color is not None and color[u] == color[v]:
+                raise GraphError(f"edge {e} joins same color class")
             seen.add(e)
             norm.append(e)
-        self.edges = tuple(norm)
-        self.edge_set = frozenset(norm)
-
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
+        self.edges = tuple(norm)
+        self.edge_set = seen
         self.adj = tuple(tuple(sorted(ns)) for ns in adj)
-
-        if color is not None:
-            color = tuple(color)
-            if len(color) != n or any(c not in (0, 1) for c in color):
-                raise GraphError("bipartition must assign 0/1 to every vertex")
-            for u, v in self.edges:
-                if color[u] == color[v]:
-                    raise GraphError(f"edge {(u, v)} joins same color class")
-        self.color = color
 
         if coords is not None:
             coords = tuple((int(x), int(y)) for x, y in coords)
@@ -139,14 +150,20 @@ class MatchGraph:
         return (u, v) if u < v else (v, u)
 
     def class_sizes(self) -> tuple[int, int]:
-        if self.color is None:
+        if self.classes is None:
             raise GraphError("graph carries no bipartition")
-        ones = sum(self.color)
-        return len(self.color) - ones, ones
+        return len(self.classes[0]), len(self.classes[1])
 
     def is_balanced(self) -> bool:
         a, b = self.class_sizes()
         return a == b
+
+    def balanced_classes(self) -> Classes:
+        """(rows, columns), or GraphError unless both classes are equal in size."""
+        a, b = self.class_sizes()
+        if a != b:
+            raise GraphError(f"bipartition classes have sizes {a} != {b}")
+        return self.classes
 
     # -- derived graphs -----------------------------------------------
 

@@ -179,10 +179,10 @@ def _square_graph(cells: set[tuple[int, int]]) -> MatchGraph:
     labels = sorted(cells)
     index = {c: i for i, c in enumerate(labels)}
     edges = []
-    for (i, j) in labels:
+    for k, (i, j) in enumerate(labels):
         for nb in ((i + 1, j), (i, j + 1)):
             if nb in index:
-                edges.append((index[(i, j)], index[nb]))
+                edges.append((k, index[nb]))
     coords = [(2 * i + 1, 2 * j + 1) for i, j in labels]
     color = [(i + j) & 1 for i, j in labels]
     return MatchGraph(labels, edges, coords=coords, color=color)
@@ -241,14 +241,11 @@ def build_aztec_rectangle(
         if r in seen:
             raise RegionError(f"removed vertex {_brief(r)} listed twice")
         seen.add(r)
-    remaining = cells - seen
-    ones = sum((i + j) & 1 for i, j in remaining)
-    if 2 * ones != len(remaining):
-        raise RegionError(
-            f"removal leaves color classes of sizes {len(remaining) - ones} "
-            f"and {ones}; matchings would be trivially zero"
-        )
-    return _square_graph(remaining)
+    g = _square_graph(cells - seen)
+    if not g.is_balanced():
+        raise RegionError("removal leaves color classes of sizes {} and {}; "
+                          "matchings would be trivially zero".format(*g.class_sizes()))
+    return g
 
 
 def aztec_window_row(x: int, w: int, i: int) -> list[int]:

@@ -16,8 +16,8 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .counting import BoundError, kasteleyn_orient, signed_biadjacency
-from .graphs import GraphError, MatchGraph
+from .counting import BoundError, kasteleyn_classes, kasteleyn_orient, signed_biadjacency
+from .graphs import MatchGraph
 
 SPECTRUM_DIMENSION_LIMIT = 80  # K dimension; charpoly at 80: ~0.9 s on a 2-vCPU Xeon
 QL_ITERATION_LIMIT = 60  # QL sweeps allowed per eigenvalue
@@ -57,18 +57,12 @@ class CharPoly:
 
 def kasteleyn_matrix(g: MatchGraph, seed: int = 0) -> SignedMatrix:
     """Signed biadjacency whose |det| is the perfect matching count."""
-    if g.coords is None:
-        raise GraphError("kasteleyn_matrix needs an embedding")
-    if g.color is None:
-        raise GraphError("kasteleyn_matrix needs a bipartition")
-    if not g.is_balanced():
-        a, b = g.class_sizes()
-        raise GraphError(f"bipartition classes have sizes {a} != {b}")
+    kasteleyn_classes(g, "kasteleyn_matrix")
     rows, cols, mat = signed_biadjacency(g, kasteleyn_orient(g, seed=seed))
     return SignedMatrix(
         entries=tuple(tuple(r) for r in mat),
-        row_vertices=tuple(rows),
-        col_vertices=tuple(cols),
+        row_vertices=rows,
+        col_vertices=cols,
     )
 
 

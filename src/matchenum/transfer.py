@@ -332,7 +332,7 @@ def count_sequence(w: int, x_from: int, x_to: int) -> list[int]:
     ]
 
 
-def column_transfer_matrix(x: int, w: int) -> Operator:
+def column_transfer_matrix(w: int) -> Operator:
     """Single-column step operator A of the window's band, as sparse
     ``{a: {b: 1}}``.
 
@@ -343,8 +343,8 @@ def column_transfer_matrix(x: int, w: int) -> Operator:
     leaving outgoing mask b.  Masks without a completion have no row.
     A depends only on the thickness, never on the inner order x.
     """
-    if x < 1 or w < 1:
-        raise RegionError("Aztec window needs x >= 1 and w >= 1")
+    if w < 1:
+        raise RegionError("Aztec window needs w >= 1")
     _check_thickness(w)
     return _column_operator(w)
 

@@ -15,6 +15,7 @@ from matchenum import (
     verify_problem19_orbits,
     verify_problem19_parity,
 )
+from matchenum import claims
 from matchenum.claims import matching_orbits
 
 
@@ -103,6 +104,20 @@ class TestProblem14:
         with pytest.raises(BoundError):
             verify_problem14(11, 8)
         with pytest.raises(RegionError):
+            verify_problem14(2, 20000)
+
+    def test_x_to_desk_bound_is_exact_and_refused_before_any_count(self, monkeypatch):
+        assert verify_problem14(2, 64).verdict == "PASS"
+
+        def fail(*args):
+            raise AssertionError("a window was counted")
+
+        monkeypatch.setattr(claims, "count_sequence", fail)
+        monkeypatch.setattr(claims, "column_annihilator", fail)
+        for x_to in (65, 8190):
+            with pytest.raises(BoundError, match="x_to <= 64"):
+                verify_problem14(2, x_to)
+        with pytest.raises(RegionError, match="more than 65536 cells"):
             verify_problem14(2, 20000)
 
 

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from matchenum import counting, spectra
 from matchenum.cli import cli_main
 
 
@@ -207,15 +208,28 @@ class TestCellLimit:
 
 
 class TestKasteleynLimit:
-    def test_largest_admitted_diamond_exits_2_at_once(self, capsys, region_file):
-        # 65160 cells pass the cell limit; the dense matrix would need
-        # 32580^2 slots, so the class size is refused before any is allocated
+    # 65160 cells pass the cell limit; the dense matrix would need 32580^2
+    # slots, so the class size is refused before any is allocated, and
+    # before any face is walked
+    @staticmethod
+    def refuse_largest_admitted_diamond(capsys, region_file, monkeypatch, command):
+        def fail(*args, **kwargs):
+            raise AssertionError("the faces were walked")
+
+        monkeypatch.setattr(counting, "kasteleyn_orient", fail)
+        monkeypatch.setattr(spectra, "kasteleyn_orient", fail)
         path = region_file("ad180.json", {"kind": "AZTEC_DIAMOND", "params": {"n": 180}})
         start = time.perf_counter()
-        code, out, err = run(capsys, "count", "--region", path)
+        code, out, err = run(capsys, command, "--region", path)
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (2, "")
         assert "exceeds the Kasteleyn limit 2048" in err
+
+    def test_largest_admitted_diamond_exits_2_at_once(self, capsys, region_file, monkeypatch):
+        self.refuse_largest_admitted_diamond(capsys, region_file, monkeypatch, "count")
+
+    def test_spectrum_of_it_exits_2_at_once(self, capsys, region_file, monkeypatch):
+        self.refuse_largest_admitted_diamond(capsys, region_file, monkeypatch, "spectrum")
 
 
 class TestRatio:
@@ -358,9 +372,11 @@ class TestVerify:
         assert row.startswith("oracles,")
 
     def test_bound_violation_exits_2(self, capsys):
-        code, _, err = run(capsys, "verify", "--claim", "problem1", "--n", "9")
-        assert code == 2
-        assert "bound" in err
+        for argv in (["--claim", "problem1", "--n", "9"],
+                     ["--claim", "problem14", "--w", "2", "--x-to", "8190"]):
+            code, _, err = run(capsys, "verify", *argv)
+            assert code == 2
+            assert "bound" in err
 
     def test_off_center_control(self, capsys):
         code, out, _ = run(capsys, "verify", "--claim", "problem1",

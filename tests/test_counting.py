@@ -22,11 +22,12 @@ from matchenum import (
     count_with_forced_edge,
     det_bareiss,
     enumerate_matchings,
+    kasteleyn_matrix,
     kasteleyn_orient,
     random_region,
 )
-from matchenum import counting
-from matchenum.counting import _row_col_split, _split_columns
+from matchenum import counting, spectra
+from matchenum.counting import _split_columns
 
 # values frozen from the backtracking oracle
 HEX_COUNTS = {
@@ -224,8 +225,8 @@ class TestPermanent:
 
 def split_columns(g):
     """Free and walked columns of g's biadjacency, and each column's rows."""
-    _, cols, pos = _row_col_split(g)
-    col_rows = [[pos[u] for u in g.adj[v]] for v in cols]
+    _, cols = g.classes
+    col_rows = [[g.class_pos[u] for u in g.adj[v]] for v in cols]
     return (*_split_columns(col_rows), col_rows)
 
 
@@ -418,9 +419,24 @@ class TestKasteleynLimit:
             raise AssertionError("the faces were walked")
 
         monkeypatch.setattr(counting, "kasteleyn_orient", fail)
-        g = build_aztec_diamond(45)  # 2070 cells in each class
-        with pytest.raises(BoundError, match="exceeds the Kasteleyn limit 2048"):
-            count_kasteleyn(g)
+        monkeypatch.setattr(spectra, "kasteleyn_orient", fail)
+        refusals = [
+            (build_hypercube(3), GraphError, "{} needs an embedding"),
+            (MatchGraph(labels=range(2), edges=[(0, 1)], coords=[(0, 0), (1, 0)]),
+             GraphError, "{} needs a bipartition"),
+            # 2070 cells in each class
+            (build_aztec_diamond(45), BoundError, "exceeds the Kasteleyn limit 2048"),
+        ]
+        for g, error, message in refusals:
+            for entry in (count_kasteleyn, kasteleyn_matrix):
+                with pytest.raises(error, match=message.format(entry.__name__)):
+                    entry(g)
+        # the balance comes before the limit: the matrix is refused, the count is 0
+        monkeypatch.setattr(counting, "KASTELEYN_LIMIT", 1)
+        g = build_hexagon((1, 2, 1, 2, 1, 2))  # one excess cell
+        with pytest.raises(GraphError, match="bipartition classes have sizes 6 != 7"):
+            kasteleyn_matrix(g)
+        assert count_kasteleyn(g) == 0
 
 
 class TestOracleAgreement:

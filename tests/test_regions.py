@@ -122,6 +122,19 @@ class TestMatchGraph:
         with pytest.raises(GraphError):
             MatchGraph(labels=[0, 1], edges=[(0, 1)], color=[0, 0])
 
+    def test_stored_split(self):
+        from matchenum import GraphError
+
+        g = MatchGraph(labels="abcde", edges=[(0, 1), (1, 2), (3, 4)],
+                       color=[0, 1, 0, 1, 0])
+        assert g.classes == ((0, 2, 4), (1, 3))
+        assert g.class_pos == (0, 0, 1, 1, 2)
+        assert g.class_sizes() == (3, 2)
+        with pytest.raises(GraphError, match="bipartition classes have sizes 3 != 2"):
+            g.balanced_classes()
+        assert g.delete_vertices([4]).balanced_classes() == ((0, 2), (1, 3))
+        assert MatchGraph(labels=[0], edges=[]).classes is None
+
     def test_rejects_duplicate_labels(self):
         from matchenum import GraphError
 
