@@ -29,10 +29,10 @@ from .counting import (
 from .graphs import MatchGraph
 from .regions import (
     RegionSpec,
-    TriCell,
     aztec_rectangle_cells,
     aztec_window_cell_count,
     central_rhombus_edge,
+    hexagon_cells,
 )
 from .spectra import kasteleyn_matrix, kk_star_charpoly
 from .transfer import column_annihilator, count_sequence, detect_polynomial
@@ -107,7 +107,7 @@ def _finish(claim_id, parameters, computed, expected, t0, verdict=None) -> Claim
 # -- problem 1: central rhombus containment ratio ---------------------------
 
 
-def verify_problem1(n: int, off_center: bool = False) -> ClaimReport:
+def verify_problem1(n: int = 1, off_center: bool = False) -> ClaimReport:
     """Hexagon (a, a, b, a, a, b) with a = 2n-1, b = 2n: the fraction of
     rhombus tilings containing the central rhombus is exactly 1/3.
 
@@ -164,7 +164,7 @@ def _power_coefficients(newton: list[int], onset: int) -> list[Fraction]:
     return coeffs
 
 
-def verify_problem14(w: int, x_to: int) -> ClaimReport:
+def verify_problem14(w: int = 2, x_to: int = 8) -> ClaimReport:
     """Aztec windows of thickness w: the count is a polynomial in the inner
     order x from an onset on, proved and found exactly.
 
@@ -228,7 +228,7 @@ def _hypercube_count(n: int) -> int:
     return count_permanent(RegionSpec("HYPERCUBE", {"n": n}).build())
 
 
-def verify_problem19_parity(n_max: int) -> ClaimReport:
+def verify_problem19_parity(n_max: int = 5) -> ClaimReport:
     """f(n), the number of 1-factors of the n-cube, has the parity of n.
 
     f is computed by the permanent and cross-checked against the
@@ -287,7 +287,7 @@ def _all_parallel(matching: frozenset) -> bool:
     return len({u ^ v for u, v in matching}) == 1
 
 
-def verify_problem19_orbits(n: int) -> ClaimReport:
+def verify_problem19_orbits(n: int = 3) -> ClaimReport:
     """Reflection orbits of the n-cube matchings: exactly n fixed points,
     all of them all-parallel, every other orbit an even power of two, and
     the sizes add up to f(n)."""
@@ -319,7 +319,7 @@ def verify_problem19_orbits(n: int) -> ClaimReport:
     return _finish("problem19-orbits", {"n": n}, computed, expected, t0)
 
 
-def verify_problem19_asymptotic(n_max: int) -> ClaimReport:
+def verify_problem19_asymptotic(n_max: int = 5) -> ClaimReport:
     """Tabulate g(n) = f(n)^(2^(1-n)) beside n/e and check that g is
     strictly increasing on the desk range.
 
@@ -368,12 +368,9 @@ def random_region(rng: random.Random, kind: Optional[str] = None) -> tuple[Regio
             sides = (a, b + d, c, a + d, b, c + d)
             if all(0 <= s <= 3 for s in sides) and sum(sides) > 0:
                 break
-        spec = RegionSpec("HEXAGON", {"sides": list(sides)})
-        cells = sorted(spec.build().labels)
+        cells = sorted(hexagon_cells(sides))
         n_holes = rng.randint(0, 2) if cells else 0
-        holes = tuple(
-            TriCell(*c) for c in rng.sample(cells, min(n_holes, len(cells)))
-        )
+        holes = tuple(rng.sample(cells, min(n_holes, len(cells))))
         spec = RegionSpec("HEXAGON", {"sides": list(sides)}, holes=holes)
     elif kind == "AZTEC_DIAMOND":
         spec = RegionSpec("AZTEC_DIAMOND", {"n": rng.randint(1, 3)})
@@ -400,7 +397,7 @@ def _majority_color(cells) -> int:
     return 1 if 2 * ones > len(cells) else 0
 
 
-def verify_oracles(seed: int, cases: int) -> ClaimReport:
+def verify_oracles(seed: int = 1, cases: int = 50) -> ClaimReport:
     """Random small regions across every kind: the backtracking count, the
     Kasteleyn determinant and the permanent must agree wherever each
     applies, and |charpoly constant term| must equal the count squared.
@@ -455,3 +452,15 @@ def verify_oracles(seed: int, cases: int) -> ClaimReport:
         "note": "mutual agreement of independent exact methods",
     }
     return _finish("oracles", {"seed": seed, "cases": cases}, computed, expected, t0)
+
+
+# the claim registry: ``matchenum verify --claim ID`` runs CLAIMS[ID] with
+# the options it was given that the function takes, the rest by default
+CLAIMS = {
+    "problem1": verify_problem1,
+    "problem14": verify_problem14,
+    "problem19-parity": verify_problem19_parity,
+    "problem19-orbits": verify_problem19_orbits,
+    "problem19-asymptotic": verify_problem19_asymptotic,
+    "oracles": verify_oracles,
+}

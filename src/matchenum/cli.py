@@ -14,35 +14,19 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import io
 import json
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .claims import (
-    FAIL,
-    verify_oracles,
-    verify_problem1,
-    verify_problem14,
-    verify_problem19_asymptotic,
-    verify_problem19_orbits,
-    verify_problem19_parity,
-)
+from .claims import CLAIMS, FAIL
 from .counting import BoundError, COUNTERS, containment_counts, count_auto
 from .graphs import GraphError
 from .regions import RegionError, RegionSpec, central_rhombus_edge
 from .spectra import kasteleyn_matrix, kk_star_charpoly, singular_values
 from .transfer import transfer_count
-
-CLAIMS = (
-    "problem1",
-    "problem14",
-    "problem19-parity",
-    "problem19-orbits",
-    "problem19-asymptotic",
-    "oracles",
-)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--region", required=True, metavar="FILE",
                     help="region JSON file")
     sp.add_argument("--method", default="auto",
-                    choices=("auto", "brute", "kasteleyn", "permanent", "transfer"))
+                    choices=(*sorted(COUNTERS), "transfer"))
     common(sp)
 
     sp = sub.add_parser("ratio", help="containment ratio of one edge")
@@ -79,17 +63,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run one named claim")
     sp.add_argument("--claim", required=True, choices=CLAIMS)
-    sp.add_argument("--n", type=int, default=None,
+    sp.add_argument("--n", type=int,
                     help="problem1: hexagon index; problem19-orbits: cube dimension")
-    sp.add_argument("--n-max", type=int, default=None,
+    sp.add_argument("--n-max", type=int,
                     help="problem19-parity/asymptotic: largest cube dimension")
-    sp.add_argument("--w", type=int, default=2, help="problem14: ring thickness")
-    sp.add_argument("--x-to", type=int, default=8,
-                    help="problem14: largest inner order")
-    sp.add_argument("--off-center", action="store_true",
+    sp.add_argument("--w", type=int, help="problem14: ring thickness")
+    sp.add_argument("--x-to", type=int, help="problem14: largest inner order")
+    sp.add_argument("--off-center", action="store_true", default=None,
                     help="problem1: negative control at a non-central edge")
-    sp.add_argument("--seed", type=int, default=1, help="oracles: corpus seed")
-    sp.add_argument("--cases", type=int, default=50, help="oracles: corpus size")
+    sp.add_argument("--seed", type=int, help="oracles: corpus seed")
+    sp.add_argument("--cases", type=int, help="oracles: corpus size")
     common(sp)
 
     return parser
@@ -190,7 +173,7 @@ def _cmd_ratio(args) -> int:
 def _cmd_spectrum(args) -> int:
     spec = _load_spec(args.region)
     g = spec.build()
-    k = kasteleyn_matrix(g)
+    k = kasteleyn_matrix(g, spectrum=True)
     cp = kk_star_charpoly(k)
     sv = singular_values(k)
     count = count_auto(g)
@@ -218,20 +201,11 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    claim = args.claim
-    if claim == "problem1":
-        report = verify_problem1(args.n if args.n is not None else 1,
-                                 off_center=args.off_center)
-    elif claim == "problem14":
-        report = verify_problem14(args.w, args.x_to)
-    elif claim == "problem19-parity":
-        report = verify_problem19_parity(args.n_max if args.n_max is not None else 5)
-    elif claim == "problem19-orbits":
-        report = verify_problem19_orbits(args.n if args.n is not None else 3)
-    elif claim == "problem19-asymptotic":
-        report = verify_problem19_asymptotic(args.n_max if args.n_max is not None else 5)
-    else:
-        report = verify_oracles(args.seed, args.cases)
+    verify = CLAIMS[args.claim]
+    # the options given that the claim takes; the rest keep its defaults
+    given = {name: getattr(args, name) for name in inspect.signature(verify).parameters
+             if getattr(args, name, None) is not None}
+    report = verify(**given)
     _emit(_report_text(report, args.format), args.out)
     return 1 if report.verdict == FAIL else 0
 

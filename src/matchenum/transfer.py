@@ -260,19 +260,20 @@ def _difference(p: Operator, q: Operator) -> Operator:
     return out
 
 
-def _check_thickness(w: int) -> None:
-    # the window's ring order has frontier width 2w + 1 (w >= 2); the
-    # operators' own sweeps are narrower, and this bound covers them all
+@lru_cache(maxsize=None)  # one entry per thickness, and w <= 10
+def _operators(w: int) -> tuple[Operator, Operator]:
+    """(T0, A) for thickness w, which callers must not modify.  The
+    thickness is checked here and nowhere else, before any sweep."""
+    if w < 1:
+        raise RegionError("Aztec window needs w >= 1")
+    # the bound is that of the whole window swept in ring order, which only
+    # the tests still do as a reference: frontier width 2w + 1 (w >= 2); the
+    # operators' own sweeps are narrower
     if 2 * w + 1 > FRONTIER_LIMIT:
         raise BoundError(
             f"thickness {w} needs frontier width {2 * w + 1}, "
             f"over the limit {FRONTIER_LIMIT}"
         )
-
-
-@lru_cache(maxsize=None)  # one entry per thickness, and w <= 10
-def _operators(w: int) -> tuple[Operator, Operator]:
-    """(T0, A) for thickness w; callers must not modify them."""
     return _diamond_quarter(w), _column_operator(w)
 
 
@@ -319,7 +320,6 @@ def transfer_count(spec: RegionSpec) -> int:
     if spec.kind != "AZTEC_WINDOW":
         raise RegionError("the transfer method applies only to AZTEC_WINDOW regions")
     x, w = spec.params["x"], spec.params["w"]
-    _check_thickness(w)
     aztec_window_cell_count(x, w)  # the window's own refusals, before any work
     return _trace4(_quarter(x, w))
 
@@ -341,12 +341,10 @@ def column_transfer_matrix(w: int) -> Operator:
     is 1 when the column with incoming mask a can be completed (vertical
     dominoes inside the column, horizontal pokes into the next column)
     leaving outgoing mask b.  Masks without a completion have no row.
-    A depends only on the thickness, never on the inner order x.
+    A depends only on the thickness, never on the inner order x.  The
+    result is a copy, free to modify.
     """
-    if w < 1:
-        raise RegionError("Aztec window needs w >= 1")
-    _check_thickness(w)
-    return _column_operator(w)
+    return {a: dict(row) for a, row in _operators(w)[1].items()}
 
 
 def column_annihilator(w: int) -> tuple[int, int]:
@@ -360,9 +358,6 @@ def column_annihilator(w: int) -> tuple[int, int]:
     lower degree annihilates A, so it is z^j (z - 1)^k itself.  Raises
     BoundError when none vanishes up to degree ANNIHILATOR_LIMIT.
     """
-    if w < 1:
-        raise RegionError("Aztec window needs w >= 1")
-    _check_thickness(w)
     a = _operators(w)[1]
     diffs: list[Operator] = [{m: {m: 1} for m in range(1 << w)}]  # n = 0: I
     for n in range(1, ANNIHILATOR_LIMIT + 1):

@@ -1,10 +1,12 @@
 import json
+import re
 import sys
 import time
 
 import pytest
 
 from matchenum import counting, spectra
+from matchenum.claims import CLAIMS
 from matchenum.cli import cli_main
 
 
@@ -51,6 +53,12 @@ class TestCount:
                            "--method", "transfer", "--format", "json")
         assert code == 0
         assert json.loads(out)["count"] == "8"
+
+    def test_method_choices_are_the_counters_and_transfer(self, capsys):
+        with pytest.raises(SystemExit):
+            cli_main(["count", "--help"])
+        listed = re.search(r"--method \{([a-z,]+)\}", capsys.readouterr().out).group(1)
+        assert sorted(listed.split(",")) == sorted([*counting.COUNTERS, "transfer"])
 
     def test_transfer_rejected_elsewhere(self, capsys, region_file):
         path = region_file("ad.json", {"kind": "AZTEC_DIAMOND", "params": {"n": 2}})
@@ -320,14 +328,21 @@ class TestSpectrum:
         assert abs(int(doc["charpoly"][0])) == int(doc["count"]) ** 2
         assert len(doc["singular_values"]) == 48
 
-    def test_oversized_region_refused(self, capsys, region_file):
-        path = region_file("ad.json", {"kind": "AZTEC_DIAMOND", "params": {"n": 12}})
-        start = time.perf_counter()
-        code, out, err = run(capsys, "spectrum", "--region", path)
-        assert time.perf_counter() - start < 1.0
-        assert code == 2
-        assert out == ""
-        assert "K dimension 156 exceeds the spectrum limit" in err
+    def test_oversized_region_refused(self, capsys, region_file, monkeypatch):
+        # refused by its class size, before the orientation fills K
+        def fail(*args, **kwargs):
+            raise AssertionError("the faces were walked")
+
+        monkeypatch.setattr(counting, "kasteleyn_orient", fail)
+        monkeypatch.setattr(spectra, "kasteleyn_orient", fail)
+        for n in (12, 44):
+            path = region_file("ad.json", {"kind": "AZTEC_DIAMOND", "params": {"n": n}})
+            start = time.perf_counter()
+            code, out, err = run(capsys, "spectrum", "--region", path)
+            assert time.perf_counter() - start < 1.0
+            assert code == 2
+            assert out == ""
+            assert f"K dimension {n * (n + 1)} exceeds the spectrum limit 80" in err
 
 
 class TestVerify:
@@ -342,6 +357,20 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--claim", "problem14")
         assert code == 0
         assert json.loads(out)["verdict"] == "PASS"
+
+    def test_no_options_run_the_function_defaults(self, capsys):
+        # an option the claim does not take is ignored
+        def report(*argv):
+            code, out, _ = run(capsys, "verify", *argv)
+            doc = json.loads(out)
+            del doc["runtime_ms"]
+            return code, doc
+
+        for claim, verify in CLAIMS.items():
+            expected = verify().to_dict()
+            del expected["runtime_ms"]
+            assert report("--claim", claim) == (0, expected), claim
+        assert report("--claim", "problem1", "--seed", "5") == report("--claim", "problem1")
 
     def test_problem14_w6_passes_with_a_certificate(self, capsys):
         code, out, _ = run(capsys, "verify", "--claim", "problem14", "--w", "6",

@@ -141,7 +141,7 @@ class TestTransferCount:
             raise AssertionError("the operators were swept")
 
         monkeypatch.setattr(transfer, "_operators", fail)
-        for x, w in [(16384, 1), (10**6, 2), (10**40, 3)]:
+        for x, w in [(16384, 1), (10**6, 2), (10**40, 3), (10**4, 11)]:
             assert 2 * w * (2 * x + w + 1) > REGION_CELL_LIMIT
             start = time.perf_counter()
             with pytest.raises(RegionError, match="more than 65536 cells"):
@@ -292,11 +292,31 @@ class TestColumnAnnihilator:
         if k:
             assert term(j, k - 1)
 
-    def test_thickness_limit(self):
-        with pytest.raises(BoundError):
-            column_annihilator(11)
-        with pytest.raises(RegionError):
-            column_annihilator(0)
+    def test_thickness_limit(self, monkeypatch):
+        # every entry refuses through the one check of the thickness, before
+        # any sweep; a window also needs x >= 1, so its message names both
+        def fail(*args):
+            raise AssertionError("an operator was swept")
+
+        monkeypatch.setattr(transfer, "_boundary_operator", fail)
+        entries = {
+            "transfer_count": (lambda w: transfer_count(window_spec(1, w)),
+                               "Aztec window needs x >= 1 and w >= 1"),
+            "count_sequence": (lambda w: count_sequence(w, 1, 3),
+                               "Aztec window needs x >= 1 and w >= 1"),
+            "column_transfer_matrix": (column_transfer_matrix,
+                                       "Aztec window needs w >= 1"),
+            "column_annihilator": (column_annihilator, "Aztec window needs w >= 1"),
+        }
+        for name, (entry, empty) in entries.items():
+            with pytest.raises(RegionError) as refused:
+                entry(0)
+            assert str(refused.value) == empty, name
+            with pytest.raises(BoundError) as refused:
+                entry(11)
+            assert str(refused.value) == (
+                "thickness 11 needs frontier width 23, over the limit 22"
+            ), name
 
 
 def random_graph(rng, n, density, bipartite):
@@ -400,6 +420,15 @@ class TestColumnTransferMatrix:
             assert all(row and set(row.values()) == {1} for row in m.values())
             assert all(0 <= b < 1 << w for a, row in m.items() for b in (a, *row))
 
+    def test_result_is_a_copy(self):
+        counts = count_sequence(2, 1, 4)
+        m = column_transfer_matrix(2)
+        for row in m.values():
+            row.clear()
+        m[0] = {0: 5}
+        assert count_sequence(2, 1, 4) == counts
+        assert column_transfer_matrix(2) != m
+
     def test_nonzero_entries_are_pinned(self):
         # a(w) = 2 a(w-1) + a(w-2): the completions of each incoming mask
         pinned = [1, 3, 7, 17, 41, 99, 239, 577, 1393, 3363]
@@ -408,6 +437,8 @@ class TestColumnTransferMatrix:
             assert sum(map(len, m.values())) == nonzero, w
 
     def test_an_entry_other_than_one_is_refused(self, monkeypatch):
+        # A is read from the cached operators: sweep them afresh
+        monkeypatch.setattr(transfer, "_operators", transfer._operators.__wrapped__)
         monkeypatch.setattr(transfer, "_boundary_operator", lambda *args: {0: {0: 2}})
         with pytest.raises(ArithmeticError):
             column_transfer_matrix(2)
