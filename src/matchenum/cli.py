@@ -22,10 +22,10 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .claims import CLAIMS, FAIL
-from .counting import BoundError, COUNTERS, containment_counts, count_auto
+from .counting import BoundError, COUNTERS, containment_counts, count_auto, kasteleyn_classes
 from .graphs import GraphError
 from .regions import RegionError, RegionSpec, central_rhombus_edge
-from .spectra import kasteleyn_matrix, kk_star_charpoly, singular_values
+from .spectra import check_dimension, kasteleyn_matrix, kk_star_charpoly, singular_values
 from .transfer import transfer_count
 
 
@@ -173,7 +173,9 @@ def _cmd_ratio(args) -> int:
 def _cmd_spectrum(args) -> int:
     spec = _load_spec(args.region)
     g = spec.build()
-    k = kasteleyn_matrix(g, spectrum=True)
+    # K's dimension is its class size: refuse an oversized K before orienting it
+    check_dimension(len(kasteleyn_classes(g, "kasteleyn_matrix")[0]))
+    k = kasteleyn_matrix(g)
     cp = kk_star_charpoly(k)
     sv = singular_values(k)
     count = count_auto(g)

@@ -6,8 +6,8 @@ division in the recurrence is exact), so the counting identity
 |constant term| = (matching count)^2 can be asserted as integer equality.
 Floating point appears only in the singular values: eigenvalues of
 K*K^T by Householder reduction to tridiagonal form and implicit-shift QL.
-Both refuse K larger than SPECTRUM_DIMENSION_LIMIT with BoundError, and
-``kasteleyn_matrix(g, spectrum=True)`` refuses it before the orientation.
+Both refuse K larger than SPECTRUM_DIMENSION_LIMIT with BoundError;
+``check_dimension`` lets a caller refuse it before the orientation.
 """
 
 from __future__ import annotations
@@ -56,15 +56,9 @@ class CharPoly:
         return json.dumps([str(c) for c in self.coeffs])
 
 
-def kasteleyn_matrix(g: MatchGraph, seed: int = 0, spectrum: bool = False) -> SignedMatrix:
-    """Signed biadjacency whose |det| is the perfect matching count.
-
-    With ``spectrum``, a K that ``kk_star_charpoly`` and ``singular_values``
-    would refuse is refused before the orientation instead.
-    """
-    size = len(kasteleyn_classes(g, "kasteleyn_matrix")[0])
-    if spectrum:
-        _check_dimension(size)
+def kasteleyn_matrix(g: MatchGraph, seed: int = 0) -> SignedMatrix:
+    """Signed biadjacency whose |det| is the perfect matching count."""
+    kasteleyn_classes(g, "kasteleyn_matrix")
     rows, cols, mat = signed_biadjacency(g, kasteleyn_orient(g, seed=seed))
     return SignedMatrix(
         entries=tuple(tuple(r) for r in mat),
@@ -73,7 +67,8 @@ def kasteleyn_matrix(g: MatchGraph, seed: int = 0, spectrum: bool = False) -> Si
     )
 
 
-def _check_dimension(dimension: int) -> None:
+def check_dimension(dimension: int) -> None:
+    """Refuse a K of more than SPECTRUM_DIMENSION_LIMIT rows."""
     if dimension > SPECTRUM_DIMENSION_LIMIT:
         raise BoundError(
             f"K dimension {dimension} exceeds the spectrum limit "
@@ -105,7 +100,7 @@ def kk_star_charpoly(k: SignedMatrix) -> CharPoly:
     Faddeev-LeVerrier recurrence over the integers; the trace divisions
     are exact and asserted to be so.
     """
-    _check_dimension(k.dimension)
+    check_dimension(k.dimension)
     a = _kk_star(k)
     m = len(a)
     coeffs = [0] * (m + 1)
@@ -234,7 +229,7 @@ def singular_values(k: SignedMatrix) -> list[float]:
     eigenvalues of K*K^T, by Householder tridiagonalization and implicit
     QL.  Their product equals the matching count up to floating round-off.
     """
-    _check_dimension(k.dimension)
+    check_dimension(k.dimension)
     a = [[float(v) for v in row] for row in _kk_star(k)]
     eigs = _tridiagonal_eigenvalues(*_tridiagonalize(a))
     return sorted((math.sqrt(max(e, 0.0)) for e in eigs), reverse=True)

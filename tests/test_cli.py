@@ -1,3 +1,4 @@
+import inspect
 import json
 import re
 import sys
@@ -359,17 +360,37 @@ class TestVerify:
         assert json.loads(out)["verdict"] == "PASS"
 
     def test_no_options_run_the_function_defaults(self, capsys):
-        # an option the claim does not take is ignored
+        # every option a claim takes reaches it; one it does not take is ignored
+        given = {
+            "problem1": {"n": ("--n", "2"), "off_center": ("--off-center",)},
+            "problem14": {"w": ("--w", "3"), "x_to": ("--x-to", "7")},
+            "problem19-parity": {"n_max": ("--n-max", "4")},
+            "problem19-orbits": {"n": ("--n", "2")},
+            "problem19-asymptotic": {"n_max": ("--n-max", "4")},
+            "oracles": {"seed": ("--seed", "2"), "cases": ("--cases", "3")},
+        }
+
         def report(*argv):
             code, out, _ = run(capsys, "verify", *argv)
             doc = json.loads(out)
             del doc["runtime_ms"]
             return code, doc
 
+        def expected(verify, **kwargs):
+            doc = verify(**kwargs).to_dict()
+            del doc["runtime_ms"]
+            return 1 if doc["verdict"] == "FAIL" else 0, doc
+
+        assert set(given) == set(CLAIMS)
         for claim, verify in CLAIMS.items():
-            expected = verify().to_dict()
-            del expected["runtime_ms"]
-            assert report("--claim", claim) == (0, expected), claim
+            default = expected(verify)
+            assert report("--claim", claim) == default, claim
+            assert set(given[claim]) == set(inspect.signature(verify).parameters), claim
+            for name, argv in given[claim].items():
+                value = True if len(argv) == 1 else int(argv[1])
+                got = report("--claim", claim, *argv)
+                assert got == expected(verify, **{name: value}), (claim, name)
+                assert got != default, (claim, name)
         assert report("--claim", "problem1", "--seed", "5") == report("--claim", "problem1")
 
     def test_problem14_w6_passes_with_a_certificate(self, capsys):
