@@ -36,10 +36,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        # count/ratio print the bare value unless a format is requested;
+    def common(sp, formats=("json", "csv")):
+        # count/ratio print the bare value unless JSON is requested;
         # report-producing subcommands default to JSON
-        sp.add_argument("--format", choices=("json", "csv"), default=None,
+        sp.add_argument("--format", choices=formats, default=None,
                         help="report format (JSON is canonical)")
         sp.add_argument("--out", metavar="PATH", default=None,
                         help="write the output to PATH instead of stdout")
@@ -49,13 +49,13 @@ def build_parser() -> argparse.ArgumentParser:
                     help="region JSON file")
     sp.add_argument("--method", default="auto",
                     choices=(*sorted(COUNTERS), "transfer"))
-    common(sp)
+    common(sp, ("json",))
 
     sp = sub.add_parser("ratio", help="containment ratio of one edge")
     sp.add_argument("--region", required=True, metavar="FILE")
     sp.add_argument("--edge", required=True, metavar="SELECTOR",
                     help="'central' (symmetric hexagons) or 'I:J' vertex indices")
-    common(sp)
+    common(sp, ("json",))
 
     sp = sub.add_parser("spectrum", help="Kasteleyn matrix spectrum of a region")
     sp.add_argument("--region", required=True, metavar="FILE")

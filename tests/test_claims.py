@@ -223,9 +223,20 @@ class TestOracles:
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
         assert 1 <= a["computed"]["distinct_cases"] <= a["computed"]["cases"]
 
-    def test_cases_bound(self):
-        with pytest.raises(BoundError):
-            verify_oracles(seed=1, cases=0)
+    def test_cases_bound(self, monkeypatch):
+        class Drawn(Exception):
+            pass
+
+        def draw(*_):
+            raise Drawn
+
+        # refused before any region is drawn; 1000 gets as far as the draw
+        monkeypatch.setattr(claims, "random_region", draw)
+        for cases in (0, 1001, 10**9):
+            with pytest.raises(BoundError):
+                verify_oracles(seed=1, cases=cases)
+        with pytest.raises(Drawn):
+            verify_oracles(seed=1, cases=1000)
 
 
 class TestReportShape:

@@ -61,6 +61,19 @@ class TestCount:
         listed = re.search(r"--method \{([a-z,]+)\}", capsys.readouterr().out).group(1)
         assert sorted(listed.split(",")) == sorted([*counting.COUNTERS, "transfer"])
 
+    def test_csv_is_a_usage_error_for_bare_values(self, capsys, region_file):
+        path = region_file("hex.json", {
+            "kind": "HEXAGON", "params": {"sides": [1, 1, 2, 1, 1, 2]},
+        })
+        for argv in (["count", "--region", path],
+                     ["ratio", "--region", path, "--edge", "central"]):
+            with pytest.raises(SystemExit) as exc:
+                cli_main([*argv, "--format", "csv"])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "--format" in captured.err and "csv" in captured.err
+
     def test_transfer_rejected_elsewhere(self, capsys, region_file):
         path = region_file("ad.json", {"kind": "AZTEC_DIAMOND", "params": {"n": 2}})
         code, _, err = run(capsys, "count", "--region", path, "--method", "transfer")
@@ -423,7 +436,8 @@ class TestVerify:
 
     def test_bound_violation_exits_2(self, capsys):
         for argv in (["--claim", "problem1", "--n", "9"],
-                     ["--claim", "problem14", "--w", "2", "--x-to", "8190"]):
+                     ["--claim", "problem14", "--w", "2", "--x-to", "8190"],
+                     ["--claim", "oracles", "--cases", "1001"]):
             code, _, err = run(capsys, "verify", *argv)
             assert code == 2
             assert "bound" in err

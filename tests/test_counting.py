@@ -27,7 +27,6 @@ from matchenum import (
     random_region,
 )
 from matchenum import counting, spectra
-from matchenum.counting import _split_columns
 
 # values frozen from the backtracking oracle
 HEX_COUNTS = {
@@ -178,7 +177,7 @@ class TestPermanent:
                 matrix = [[1] * m for _ in range(m)]
                 matrix[k] = [0] * m
                 assert count_permanent(bipartite_graph(matrix)) == 0
-                for density in (0.7, 0.3):  # 0.3 leaves free columns
+                for density in (0.7, 0.3):
                     matrix = random_01(rng, m, density)
                     for row in matrix:
                         row[k] = 0
@@ -222,15 +221,6 @@ class TestPermanent:
         with pytest.raises(BoundError):
             count_permanent(build_hypercube(6))
 
-
-def split_columns(g):
-    """Free and walked columns of g's biadjacency, and each column's rows."""
-    _, cols = g.classes
-    col_rows = [[g.class_pos[u] for u in g.adj[v]] for v in cols]
-    return (*_split_columns(col_rows), col_rows)
-
-
-class TestFactoredGlynn:
     def test_every_small_matrix_against_brute(self):
         for m in (1, 2, 3):
             for bits in range(1 << (m * m)):
@@ -253,30 +243,17 @@ class TestFactoredGlynn:
                     g = bipartite_graph(matrix, order)
                     assert count_permanent(g) == count_brute(g), (matrix, order)
 
-    def test_split_is_disjoint_and_keeps_last_column_walked(self):
-        rng = random.Random(29)
-        for m in range(1, 12):
-            g = bipartite_graph(random_01(rng, m, 0.3))
-            free, walked, col_rows = split_columns(g)
-            assert sorted(free + walked) == list(range(m))
-            assert walked[-1] == m - 1
-            claimed = [i for j in free for i in col_rows[j]]
-            assert len(claimed) == len(set(claimed))
-            assert all(col_rows[j] for j in free)
-
-    def test_permutation_matrices_free_all_but_the_last_column(self):
+    def test_permutation_matrices_count_one(self):
         rng = random.Random(31)
         for m in (1, 2, 5, 12, 20):
             perm = list(range(m))
             rng.shuffle(perm)
             g = bipartite_graph([[int(perm[i] == j) for j in range(m)]
                                  for i in range(m)])
-            free, walked, _ = split_columns(g)
-            assert walked == [m - 1] and len(free) == m - 1
             assert count_permanent(g) == 1
 
-    def test_free_factor_zero_at_the_start(self):
-        # rows 0 and 1 meet only column 0: F_0 = 1 * 1 - (-1) * (-1) = 0
+    def test_two_rows_on_one_column_count_zero(self):
+        # rows 0 and 1 meet only column 0, which only one of them can use
         rng = random.Random(41)
         for m in (3, 5, 8):
             matrix = random_01(rng, m, 0.5)
@@ -285,16 +262,7 @@ class TestFactoredGlynn:
             matrix[0] = [1] + [0] * (m - 1)
             matrix[1] = [1] + [0] * (m - 1)
             g = bipartite_graph(matrix)
-            assert 0 in split_columns(g)[0]
             assert count_permanent(g) == 0 == count_brute(g)
-
-    @pytest.mark.parametrize("make,walked,m", [
-        (lambda: build_aztec_window(1, 3), 12, 18),
-        (lambda: build_hypercube(5), 14, 16),
-    ], ids=["window_x1_w3", "five_cube"])
-    def test_walked_column_counts(self, make, walked, m):
-        free, walk, _ = split_columns(make())
-        assert (len(walk), len(free) + len(walk)) == (walked, m)
 
 
 class TestKasteleynOrientation:
