@@ -2,9 +2,10 @@
 
 Region builders (hexagons on the triangular lattice, Aztec diamonds,
 rectangles and windows on the square lattice, hypercubes), three mutually
-checking exact counters, a frontier DP engine over any graph and vertex
-order (Aztec windows are counted from two operators it sweeps once per
-thickness), exact Kasteleyn spectra, and a harness of named
+checking exact counters (backtracking, Kasteleyn determinants and a state
+DP along any vertex order, which the permanent runs along a row schedule
+and which sweeps the two operators Aztec windows are counted from once
+per thickness), exact Kasteleyn spectra, and a harness of named
 verification claims.
 """
 
@@ -32,6 +33,7 @@ from .counting import (
     count_with_forced_edge,
     det_bareiss,
     enumerate_matchings,
+    frontier_count,
     kasteleyn_orient,
 )
 from .transfer import (
@@ -39,7 +41,6 @@ from .transfer import (
     column_transfer_matrix,
     count_sequence,
     detect_polynomial,
-    frontier_count,
     transfer_count,
 )
 from .spectra import kasteleyn_matrix, kk_star_charpoly, singular_values

@@ -401,8 +401,10 @@ def verify_oracles(seed: int = 1, cases: int = 50) -> ClaimReport:
     """Random small regions across every kind: the backtracking count, the
     Kasteleyn determinant and the permanent must agree wherever each
     applies, and |charpoly constant term| must equal the count squared.
-    The draw can repeat a region; ``distinct_cases`` counts the different
-    region specs among the cases."""
+    The permanent runs the state DP (``counting._advance``, the loop that
+    also sweeps the window operators), so every balanced case checks that
+    loop against the backtracking search.  The draw can repeat a region;
+    ``distinct_cases`` counts the different region specs among the cases."""
     t0 = time.perf_counter()
     if not 1 <= cases <= 1000:
         raise BoundError("oracles desk bound is 1 <= cases <= 1000")

@@ -1,17 +1,28 @@
 """Exact perfect-matching counts by three independent methods.
 
 * ``count_brute``     - backtracking on the minimum-degree vertex; the
-  ground-truth oracle for everything else.  ``enumerate_matchings`` walks
-  the same search and yields the matchings themselves.
-* ``count_permanent`` - a DP over the rows of the 0/1 biadjacency whose
-  state is the set of columns already used; works for any balanced
-  bipartite graph (hypercubes included).
+  ground-truth oracle for everything else, bounded by ``BRUTE_NODE_LIMIT``
+  partner tries.  ``enumerate_matchings`` walks the same search and yields
+  the matchings themselves.
+* ``frontier_count``  - the state DP along any vertex order of any graph.
+  ``count_permanent`` is one schedule of it: the rows of the 0/1
+  biadjacency of a balanced bipartite graph (hypercubes included), each
+  preceded by the columns it is the last row to meet.
 * ``count_kasteleyn`` - determinant of the signed biadjacency under a
   Kasteleyn orientation; needs the planar embedding, which may be
   disconnected.  The determinant (``det_bareiss``) is a fraction-free
   elimination confined to the band of the matrix, which lexicographic
   lattice labels keep narrow: 20 diagonals on each side for the order-20
   Aztec diamond's 420 rows.
+
+One DP loop, ``_advance``, serves the state DP here and both operators of
+an Aztec window in ``transfer``.  It runs the compiled steps of a vertex
+order over a table of states.  A vertex that has a neighbour earlier in
+the order takes a slot in the frontier when that neighbour is processed
+and frees it when it is processed itself; a state is an int bitmask over
+the slots, a set bit marking a vertex already covered by an edge from an
+earlier vertex.  The frontier width (the number of slots) bounds the
+number of states by 2^width.
 
 Everything here is exact integer arithmetic; no floating point at all.
 """
@@ -20,12 +31,16 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .graphs import Classes, GraphError, MatchGraph
 
 BRUTE_FORCE_LIMIT = 64   # vertices
+# partner tries of one search: the 5-cube takes 2 063 361 (~5 s on a
+# 2-vCPU Xeon), and the 6-cube's ~1.6e13 leaves are refused after ~10 s
+BRUTE_NODE_LIMIT = 1 << 22
 PERMANENT_LIMIT = 20     # columns (one color class)
+FRONTIER_LIMIT = 22      # slots; a 2**22-state table is the desk-scale ceiling
 # rows (one color class) of the dense Kasteleyn matrix, 2048^2 list slots
 # (32 MiB); the order-44 diamond's 1980 rows take ~3.4 s on a 2-vCPU Xeon
 KASTELEYN_LIMIT = 2048
@@ -45,6 +60,8 @@ def _matchings(g: MatchGraph) -> Iterator[list[int]]:
     Backtracks on a minimum-degree vertex, so degree-1 vertices propagate
     as forced edges and degree-0 vertices prune immediately.  The stack
     holds each branch vertex with an iterator over its untried partners.
+    Raises BoundError once the search has tried more than BRUTE_NODE_LIMIT
+    partners.
     """
     if g.n > BRUTE_FORCE_LIMIT:
         raise BoundError(
@@ -52,6 +69,7 @@ def _matchings(g: MatchGraph) -> Iterator[list[int]]:
         )
     if g.n % 2:
         return
+    budget = BRUTE_NODE_LIMIT
     adj = [set(ns) for ns in g.adj]
     alive = set(range(g.n))
     mate = [-1] * g.n
@@ -86,6 +104,11 @@ def _matchings(g: MatchGraph) -> Iterator[list[int]]:
                 attach(mate[v])
             u = next(partners, -1)
             if u >= 0:
+                budget -= 1
+                if budget < 0:
+                    raise BoundError(
+                        f"brute-force search exceeds its node limit {BRUTE_NODE_LIMIT}"
+                    )
                 detach(u)
                 mate[v] = u
                 mate[u] = v
@@ -98,7 +121,8 @@ def _matchings(g: MatchGraph) -> Iterator[list[int]]:
 
 def count_brute(g: MatchGraph) -> int:
     """Exact number of perfect matchings: the leaves of the backtracking
-    search, up to ``BRUTE_FORCE_LIMIT`` vertices."""
+    search, up to ``BRUTE_FORCE_LIMIT`` vertices and ``BRUTE_NODE_LIMIT``
+    partner tries."""
     return sum(1 for _ in _matchings(g))
 
 
@@ -109,50 +133,117 @@ def enumerate_matchings(g: MatchGraph) -> Iterator[frozenset[tuple[int, int]]]:
         yield frozenset((v, u) for v, u in enumerate(mate) if v < u)
 
 
-# -- permanent by a row DP over used columns --------------------------------
+# -- the state DP along a vertex order ----------------------------------------
+
+Step = tuple[int, tuple[int, ...]]
+
+
+def _compile_order(
+    g: MatchGraph, order: Sequence[int]
+) -> tuple[list[Step], int, list[int]]:
+    """Reduce a vertex order to per-step ``(vbit, fwd_bits)``, the width
+    and each vertex's final slot.
+
+    ``vbit`` is the slot bit of the processed vertex (0 if it never entered
+    the frontier); ``fwd_bits`` are the slot bits of its later neighbours.
+    A vertex's final slot is -1 when it never entered the frontier.
+    """
+    n = g.n
+    order = list(order)
+    if len(order) != n or set(order) != set(range(n)):
+        raise GraphError(f"vertex order must be a permutation of range({n})")
+    pos = [0] * n
+    for k, v in enumerate(order):
+        pos[v] = k
+    slot = [-1] * n
+    free: list[int] = []
+    width = 0
+    steps = []
+    for v in order:
+        s = slot[v]
+        vbit = 0
+        if s >= 0:
+            vbit = 1 << s
+            free.append(s)
+        fwd = []
+        for u in g.adj[v]:
+            if pos[u] > pos[v]:
+                if slot[u] < 0:
+                    if free:
+                        slot[u] = free.pop()
+                    else:
+                        slot[u] = width
+                        width += 1
+                fwd.append(1 << slot[u])
+        steps.append((vbit, tuple(fwd)))
+    return steps, width, slot
+
+
+def _advance(steps: Sequence[Step], states: dict[int, int]) -> dict[int, int]:
+    """Run compiled steps on a ``{state: count}`` table; ``{}`` once every
+    state has died."""
+    for vbit, fwd in steps:
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for st, cnt in states.items():
+            if st & vbit:
+                st ^= vbit
+                nxt[st] = get(st, 0) + cnt
+            else:
+                for bit in fwd:
+                    if not st & bit:
+                        s2 = st | bit
+                        nxt[s2] = get(s2, 0) + cnt
+        if not nxt:
+            return {}
+        states = nxt
+    return states
+
+
+def frontier_count(g: MatchGraph, order: Sequence[int]) -> int:
+    """Exact perfect-matching count of ``g`` by a frontier DP along ``order``.
+
+    ``order`` must be a permutation of the vertex indices.  Raises
+    BoundError before any DP step when the frontier width of the order
+    exceeds FRONTIER_LIMIT.
+    """
+    steps, width, _ = _compile_order(g, order)
+    if width > FRONTIER_LIMIT:
+        raise BoundError(
+            f"frontier width {width} exceeds the limit {FRONTIER_LIMIT}"
+        )
+    return _advance(steps, {0: 1}).get(0, 0)
 
 
 def count_permanent(g: MatchGraph) -> int:
     """Permanent of the 0/1 biadjacency: the number of ways to give every
-    row its own column, row by row.
+    row its own column, as ``frontier_count`` along a row schedule.
 
-    The state is the set of columns already used (an int mask), and the
-    table maps each state to the number of ways the rows so far reach it.
     Rows are taken in order of the largest column position they meet, and
-    after each row every state that misses a column no later row meets is
-    dropped, as it can never be completed.  Both keep the table small on
-    sparse input: the 5-cube (m = 16) peaks at 1708 live states (10750 in
-    class order) and takes ~4 ms on a 2-vCPU Xeon.  Dense input is the
-    worst case: K20,20 holds all C(20, 10) states at its widest and takes
-    3-4.5 s with ~63 MB max RSS.
+    each column comes just before the last row that meets it (the columns
+    no row meets come first, and kill every state at once).  A closing
+    column that no earlier row took can then only take that row, so dead
+    states die before the row branches, and the live slots are the open
+    columns plus at most one row: the width is at most m + 1 <= 21, under
+    FRONTIER_LIMIT.  The 5-cube (m = 16) has width 13, peaks at 1708 live
+    states and takes ~4 ms on a 2-vCPU Xeon.  Dense input is the worst
+    case: K20,20 holds all C(20, 10) states at its widest and takes
+    3-4.5 s with ~62 MB max RSS.
     """
-    rows, _ = g.balanced_classes()
+    rows, cols = g.balanced_classes()
     m = len(rows)
     if m > PERMANENT_LIMIT:
         raise BoundError(
             f"class size {m} exceeds the permanent limit {PERMANENT_LIMIT}"
         )
     pos = g.class_pos
-    masks = sorted((sum(1 << pos[u] for u in g.adj[v]) for v in rows),
-                   key=int.bit_length)
-    later = [0] * m  # the columns met by the rows after row k
-    for k in range(m - 1, 0, -1):
-        later[k - 1] = later[k] | masks[k]
-    full = (1 << m) - 1
-    table = {0: 1}
-    for mask, rest in zip(masks, later):
-        need = full & ~rest
-        nxt: dict[int, int] = {}
-        for used, ways in table.items():
-            free = mask & ~used
-            while free:
-                bit = free & -free
-                free ^= bit
-                new = used | bit
-                if new & need == need:
-                    nxt[new] = nxt.get(new, 0) + ways
-        table = nxt
-    return table.get(full, 0)
+    rows = sorted(rows, key=lambda v: max((pos[u] for u in g.adj[v]), default=-1))
+    last = {u: v for v in rows for u in g.adj[v]}  # column -> its last row
+    order = [u for u in cols if u not in last]
+    for v in rows:
+        order += [u for u in g.adj[v] if last[u] == v]
+        order.append(v)
+    return frontier_count(g, order)
 
 
 # -- Kasteleyn orientation and determinant ----------------------------------
@@ -347,8 +438,9 @@ def count_auto(g: MatchGraph) -> int:
     """Pick the strongest applicable exact method for this graph.
 
     A bipartite graph without an embedding goes to the permanent, whose
-    BoundError stands past its limit: the backtracking search has no bound
-    on its run time (the 6-cube's would visit ~1.6e13 leaves).
+    BoundError stands past its limit.  Only a graph without a bipartition
+    goes to the backtracking search, bounded by BRUTE_NODE_LIMIT partner
+    tries.
     """
     if g.color is not None and not g.is_balanced():
         return 0

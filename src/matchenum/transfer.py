@@ -1,18 +1,10 @@
-"""Frontier (profile) DP counting, Aztec windows and polynomial detection.
+"""Aztec windows by transfer operators, and polynomial detection.
 
-One DP loop, ``_advance``, serves every result of this module.  It runs
-the compiled steps of a vertex order over a table of states.  A vertex
-that has a neighbour earlier in the order takes a slot in the frontier
-when that neighbour is processed and frees it when it is processed
-itself; a state is an int bitmask over the slots, a set bit marking a
-vertex already covered by an edge from an earlier vertex.  The frontier
-width (the number of slots) bounds the number of states by 2^width.
-
-``frontier_count`` runs the loop over a whole graph from the empty state.
-``_boundary_operator`` runs it over some cells only and holds a few
-boundary vertices that are never swept: the states that survive, read
-on the held vertices as pairs of masks (in, out), give an operator
-{in: {out: count}}.  Both operators of an Aztec window come from it.
+``_boundary_operator`` runs the state DP of ``counting`` (``_advance``)
+over some cells only and holds a few boundary vertices that are never
+swept: the states that survive, read on the held vertices as pairs of
+masks (in, out), give an operator {in: {out: count}}.  Both operators of
+an Aztec window come from it.
 
 The window of inner order x and thickness w is invariant under the
 quarter turn (i, j) -> (j, -i-1).  Its first quadrant is the staircase
@@ -65,93 +57,14 @@ from functools import lru_cache
 import json
 from typing import Hashable, Optional, Sequence
 
-from .counting import BoundError
-from .graphs import GraphError, MatchGraph
+from .counting import FRONTIER_LIMIT, BoundError, _advance, _compile_order
+from .graphs import MatchGraph
 from .regions import RegionError, RegionSpec, aztec_window_cell_count
 
-FRONTIER_LIMIT = 22  # slots; a 2**22-state table is the desk-scale ceiling
 _EVEN_BITS = 0x5555_5555  # bits 0, 2, 4, ... of a mask; w <= 10
 ANNIHILATOR_LIMIT = 24  # degree j + k searched for A^j (A - I)^k = 0
 
-Step = tuple[int, tuple[int, ...]]
 Operator = dict[int, dict[int, int]]  # sparse {row mask: {column mask: entry}}
-
-
-def _compile_order(
-    g: MatchGraph, order: Sequence[int]
-) -> tuple[list[Step], int, list[int]]:
-    """Reduce a vertex order to per-step ``(vbit, fwd_bits)``, the width
-    and each vertex's final slot.
-
-    ``vbit`` is the slot bit of the processed vertex (0 if it never entered
-    the frontier); ``fwd_bits`` are the slot bits of its later neighbours.
-    A vertex's final slot is -1 when it never entered the frontier.
-    """
-    n = g.n
-    order = list(order)
-    if len(order) != n or set(order) != set(range(n)):
-        raise GraphError(f"vertex order must be a permutation of range({n})")
-    pos = [0] * n
-    for k, v in enumerate(order):
-        pos[v] = k
-    slot = [-1] * n
-    free: list[int] = []
-    width = 0
-    steps = []
-    for v in order:
-        s = slot[v]
-        vbit = 0
-        if s >= 0:
-            vbit = 1 << s
-            free.append(s)
-        fwd = []
-        for u in g.adj[v]:
-            if pos[u] > pos[v]:
-                if slot[u] < 0:
-                    if free:
-                        slot[u] = free.pop()
-                    else:
-                        slot[u] = width
-                        width += 1
-                fwd.append(1 << slot[u])
-        steps.append((vbit, tuple(fwd)))
-    return steps, width, slot
-
-
-def _advance(steps: Sequence[Step], states: dict[int, int]) -> dict[int, int]:
-    """Run compiled steps on a ``{state: count}`` table; ``{}`` once every
-    state has died."""
-    for vbit, fwd in steps:
-        nxt: dict[int, int] = {}
-        get = nxt.get
-        for st, cnt in states.items():
-            if st & vbit:
-                st ^= vbit
-                nxt[st] = get(st, 0) + cnt
-            else:
-                for bit in fwd:
-                    if not st & bit:
-                        s2 = st | bit
-                        nxt[s2] = get(s2, 0) + cnt
-        if not nxt:
-            return {}
-        states = nxt
-    return states
-
-
-def frontier_count(g: MatchGraph, order: Sequence[int]) -> int:
-    """Exact perfect-matching count of ``g`` by a frontier DP along ``order``.
-
-    ``order`` must be a permutation of the vertex indices.  Raises
-    BoundError before any DP step when the frontier width of the order
-    exceeds FRONTIER_LIMIT.
-    """
-    steps, width, _ = _compile_order(g, order)
-    if width > FRONTIER_LIMIT:
-        raise BoundError(
-            f"frontier width {width} exceeds the limit {FRONTIER_LIMIT}"
-        )
-    return _advance(steps, {0: 1}).get(0, 0)
 
 
 # -- the window's operators -------------------------------------------------

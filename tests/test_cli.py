@@ -113,6 +113,15 @@ class TestCount:
         assert code == 2
         assert "limit" in err
 
+    def test_brute_node_budget_exits_2(self, capsys, region_file, monkeypatch):
+        # the order-4 diamond's search tries 4405 partners
+        monkeypatch.setattr(counting, "BRUTE_NODE_LIMIT", 1000)
+        path = region_file("ad4.json", {"kind": "AZTEC_DIAMOND", "params": {"n": 4}})
+        code, out, err = run(capsys, "count", "--region", path, "--method", "brute")
+        assert code == 2
+        assert out == ""
+        assert "node limit 1000" in err
+
     def test_auto_refuses_six_cube(self, capsys, region_file):
         # 64 vertices would pass the brute bound, but the search is unbounded
         path = region_file("q6.json", {"kind": "HYPERCUBE", "params": {"n": 6}})

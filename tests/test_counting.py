@@ -110,6 +110,17 @@ class TestBrute:
         with pytest.raises(BoundError):
             next(enumerate_matchings(build_hypercube(7)))
 
+    def test_node_budget(self, monkeypatch):
+        # the order-4 diamond's search tries exactly 4405 partners
+        g = build_aztec_diamond(4)
+        monkeypatch.setattr(counting, "BRUTE_NODE_LIMIT", 4405)
+        assert count_brute(g) == 1024
+        monkeypatch.setattr(counting, "BRUTE_NODE_LIMIT", 4404)
+        with pytest.raises(BoundError, match="node limit 4404"):
+            count_brute(g)
+        with pytest.raises(BoundError, match="node limit 4404"):
+            list(enumerate_matchings(g))
+
     def test_enumeration_matches_count(self):
         cases = [(build_hexagon(sides), count) for sides, count in HEX_COUNTS.items()]
         cases.append((build_hypercube(4), CUBE_COUNTS[4]))  # no embedding
@@ -202,6 +213,29 @@ class TestPermanent:
         g = MatchGraph(labels=range(2), edges=[(0, 1)])
         with pytest.raises(GraphError):
             count_permanent(g)
+
+    @pytest.mark.parametrize("make, width", [
+        (lambda: build_hypercube(5), 13),
+        (lambda: bipartite_graph([[1] * 20 for _ in range(20)]), 20),
+    ], ids=["five_cube", "k20_20"])
+    def test_is_the_frontier_dp_along_a_row_schedule(self, monkeypatch, make, width):
+        # the spy refuses to count, so K20,20 costs only its order
+        g = make()
+        orders = []
+
+        def spy(graph, order):
+            orders.append(list(order))
+            raise RuntimeError("spy")
+
+        monkeypatch.setattr(counting, "frontier_count", spy)
+        with pytest.raises(RuntimeError, match="spy"):
+            count_permanent(g)
+        [order] = orders
+        assert sorted(order) == list(range(g.n))
+        # at most the open columns and one row: the frontier bound never
+        # refuses what the permanent admits
+        assert counting._compile_order(g, order)[1] == width <= g.class_sizes()[0] + 1
+        assert counting.PERMANENT_LIMIT + 1 < counting.FRONTIER_LIMIT
 
     def test_hypercubes(self):
         for n, expected in CUBE_COUNTS.items():

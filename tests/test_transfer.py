@@ -22,10 +22,8 @@ from matchenum import (
 )
 from matchenum import transfer
 from matchenum.regions import REGION_CELL_LIMIT, _square_graph, build_aztec_diamond
+from matchenum.counting import FRONTIER_LIMIT, _advance, _compile_order
 from matchenum.transfer import (
-    FRONTIER_LIMIT,
-    _advance,
-    _compile_order,
     _level,
     _operators,
     _product,
