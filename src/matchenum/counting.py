@@ -37,7 +37,8 @@ from .graphs import Classes, GraphError, MatchGraph
 
 BRUTE_FORCE_LIMIT = 64   # vertices
 # partner tries of one search: the 5-cube takes 2 063 361 (~5 s on a
-# 2-vCPU Xeon), and the 6-cube's ~1.6e13 leaves are refused after ~10 s
+# 2-vCPU Xeon); the 6-cube, with over 1.7e12 leaves by Schrijver's bound,
+# is refused before its search starts
 BRUTE_NODE_LIMIT = 1 << 22
 PERMANENT_LIMIT = 20     # columns (one color class)
 FRONTIER_LIMIT = 22      # slots; a 2**22-state table is the desk-scale ceiling
@@ -61,7 +62,11 @@ def _matchings(g: MatchGraph) -> Iterator[list[int]]:
     as forced edges and degree-0 vertices prune immediately.  The stack
     holds each branch vertex with an iterator over its untried partners.
     Raises BoundError once the search has tried more than BRUTE_NODE_LIMIT
-    partners.
+    partners.  Every matching is a leaf reached by its own partner try, so
+    a k-regular bipartite graph whose count provably exceeds the limit is
+    refused before any search: by Schrijver's bound (1998), with N
+    vertices per side it has at least ((k-1)^(k-1) / k^(k-2))^N perfect
+    matchings.
     """
     if g.n > BRUTE_FORCE_LIMIT:
         raise BoundError(
@@ -69,6 +74,15 @@ def _matchings(g: MatchGraph) -> Iterator[list[int]]:
         )
     if g.n % 2:
         return
+    k = len(g.adj[0]) if g.n else 0
+    if g.color is not None and k >= 2 and all(len(ns) == k for ns in g.adj):
+        side = g.n // 2
+        if (k - 1) ** ((k - 1) * side) > BRUTE_NODE_LIMIT * k ** ((k - 2) * side):
+            raise BoundError(
+                f"brute-force search exceeds its node limit {BRUTE_NODE_LIMIT}: "
+                f"a {k}-regular bipartite graph with {side} vertices per side "
+                f"has more perfect matchings (Schrijver's bound)"
+            )
     budget = BRUTE_NODE_LIMIT
     adj = [set(ns) for ns in g.adj]
     alive = set(range(g.n))

@@ -4,6 +4,11 @@ and floating-point singular values of K.
 The characteristic polynomial is computed over exact integers (every
 division in the recurrence is exact), so the counting identity
 |constant term| = (matching count)^2 can be asserted as integer equality.
+The Faddeev-LeVerrier recurrence keeps each row of its m x m matrices as
+one Python int whose m signed B-bit digits are the row's entries
+(Kronecker substitution), so a matrix product is a few long-integer
+additions per row.  B comes from a proved bound: with rho the largest
+absolute row sum of K*K^T, no entry exceeds 2^m * rho^m.
 Floating point appears only in the singular values: eigenvalues of
 K*K^T by Householder reduction to tridiagonal form and implicit-shift QL.
 Both refuse K larger than SPECTRUM_DIMENSION_LIMIT with BoundError;
@@ -20,7 +25,9 @@ from dataclasses import dataclass
 from .counting import BoundError, kasteleyn_classes, kasteleyn_orient, signed_biadjacency
 from .graphs import MatchGraph
 
-SPECTRUM_DIMENSION_LIMIT = 80  # K dimension; charpoly at 80: ~0.9 s on a 2-vCPU Xeon
+# K dimension; the charpoly of the (4,4,8) hexagon's K at 80 takes ~0.1 s on a
+# 2-vCPU Xeon, that of a dense +-1 K at 80 ~2.5 s
+SPECTRUM_DIMENSION_LIMIT = 80
 QL_ITERATION_LIMIT = 60  # QL sweeps allowed per eigenvalue
 
 
@@ -95,41 +102,69 @@ def _kk_star(k: SignedMatrix) -> list[list[int]]:
 
 
 def kk_star_charpoly(k: SignedMatrix) -> CharPoly:
-    """Exact characteristic polynomial of K*K^T.
+    """Exact characteristic polynomial p of A = K*K^T.
 
-    Faddeev-LeVerrier recurrence over the integers; the trace divisions
-    are exact and asserted to be so.
+    Faddeev-LeVerrier recurrence over the integers: c_m = 1 and M_1 = I,
+    then for s = 1..m, c_{m-s} = -tr(A M_s) / s and
+    M_{s+1} = A M_s + c_{m-s} I.  Every trace division is exact and
+    asserted to be so, and M_{m+1} = p(A) is asserted to vanish
+    (Cayley-Hamilton); either failure raises ArithmeticError.
+
+    Row i of M_s is one Python int, sum_j M_s[i][j] * 2^(B*j), whose
+    signed B-bit digits are the row's entries.  Integer addition is
+    linear, so row i of A M_s is the sum over the nonzeros a_it of A's row
+    i of a_it times packed row t, and the trace reads digit i of row i:
+    ((r + H) >> (B*i)) & mask, minus half, where half = 2^(B-1) and H
+    (``halves``) holds half in each of the m digits.
+
+    The digit width B is proved wide enough.  Let rho >= 1 bound the
+    absolute row sums of A.  Every eigenvalue of A has modulus at most
+    rho (A is positive semidefinite, so they lie in [0, rho]), hence
+    |c_{m-j}| = |e_j(eigenvalues)| <= C(m, j) rho^j; and
+    |(A^r)_tu| <= ||A^r||_inf <= rho^r.  As
+    M_s = sum_{j<s} c_{m-j} A^(s-1-j) and A M_s = sum_{j<s} c_{m-j} A^(s-j),
+    every entry of M_s and of A M_s, s <= m, is at most
+    rho^s sum_{j<s} C(m, j) <= 2^m rho^m in absolute value.  With
+    B = bit_length(2^m rho^m) + 1 (``width``) every entry d has
+    |d| < half, so the digits d + half of r + H lie in [0, 2^B) and are
+    read without carry.
     """
     check_dimension(k.dimension)
     a = _kk_star(k)
     m = len(a)
+    rho = max(1, max((sum(map(abs, row)) for row in a), default=0))
+    width = ((rho**m) << m).bit_length() + 1
+    half = 1 << (width - 1)
+    mask = (1 << width) - 1
+    shifts = range(0, width * m, width)
+    halves = sum(half << sh for sh in shifts)
+    # A's row i as the columns of its +1 and -1 entries, whose packed rows
+    # are added or subtracted without a multiply, and its other nonzeros
+    plus = [[t for t, v in enumerate(row) if v == 1] for row in a]
+    minus = [[t for t, v in enumerate(row) if v == -1] for row in a]
+    other = [[(t, v) for t, v in enumerate(row) if v not in (-1, 0, 1)] for row in a]
     coeffs = [0] * (m + 1)
     coeffs[m] = 1
-    mat = [[0] * m for _ in range(m)]  # M_0 = 0
+    mat = [1 << sh for sh in shifts]  # M_1 = I
     for step in range(1, m + 1):
-        # M_step = A @ M_{step-1} + c_{m-step+1} * I
-        prev_c = coeffs[m - step + 1]
-        nxt = [[0] * m for _ in range(m)]
+        prod = []  # A @ M_step
         for i in range(m):
-            ai = a[i]
-            row = nxt[i]
-            for t in range(m):
-                ait = ai[t]
-                if ait:
-                    mt = mat[t]
-                    for j in range(m):
-                        row[j] += ait * mt[j]
-            row[i] += prev_c
-        mat = nxt
-        tr = 0
-        for i in range(m):
-            ai = a[i]
-            for t in range(m):
-                tr += ai[t] * mat[t][i]
-        q, r = divmod(-tr, step)
-        if r:
+            r = 0
+            for t in plus[i]:
+                r += mat[t]
+            for t in minus[i]:
+                r -= mat[t]
+            for t, v in other[i]:
+                r += v * mat[t]
+            prod.append(r)
+        tr = sum((((r + halves) >> sh) & mask) - half for r, sh in zip(prod, shifts))
+        c, rem = divmod(-tr, step)
+        if rem:
             raise ArithmeticError("trace division in the recurrence not exact")
-        coeffs[m - step] = q
+        coeffs[m - step] = c
+        mat = [r + (c << sh) for r, sh in zip(prod, shifts)]
+    if any(mat):
+        raise ArithmeticError("Cayley-Hamilton check failed: p(K K^T) is not zero")
     return CharPoly(tuple(coeffs))
 
 

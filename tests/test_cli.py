@@ -132,6 +132,16 @@ class TestCount:
         assert out == ""
         assert "class size 32 exceeds the permanent limit 20" in err
 
+    def test_brute_refuses_six_cube_at_once(self, capsys, region_file):
+        # Schrijver's bound puts ~1.7e12 leaves past the node budget
+        path = region_file("q6.json", {"kind": "HYPERCUBE", "params": {"n": 6}})
+        start = time.perf_counter()
+        code, out, err = run(capsys, "count", "--region", path, "--method", "brute")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert "node limit" in err and "Schrijver" in err
+
     def test_out_file(self, capsys, region_file, tmp_path):
         path = region_file("hex.json", {
             "kind": "HEXAGON", "params": {"sides": [1, 1, 2, 1, 1, 2]},

@@ -121,6 +121,17 @@ class TestBrute:
         with pytest.raises(BoundError, match="node limit 4404"):
             list(enumerate_matchings(g))
 
+    def test_regular_bipartite_refused_before_search(self, monkeypatch):
+        # the 5-cube has at least 4^64 / 5^48 ~ 9.6e4 matchings (Schrijver);
+        # a budget below that refuses it before the first partner try
+        q5 = build_hypercube(5)
+        floor = 4**64 // 5**48
+        monkeypatch.setattr(counting, "BRUTE_NODE_LIMIT", floor)
+        with pytest.raises(BoundError, match="Schrijver"):
+            next(enumerate_matchings(q5))
+        monkeypatch.setattr(counting, "BRUTE_NODE_LIMIT", floor + 1)
+        assert len(next(enumerate_matchings(q5))) == 16
+
     def test_enumeration_matches_count(self):
         cases = [(build_hexagon(sides), count) for sides, count in HEX_COUNTS.items()]
         cases.append((build_hypercube(4), CUBE_COUNTS[4]))  # no embedding

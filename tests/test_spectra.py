@@ -13,18 +13,72 @@ from matchenum import (
     build_hexagon,
     count_auto,
     count_brute,
+    count_kasteleyn,
     kasteleyn_matrix,
     kk_star_charpoly,
     random_region,
     singular_values,
 )
 from matchenum import spectra
-from matchenum.spectra import SignedMatrix, _kk_star
+from matchenum.spectra import CharPoly, SignedMatrix, _kk_star, check_dimension
 from test_counting import nested_island_hexagon
 
 
 def four_cycle():
     return build_aztec_diamond(1)
+
+
+# the scalar recurrence that the packed rows replaced, kept verbatim as
+# their reference
+def scalar_kk_star_charpoly(k: SignedMatrix) -> CharPoly:
+    """Exact characteristic polynomial of K*K^T.
+
+    Faddeev-LeVerrier recurrence over the integers; the trace divisions
+    are exact and asserted to be so.
+    """
+    check_dimension(k.dimension)
+    a = _kk_star(k)
+    m = len(a)
+    coeffs = [0] * (m + 1)
+    coeffs[m] = 1
+    mat = [[0] * m for _ in range(m)]  # M_0 = 0
+    for step in range(1, m + 1):
+        # M_step = A @ M_{step-1} + c_{m-step+1} * I
+        prev_c = coeffs[m - step + 1]
+        nxt = [[0] * m for _ in range(m)]
+        for i in range(m):
+            ai = a[i]
+            row = nxt[i]
+            for t in range(m):
+                ait = ai[t]
+                if ait:
+                    mt = mat[t]
+                    for j in range(m):
+                        row[j] += ait * mt[j]
+            row[i] += prev_c
+        mat = nxt
+        tr = 0
+        for i in range(m):
+            ai = a[i]
+            for t in range(m):
+                tr += ai[t] * mat[t][i]
+        q, r = divmod(-tr, step)
+        if r:
+            raise ArithmeticError("trace division in the recurrence not exact")
+        coeffs[m - step] = q
+    return CharPoly(tuple(coeffs))
+
+
+def assert_packed_equals_scalar(k):
+    """The packed-row charpoly against the scalar recurrence it replaced,
+    and its c_{m-1} against -tr(K K^T)."""
+    cp = kk_star_charpoly(k)
+    assert cp == scalar_kk_star_charpoly(k)
+    a = _kk_star(k)
+    assert cp.coeffs[-1] == 1
+    if a:
+        assert cp.coeffs[-2] == -sum(a[i][i] for i in range(len(a)))
+    return cp
 
 
 def eigvalsh_of_kk_star(k):
@@ -139,6 +193,66 @@ class TestCharPoly:
                 for s in range(5)
             }
             assert len(polys) == 1
+
+    def test_packed_equals_scalar_on_random_regions(self):
+        rng = random.Random(11)
+        checked = 0
+        while checked < 40:
+            _, g = random_region(rng)
+            if g.coords is None or g.color is None or not g.is_balanced():
+                continue
+            assert_packed_equals_scalar(kasteleyn_matrix(g))
+            checked += 1
+
+    @pytest.mark.parametrize("sides,m", [
+        ((1, 1, 1, 1, 1, 1), 3),
+        ((2, 3, 4, 2, 3, 4), 26),
+        ((1, 3, 7, 1, 3, 7), 31),
+        ((4, 4, 4, 4, 4, 4), 48),
+        ((4, 4, 8, 4, 4, 8), 80),
+    ])
+    def test_packed_equals_scalar_on_hexagons(self, sides, m):
+        k = kasteleyn_matrix(build_hexagon(sides))
+        assert k.dimension == m <= spectra.SPECTRUM_DIMENSION_LIMIT
+        cp = assert_packed_equals_scalar(k)
+        assert abs(cp.constant_term) == count_kasteleyn(build_hexagon(sides)) ** 2
+
+    def test_packed_equals_scalar_on_aztec_diamonds(self):
+        for n in range(1, 8):
+            cp = assert_packed_equals_scalar(kasteleyn_matrix(build_aztec_diamond(n)))
+            assert abs(cp.constant_term) == (2 ** (n * (n + 1) // 2)) ** 2
+
+    def test_packed_equals_scalar_on_dense_sign_matrices(self):
+        # dense +-1 K: the largest row sums of A, so the widest digits
+        rng = random.Random(30)
+        for m in range(1, 31):
+            entries = tuple(tuple(rng.choice((-1, 1)) for _ in range(m)) for _ in range(m))
+            assert_packed_equals_scalar(SignedMatrix(
+                entries=entries,
+                row_vertices=tuple(range(m)), col_vertices=tuple(range(m, 2 * m))))
+
+    def test_packed_edge_cases(self):
+        empty = SignedMatrix(entries=(), row_vertices=(), col_vertices=())
+        assert assert_packed_equals_scalar(empty).coeffs == (1,)
+        zero_row = SignedMatrix(entries=((1, 0, 1), (0, 0, 0), (1, -1, 0)),
+                                row_vertices=(0, 1, 2), col_vertices=(3, 4, 5))
+        assert assert_packed_equals_scalar(zero_row).constant_term == 0
+
+    @pytest.mark.parametrize("m,diagonal,below", [(16, 0, 3), (16, 2, 3), (24, -1, 2)])
+    def test_packed_bound_holds_for_any_integer_matrix(self, m, diagonal, below,
+                                                       monkeypatch):
+        # diagonal * I + below * (ones strictly below the diagonal) has the
+        # charpoly (t - diagonal)^m, while the entries of its powers outgrow
+        # every coefficient, as those of K K^T never do; below the diagonal,
+        # they sit in the digits under each row's trace digit
+        a = [[diagonal if i == j else below if j < i else 0 for j in range(m)]
+             for i in range(m)]
+        monkeypatch.setattr(spectra, "_kk_star", lambda _: [row[:] for row in a])
+        identity = SignedMatrix(
+            entries=tuple(tuple(int(i == j) for j in range(m)) for i in range(m)),
+            row_vertices=tuple(range(m)), col_vertices=tuple(range(m, 2 * m)))
+        expected = tuple(math.comb(m, i) * (-diagonal) ** (m - i) for i in range(m + 1))
+        assert kk_star_charpoly(identity).coeffs == expected
 
     def test_json_constant_term_first(self):
         import json
