@@ -6,16 +6,16 @@ Subcommands:
   spectrum  Kasteleyn matrix spectrum report for a region file
   verify    run one named claim and emit its report
 
-Counts always serialize as decimal strings.  Exit codes: 0 for PASS or
-REPORT_ONLY, 1 for FAIL, 2 for usage, input or bound errors.
+Every report is one JSON document; count and ratio print only their
+decimal value unless given --format json.  Counts always serialize as
+decimal strings.  Exit codes: 0 for PASS or REPORT_ONLY, 1 for FAIL, 2 for
+usage, input or bound errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import inspect
-import io
 import json
 import sys
 from fractions import Fraction
@@ -36,11 +36,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, formats=("json", "csv")):
-        # count/ratio print the bare value unless JSON is requested;
-        # report-producing subcommands default to JSON
-        sp.add_argument("--format", choices=formats, default=None,
-                        help="report format (JSON is canonical)")
+    def common(sp):
+        # count/ratio print the bare value unless JSON is requested
+        sp.add_argument("--format", choices=("json",), default=None,
+                        help="report format (JSON is the only one)")
         sp.add_argument("--out", metavar="PATH", default=None,
                         help="write the output to PATH instead of stdout")
 
@@ -49,13 +48,13 @@ def build_parser() -> argparse.ArgumentParser:
                     help="region JSON file")
     sp.add_argument("--method", default="auto",
                     choices=(*sorted(COUNTERS), "transfer"))
-    common(sp, ("json",))
+    common(sp)
 
     sp = sub.add_parser("ratio", help="containment ratio of one edge")
     sp.add_argument("--region", required=True, metavar="FILE")
     sp.add_argument("--edge", required=True, metavar="SELECTOR",
                     help="'central' (symmetric hexagons) or 'I:J' vertex indices")
-    common(sp, ("json",))
+    common(sp)
 
     sp = sub.add_parser("spectrum", help="Kasteleyn matrix spectrum of a region")
     sp.add_argument("--region", required=True, metavar="FILE")
@@ -82,6 +81,10 @@ class OutputError(Exception):
     """The --out file cannot be written."""
 
 
+class UsageError(Exception):
+    """An option the chosen claim does not take."""
+
+
 def _load_spec(path: str) -> RegionSpec:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -102,29 +105,17 @@ def _emit(text: str, out: Optional[str]) -> None:
         raise OutputError(f"cannot write output file {out!r}: {exc}") from None
 
 
-def _report_text(report, fmt: str) -> str:
-    if fmt == "csv":
-        row = report.to_csv_row()
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(row))
-        writer.writeheader()
-        writer.writerow(row)
-        return buf.getvalue().rstrip("\n")
-    return report.to_json(indent=2)
+# Each handler returns (doc, flat): the JSON-ready report, and the bare
+# decimal string that count and ratio print without --format, else None.
 
 
-def _cmd_count(args) -> int:
+def _cmd_count(args):
     spec = _load_spec(args.region)
     if args.method == "transfer":
         value = transfer_count(spec)
     else:
         value = COUNTERS[args.method](spec.build())
-    if args.format == "json":
-        doc = {"kind": spec.kind, "method": args.method, "count": str(value)}
-        _emit(json.dumps(doc, indent=2), args.out)
-    else:
-        _emit(str(value), args.out)  # the decimal string is the flat form
-    return 0
+    return {"kind": spec.kind, "method": args.method, "count": str(value)}, str(value)
 
 
 def _resolve_edge(spec: RegionSpec, g, selector: str):
@@ -150,27 +141,23 @@ def _label_doc(label):
     return list(label) if isinstance(label, tuple) else label
 
 
-def _cmd_ratio(args) -> int:
+def _cmd_ratio(args):
     spec = _load_spec(args.region)
     g = spec.build()
     edge = _resolve_edge(spec, g, args.edge)
     containing, total = containment_counts(g, edge)
     ratio = Fraction(containing, total)
-    if args.format == "json":
-        doc = {
-            "kind": spec.kind,
-            "edge": [_label_doc(g.labels[i]) for i in edge],
-            "containing": str(containing),
-            "total": str(total),
-            "ratio": str(ratio),
-        }
-        _emit(json.dumps(doc, indent=2), args.out)
-    else:
-        _emit(str(ratio), args.out)
-    return 0
+    doc = {
+        "kind": spec.kind,
+        "edge": [_label_doc(g.labels[i]) for i in edge],
+        "containing": str(containing),
+        "total": str(total),
+        "ratio": str(ratio),
+    }
+    return doc, str(ratio)
 
 
-def _cmd_spectrum(args) -> int:
+def _cmd_spectrum(args):
     spec = _load_spec(args.region)
     g = spec.build()
     # K's dimension is its class size: refuse an oversized K before orienting it
@@ -178,38 +165,26 @@ def _cmd_spectrum(args) -> int:
     k = kasteleyn_matrix(g)
     cp = kk_star_charpoly(k)
     sv = singular_values(k)
-    count = count_auto(g)
-    if args.format != "csv":
-        doc = {
-            "kind": spec.kind,
-            "dimension": k.dimension,
-            "count": str(count),
-            "charpoly": [str(c) for c in cp.coeffs],
-            "singular_values": sv,
-        }
-        _emit(json.dumps(doc, indent=2), args.out)
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["field", "value"])
-        writer.writerow(["dimension", k.dimension])
-        writer.writerow(["count", str(count)])
-        for i, c in enumerate(cp.coeffs):
-            writer.writerow([f"charpoly_{i}", str(c)])
-        for i, s in enumerate(sv):
-            writer.writerow([f"singular_value_{i}", repr(s)])
-        _emit(buf.getvalue().rstrip("\n"), args.out)
-    return 0
+    doc = {
+        "kind": spec.kind,
+        "dimension": k.dimension,
+        "count": str(count_auto(g)),
+        "charpoly": [str(c) for c in cp.coeffs],
+        "singular_values": sv,
+    }
+    return doc, None
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     verify = CLAIMS[args.claim]
-    # the options given that the claim takes; the rest keep its defaults
-    given = {name: getattr(args, name) for name in inspect.signature(verify).parameters
-             if getattr(args, name, None) is not None}
-    report = verify(**given)
-    _emit(_report_text(report, args.format), args.out)
-    return 1 if report.verdict == FAIL else 0
+    # the claim options given; the claim must take each, and keeps its
+    # defaults for the rest
+    given = {name: value for name, value in vars(args).items() if value is not None
+             and name not in ("command", "claim", "format", "out")}
+    extra = sorted(given.keys() - inspect.signature(verify).parameters.keys())
+    if extra:
+        raise UsageError(f"claim {args.claim} takes no --{extra[0].replace('_', '-')}")
+    return verify(**given).to_dict(), None
 
 
 def cli_main(argv: Optional[Sequence[str]] = None) -> int:
@@ -222,10 +197,13 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
         "verify": _cmd_verify,
     }
     try:
-        return handlers[args.command](args)
-    except (RegionError, GraphError, BoundError, OutputError) as exc:
+        doc, flat = handlers[args.command](args)
+        _emit(flat if flat is not None and args.format is None
+              else json.dumps(doc, indent=2), args.out)
+    except (RegionError, GraphError, BoundError, OutputError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 1 if doc.get("verdict") == FAIL else 0
 
 
 def main() -> None:  # console-script entry point

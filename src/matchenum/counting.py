@@ -350,12 +350,11 @@ def kasteleyn_classes(g: MatchGraph, caller: str) -> Classes:
     return rows, cols
 
 
-def signed_biadjacency(
-    g: MatchGraph, orient: Orientation
-) -> tuple[tuple[int, ...], tuple[int, ...], list[list[int]]]:
-    """Rows are class-0 vertices, columns class-1; entries +1 when the edge
-    is oriented row -> column, -1 the other way, 0 for non-edges.  The
-    matrix is dense: it is refused as ``kasteleyn_classes`` refuses."""
+def signed_biadjacency(g: MatchGraph, orient: Orientation) -> list[list[int]]:
+    """Rows are the class-0 vertices, columns the class-1 vertices, both in
+    ``g.classes`` order; entries +1 when the edge is oriented row -> column,
+    -1 the other way, 0 for non-edges.  The matrix is dense: it is refused
+    as ``kasteleyn_classes`` refuses."""
     rows, cols = kasteleyn_classes(g, "signed_biadjacency")
     pos = g.class_pos
     mat = [[0] * len(cols) for _ in rows]
@@ -363,7 +362,7 @@ def signed_biadjacency(
         for u in g.adj[v]:
             e = (v, u) if v < u else (u, v)
             mat[r][pos[u]] = 1 if orient[e] == (v, u) else -1
-    return rows, cols, mat
+    return mat
 
 
 def det_bareiss(matrix: list[list[int]]) -> int:
@@ -441,7 +440,7 @@ def count_kasteleyn(g: MatchGraph, seed: int = 0) -> int:
     if g.coords is not None and g.color is not None and not g.is_balanced():
         return 0
     kasteleyn_classes(g, "count_kasteleyn")
-    _, _, mat = signed_biadjacency(g, kasteleyn_orient(g, seed=seed))
+    mat = signed_biadjacency(g, kasteleyn_orient(g, seed=seed))
     return abs(det_bareiss(mat))
 
 

@@ -17,7 +17,6 @@ Both refuse K larger than SPECTRUM_DIMENSION_LIMIT with BoundError;
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from dataclasses import dataclass
@@ -37,8 +36,6 @@ class SignedMatrix:
     entries +-1 on edges per the Kasteleyn orientation, 0 elsewhere."""
 
     entries: tuple[tuple[int, ...], ...]
-    row_vertices: tuple[int, ...]
-    col_vertices: tuple[int, ...]
 
     @property
     def dimension(self) -> int:
@@ -59,19 +56,12 @@ class CharPoly:
     def constant_term(self) -> int:
         return self.coeffs[0]
 
-    def to_json(self) -> str:
-        return json.dumps([str(c) for c in self.coeffs])
-
 
 def kasteleyn_matrix(g: MatchGraph, seed: int = 0) -> SignedMatrix:
     """Signed biadjacency whose |det| is the perfect matching count."""
     kasteleyn_classes(g, "kasteleyn_matrix")
-    rows, cols, mat = signed_biadjacency(g, kasteleyn_orient(g, seed=seed))
-    return SignedMatrix(
-        entries=tuple(tuple(r) for r in mat),
-        row_vertices=rows,
-        col_vertices=cols,
-    )
+    mat = signed_biadjacency(g, kasteleyn_orient(g, seed=seed))
+    return SignedMatrix(entries=tuple(tuple(r) for r in mat))
 
 
 def check_dimension(dimension: int) -> None:

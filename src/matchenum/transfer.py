@@ -54,7 +54,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-import json
 from typing import Hashable, Optional, Sequence
 
 from .counting import FRONTIER_LIMIT, BoundError, _advance, _compile_order
@@ -319,9 +318,6 @@ class PolyReport:
             d["x_from"] = self.x_from
             d["x_to"] = self.x_to
         return d
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def detect_polynomial(

@@ -249,11 +249,6 @@ class TestReportShape:
         ]
         assert isinstance(doc["runtime_ms"], int)
 
-    def test_csv_row_is_flat(self):
-        row = verify_problem1(1).to_csv_row()
-        assert row["claim_id"] == "problem1"
-        assert all(isinstance(v, str) for v in row.values())
-
     def test_counts_never_serialize_as_numbers(self):
         doc = verify_problem19_parity(4).to_dict()
         assert all(isinstance(v, str) for v in doc["computed"]["f"])

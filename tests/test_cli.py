@@ -7,7 +7,7 @@ import time
 import pytest
 
 from matchenum import counting, spectra
-from matchenum.claims import CLAIMS
+from matchenum.claims import CLAIMS, FAIL, ClaimReport
 from matchenum.cli import cli_main
 
 
@@ -62,11 +62,14 @@ class TestCount:
         assert sorted(listed.split(",")) == sorted([*counting.COUNTERS, "transfer"])
 
     def test_csv_is_a_usage_error_for_bare_values(self, capsys, region_file):
+        # and for the reports: JSON is the only report format
         path = region_file("hex.json", {
             "kind": "HEXAGON", "params": {"sides": [1, 1, 2, 1, 1, 2]},
         })
         for argv in (["count", "--region", path],
-                     ["ratio", "--region", path, "--edge", "central"]):
+                     ["ratio", "--region", path, "--edge", "central"],
+                     ["spectrum", "--region", path],
+                     ["verify", "--claim", "problem1"]):
             with pytest.raises(SystemExit) as exc:
                 cli_main([*argv, "--format", "csv"])
             assert exc.value.code == 2
@@ -333,14 +336,6 @@ class TestSpectrum:
         assert doc["charpoly"][-1] == "1"
         assert len(doc["singular_values"]) == 5
 
-    def test_csv_document(self, capsys, region_file):
-        path = region_file("ad.json", {"kind": "AZTEC_DIAMOND", "params": {"n": 1}})
-        code, out, _ = run(capsys, "spectrum", "--region", path, "--format", "csv")
-        assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[0] == "field,value"
-        assert any(line.startswith("count,2") for line in lines)
-
     def test_imbalanced_region(self, capsys, region_file):
         path = region_file("hex.json", {
             "kind": "HEXAGON", "params": {"sides": [1, 2, 1, 2, 1, 2]},
@@ -392,7 +387,7 @@ class TestVerify:
         assert json.loads(out)["verdict"] == "PASS"
 
     def test_no_options_run_the_function_defaults(self, capsys):
-        # every option a claim takes reaches it; one it does not take is ignored
+        # every option a claim takes reaches it; one it does not take is refused
         given = {
             "problem1": {"n": ("--n", "2"), "off_center": ("--off-center",)},
             "problem14": {"w": ("--w", "3"), "x_to": ("--x-to", "7")},
@@ -423,7 +418,9 @@ class TestVerify:
                 got = report("--claim", claim, *argv)
                 assert got == expected(verify, **{name: value}), (claim, name)
                 assert got != default, (claim, name)
-        assert report("--claim", "problem1", "--seed", "5") == report("--claim", "problem1")
+        code, out, err = run(capsys, "verify", "--claim", "problem1", "--seed", "5")
+        assert (code, out) == (2, "")
+        assert "problem1" in err and "--seed" in err
 
     def test_problem14_w6_passes_with_a_certificate(self, capsys):
         code, out, _ = run(capsys, "verify", "--claim", "problem14", "--w", "6",
@@ -445,13 +442,12 @@ class TestVerify:
             assert code == 0
             assert json.loads(out)["verdict"] in ("PASS", "REPORT_ONLY")
 
-    def test_oracles_csv(self, capsys):
-        code, out, _ = run(capsys, "verify", "--claim", "oracles",
-                           "--seed", "3", "--cases", "5", "--format", "csv")
-        assert code == 0
-        header, row = out.strip().splitlines()
-        assert header.startswith("claim_id,")
-        assert row.startswith("oracles,")
+    def test_fail_verdict_exits_1(self, capsys, monkeypatch):
+        report = ClaimReport("problem1", {}, {"ratio": "1/2"}, {"ratio": "1/3"}, FAIL, 0)
+        monkeypatch.setitem(CLAIMS, "problem1", lambda: report)
+        code, out, _ = run(capsys, "verify", "--claim", "problem1")
+        assert code == 1
+        assert json.loads(out) == report.to_dict()
 
     def test_bound_violation_exits_2(self, capsys):
         for argv in (["--claim", "problem1", "--n", "9"],
@@ -476,3 +472,86 @@ class TestVerify:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["verdict"] == "PASS"
+
+
+class TestReportBytes:
+    # the exact stdout of each subcommand's JSON report, runtime_ms masked
+    def test_stdout_is_pinned(self, capsys, region_file):
+        diamond = region_file("ad.json", {"kind": "AZTEC_DIAMOND", "params": {"n": 1}})
+        hexagon = region_file("hex.json", {
+            "kind": "HEXAGON", "params": {"sides": [1, 1, 2, 1, 1, 2]},
+        })
+        cases = [
+            (["count", "--region", diamond, "--format", "json"], """{
+  "kind": "AZTEC_DIAMOND",
+  "method": "auto",
+  "count": "2"
+}
+"""),
+            (["ratio", "--region", hexagon, "--edge", "central", "--format", "json"], """{
+  "kind": "HEXAGON",
+  "edge": [
+    [
+      -1,
+      1,
+      "down"
+    ],
+    [
+      -1,
+      1,
+      "up"
+    ]
+  ],
+  "containing": "1",
+  "total": "3",
+  "ratio": "1/3"
+}
+"""),
+            (["spectrum", "--region", diamond], """{
+  "kind": "AZTEC_DIAMOND",
+  "dimension": 2,
+  "count": "2",
+  "charpoly": [
+    "4",
+    "-4",
+    "1"
+  ],
+  "singular_values": [
+    1.4142135623730951,
+    1.4142135623730951
+  ]
+}
+"""),
+            (["verify", "--claim", "problem19-parity", "--n-max", "2"], """{
+  "claim_id": "problem19-parity",
+  "parameters": {
+    "n_max": 2
+  },
+  "computed": {
+    "f": [
+      "1",
+      "2"
+    ],
+    "f_mod_2": [
+      1,
+      0
+    ],
+    "methods_agree": true
+  },
+  "expected": {
+    "f_mod_2": [
+      1,
+      0
+    ],
+    "methods_agree": true,
+    "note": "1-factor count of the n-cube has the same parity as n"
+  },
+  "verdict": "PASS",
+  "runtime_ms": 0
+}
+"""),
+        ]
+        for argv, expected in cases:
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, ""), argv
+            assert re.sub(r'"runtime_ms": \d+', '"runtime_ms": 0', out) == expected, argv

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -20,6 +21,7 @@ from matchenum import (
     singular_values,
 )
 from matchenum import spectra
+from matchenum.cli import cli_main
 from matchenum.spectra import CharPoly, SignedMatrix, _kk_star, check_dimension
 from test_counting import nested_island_hexagon
 
@@ -113,8 +115,9 @@ class TestKasteleynMatrix:
     def test_support_matches_adjacency(self):
         g = build_hexagon((2, 2, 2, 2, 2, 2))
         k = kasteleyn_matrix(g)
-        for i, u in enumerate(k.row_vertices):
-            for j, v in enumerate(k.col_vertices):
+        rows, cols = g.classes
+        for i, u in enumerate(rows):
+            for j, v in enumerate(cols):
                 assert (k.entries[i][j] != 0) == g.has_edge(u, v)
 
     def test_needs_balance(self):
@@ -227,15 +230,12 @@ class TestCharPoly:
         rng = random.Random(30)
         for m in range(1, 31):
             entries = tuple(tuple(rng.choice((-1, 1)) for _ in range(m)) for _ in range(m))
-            assert_packed_equals_scalar(SignedMatrix(
-                entries=entries,
-                row_vertices=tuple(range(m)), col_vertices=tuple(range(m, 2 * m))))
+            assert_packed_equals_scalar(SignedMatrix(entries=entries))
 
     def test_packed_edge_cases(self):
-        empty = SignedMatrix(entries=(), row_vertices=(), col_vertices=())
+        empty = SignedMatrix(entries=())
         assert assert_packed_equals_scalar(empty).coeffs == (1,)
-        zero_row = SignedMatrix(entries=((1, 0, 1), (0, 0, 0), (1, -1, 0)),
-                                row_vertices=(0, 1, 2), col_vertices=(3, 4, 5))
+        zero_row = SignedMatrix(entries=((1, 0, 1), (0, 0, 0), (1, -1, 0)))
         assert assert_packed_equals_scalar(zero_row).constant_term == 0
 
     @pytest.mark.parametrize("m,diagonal,below", [(16, 0, 3), (16, 2, 3), (24, -1, 2)])
@@ -249,23 +249,25 @@ class TestCharPoly:
              for i in range(m)]
         monkeypatch.setattr(spectra, "_kk_star", lambda _: [row[:] for row in a])
         identity = SignedMatrix(
-            entries=tuple(tuple(int(i == j) for j in range(m)) for i in range(m)),
-            row_vertices=tuple(range(m)), col_vertices=tuple(range(m, 2 * m)))
+            entries=tuple(tuple(int(i == j) for j in range(m)) for i in range(m)))
         expected = tuple(math.comb(m, i) * (-diagonal) ** (m - i) for i in range(m + 1))
         assert kk_star_charpoly(identity).coeffs == expected
 
-    def test_json_constant_term_first(self):
-        import json
-
-        cp = kk_star_charpoly(kasteleyn_matrix(four_cycle()))
-        doc = json.loads(cp.to_json())
-        assert doc[0] == str(cp.constant_term)
-        assert doc[-1] == "1"
+    def test_json_constant_term_first(self, tmp_path, capsys):
+        # the spectrum report lists the coefficients as strings, constant first
+        path = tmp_path / "ad.json"
+        path.write_text('{"kind": "AZTEC_DIAMOND", "params": {"n": 2}}')
+        assert cli_main(["spectrum", "--region", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        cp = kk_star_charpoly(kasteleyn_matrix(build_aztec_diamond(2)))
+        assert doc["charpoly"] == [str(c) for c in cp.coeffs]
+        assert doc["charpoly"][0] == str(cp.constant_term) == "64"
+        assert doc["charpoly"][-1] == "1"
 
 
 class TestSingularValues:
     def test_empty(self):
-        k = SignedMatrix(entries=(), row_vertices=(), col_vertices=())
+        k = SignedMatrix(entries=())
         assert singular_values(k) == []
         assert kk_star_charpoly(k).coeffs == (1,)
 
@@ -319,8 +321,7 @@ class TestSingularValues:
 
     def test_diagonal_needs_no_iteration(self, monkeypatch):
         monkeypatch.setattr(spectra, "QL_ITERATION_LIMIT", 0)
-        k = SignedMatrix(entries=((1, 0, 0), (0, -3, 0), (0, 0, 2)),
-                         row_vertices=(0, 1, 2), col_vertices=(3, 4, 5))
+        k = SignedMatrix(entries=((1, 0, 0), (0, -3, 0), (0, 0, 2)))
         assert singular_values(k) == [3.0, 2.0, 1.0]
 
     def test_negative_round_off_clamped_to_zero(self, monkeypatch):
@@ -328,14 +329,12 @@ class TestSingularValues:
         # pushes below zero is a zero singular value, not sqrt(|e|)
         monkeypatch.setattr(spectra, "_tridiagonal_eigenvalues",
                             lambda d, e: [4.0, -1e-6, 1.0])
-        k = SignedMatrix(entries=((1, 0, 0), (0, 1, 0), (0, 0, 1)),
-                         row_vertices=(0, 1, 2), col_vertices=(3, 4, 5))
+        k = SignedMatrix(entries=((1, 0, 0), (0, 1, 0), (0, 0, 1)))
         assert singular_values(k) == [2.0, 1.0, 0.0]
 
     def test_non_convergence_raises(self, monkeypatch):
         monkeypatch.setattr(spectra, "QL_ITERATION_LIMIT", 0)
-        k = SignedMatrix(entries=((1, 0), (1, 1)),  # K K^T = [[1, 1], [1, 2]]
-                         row_vertices=(0, 2), col_vertices=(1, 3))
+        k = SignedMatrix(entries=((1, 0), (1, 1)))  # K K^T = [[1, 1], [1, 2]]
         with pytest.raises(ArithmeticError):
             singular_values(k)
 

@@ -519,7 +519,7 @@ class TestDetectPolynomial:
 
     def test_json_serializes_counts_as_strings(self):
         report = detect_polynomial([8, 8, 8], x_from=1, w=2)
-        doc = json.loads(report.to_json())
+        doc = json.loads(json.dumps(report.to_dict()))
         assert doc["counts"] == ["8", "8", "8"]
         assert doc["detected_degree"] == 0
         assert doc["differences"][1] == ["0", "0"]
