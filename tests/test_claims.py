@@ -1,4 +1,7 @@
 import json
+import random
+import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,7 +19,84 @@ from matchenum import (
     verify_problem19_parity,
 )
 from matchenum import claims
-from matchenum.claims import matching_orbits
+from matchenum.claims import (
+    _CORPUS_KINDS,
+    PERMANENT_LIMIT,
+    _finish,
+    count_brute,
+    count_kasteleyn,
+    kasteleyn_matrix,
+    kk_star_charpoly,
+    matching_orbits,
+    random_region,
+)
+
+
+# the per-case loop that counting each distinct region once replaced, kept
+# verbatim as its reference
+def per_case_verify_oracles(seed: int = 1, cases: int = 50):
+    t0 = time.perf_counter()
+    if not 1 <= cases <= 1000:
+        raise BoundError("oracles desk bound is 1 <= cases <= 1000")
+    rng = random.Random(seed)
+    disagreements = []
+    zero_cases = 0
+    kind_tally: dict[str, int] = {}
+    distinct: set[str] = set()
+    for case in range(cases):
+        kind = _CORPUS_KINDS[case % len(_CORPUS_KINDS)]
+        spec, g = random_region(rng, kind)
+        kind_tally[kind] = kind_tally.get(kind, 0) + 1
+        distinct.add(json.dumps(spec.to_dict(), sort_keys=True))
+        reference = count_brute(g)
+        if reference == 0:
+            zero_cases += 1
+        got = {"brute": reference}
+        if g.coords is not None and g.color is not None:
+            got["kasteleyn"] = count_kasteleyn(g)
+        if g.color is not None and g.is_balanced():
+            if g.class_sizes()[0] <= PERMANENT_LIMIT:
+                got["permanent"] = count_permanent(g)
+            if g.coords is not None:
+                cp = kk_star_charpoly(kasteleyn_matrix(g, seed=1))
+                got["charpoly_constant_identity"] = (
+                    abs(cp.constant_term) == reference * reference
+                )
+        bad = [
+            (name, value)
+            for name, value in got.items()
+            if name in ("kasteleyn", "permanent") and value != reference
+        ]
+        if got.get("charpoly_constant_identity") is False:
+            bad.append(("charpoly_constant_identity", False))
+        if bad:
+            disagreements.append({"case": case, "spec": spec.to_dict(), "got": dict(got)})
+    computed = {
+        "cases": cases,
+        "distinct_cases": len(distinct),
+        "all_agree": not disagreements,
+        "zero_count_cases": zero_cases,
+        "kinds": kind_tally,
+        "disagreements": disagreements,
+    }
+    expected = {
+        "all_agree": True,
+        "note": "mutual agreement of independent exact methods",
+    }
+    return _finish("oracles", {"seed": seed, "cases": cases}, computed, expected, t0)
+
+
+def spy_on_draws(monkeypatch):
+    """Record the spec key of every case drawn; the draw is unchanged."""
+    keys = []
+
+    def draw(rng, kind=None):
+        spec, g = random_region(rng, kind)
+        keys.append(json.dumps(spec.to_dict(), sort_keys=True))
+        return spec, g
+
+    monkeypatch.setattr(claims, "random_region", draw)
+    return keys
 
 
 class TestProblem1:
@@ -180,6 +260,11 @@ class TestProblem19Orbits:
         seen = [m for orbit in orbits for m in orbit]
         assert len(seen) == len(set(seen)) == count_permanent(build_hypercube(3))
 
+    @pytest.mark.parametrize("n", [0, 5])
+    def test_enumeration_bound_says_both_ends(self, n):
+        with pytest.raises(BoundError, match="1 <= n <= 4"):
+            matching_orbits(n)
+
 
 class TestProblem19Asymptotic:
     def test_monotone_trend(self):
@@ -237,6 +322,57 @@ class TestOracles:
                 verify_oracles(seed=1, cases=cases)
         with pytest.raises(Drawn):
             verify_oracles(seed=1, cases=1000)
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_report_equals_the_per_case_loop(self, seed):
+        got = verify_oracles(seed=seed, cases=50).to_dict()
+        want = per_case_verify_oracles(seed=seed, cases=50).to_dict()
+        del got["runtime_ms"], want["runtime_ms"]
+        assert json.dumps(got) == json.dumps(want)
+
+    def test_each_distinct_region_is_counted_once(self, monkeypatch):
+        keys = spy_on_draws(monkeypatch)
+        calls = {}
+
+        def spy(name):
+            engine = getattr(claims, name)
+
+            def counted(arg):
+                calls.setdefault(name, []).append(keys[-1])
+                return engine(arg)
+
+            return counted
+
+        for name in ("count_brute", "count_kasteleyn", "count_permanent",
+                     "kk_star_charpoly"):
+            monkeypatch.setattr(claims, name, spy(name))
+        report = verify_oracles(seed=1, cases=50)
+        assert report.verdict == "PASS"
+        assert len(keys) == 50 and len(set(keys)) == report.computed["distinct_cases"] == 25
+        assert set(calls) == {"count_brute", "count_kasteleyn", "count_permanent",
+                              "kk_star_charpoly"}
+        for name, specs in calls.items():
+            assert max(Counter(specs).values()) == 1, name
+        assert sorted(calls["count_brute"]) == sorted(set(keys))
+
+    def test_a_repeated_region_disagrees_in_every_case(self, monkeypatch):
+        keys = spy_on_draws(monkeypatch)
+        target = json.dumps({"kind": "HYPERCUBE", "params": {"n": 4}}, sort_keys=True)
+
+        def wrong_on_target(g):
+            return count_permanent(g) + (keys[-1] == target)
+
+        monkeypatch.setattr(claims, "count_permanent", wrong_on_target)
+        report = verify_oracles(seed=1, cases=50)
+        assert report.verdict == "FAIL"
+        assert report.computed["all_agree"] is False
+        cases = [i for i, key in enumerate(keys) if key == target]
+        assert cases == [4, 29, 34, 44]
+        bad = report.computed["disagreements"]
+        assert [d["case"] for d in bad] == cases
+        for d in bad:
+            assert json.dumps(d["spec"], sort_keys=True) == target
+            assert d["got"] == {"brute": 272, "permanent": 273}
 
 
 class TestReportShape:

@@ -457,6 +457,20 @@ class TestVerify:
             assert code == 2
             assert "bound" in err
 
+    @pytest.mark.parametrize("claim, option, bound", [
+        ("problem1", "--n", "1 <= n <= 3"),
+        ("problem19-parity", "--n-max", "1 <= n_max <= 5"),
+        ("problem19-orbits", "--n", "1 <= n <= 4"),
+        ("problem19-asymptotic", "--n-max", "1 <= n_max <= 5"),
+        ("oracles", "--cases", "1 <= cases <= 1000"),
+    ])
+    @pytest.mark.parametrize("end", ["low", "high"])
+    def test_desk_bound_says_both_ends(self, capsys, claim, option, bound, end):
+        value = "0" if end == "low" else str(int(bound.split()[-1]) + 1)
+        code, out, err = run(capsys, "verify", "--claim", claim, option, value)
+        assert (code, out) == (2, "")
+        assert f"desk bound is {bound}" in err
+
     def test_off_center_control(self, capsys):
         code, out, _ = run(capsys, "verify", "--claim", "problem1",
                            "--n", "1", "--off-center")
