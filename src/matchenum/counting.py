@@ -1,6 +1,6 @@
 """Exact perfect-matching counts by three independent methods.
 
-* ``count_brute``     - backtracking on the minimum-degree vertex; the
+* ``count_brute``     - bitmask backtracking on a minimum-degree vertex; the
   ground-truth oracle for everything else, bounded by ``BRUTE_NODE_LIMIT``
   partner tries.  ``enumerate_matchings`` walks the same search and yields
   the matchings themselves.
@@ -36,7 +36,7 @@ from typing import Iterator, Sequence
 from .graphs import Classes, GraphError, MatchGraph
 
 BRUTE_FORCE_LIMIT = 64   # vertices
-# partner tries of one search: the 5-cube takes 2 063 361 (~5 s on a
+# partner tries of one search: the 5-cube takes 2 067 879 (~3 s on a
 # 2-vCPU Xeon); the 6-cube, with over 1.7e12 leaves by Schrijver's bound,
 # is refused before its search starts
 BRUTE_NODE_LIMIT = 1 << 22
@@ -58,9 +58,13 @@ def _matchings(g: MatchGraph) -> Iterator[list[int]]:
     """Yield every perfect matching of g as its ``mate`` array (mate[v] is
     v's partner).  The one list is reused, so read it before resuming.
 
-    Backtracks on a minimum-degree vertex, so degree-1 vertices propagate
-    as forced edges and degree-0 vertices prune immediately.  The stack
-    holds each branch vertex with an iterator over its untried partners.
+    The vertices still unmatched are one int bitmask, ``alive``, and each
+    vertex has a neighbour mask, so a degree is ``(nbr[v] & alive)``'s bit
+    count.  The search branches on the first alive vertex (lowest index) of
+    degree <= 1, else on the first of minimum degree: degree-1 vertices
+    propagate as forced edges and degree-0 vertices prune at once.  The
+    stack holds each branch as (vertex, alive without it, untried partner
+    mask), and partners are tried lowest bit first.
     Raises BoundError once the search has tried more than BRUTE_NODE_LIMIT
     partners.  Every matching is a leaf reached by its own partner try, so
     a k-regular bipartite graph whose count provably exceeds the limit is
@@ -84,51 +88,43 @@ def _matchings(g: MatchGraph) -> Iterator[list[int]]:
                 f"has more perfect matchings (Schrijver's bound)"
             )
     budget = BRUTE_NODE_LIMIT
-    adj = [set(ns) for ns in g.adj]
-    alive = set(range(g.n))
+    nbr = [sum(1 << u for u in ns) for ns in g.adj]
+    alive = (1 << g.n) - 1
     mate = [-1] * g.n
-    stack: list[tuple[int, Iterator[int]]] = []
-
-    def detach(v: int) -> None:
-        for u in adj[v]:
-            adj[u].remove(v)
-        alive.remove(v)
-
-    def attach(v: int) -> None:
-        for u in adj[v]:
-            adj[u].add(v)
-        alive.add(v)
-
-    def degree(v: int) -> int:
-        return len(adj[v])
-
+    stack: list[tuple[int, int, int]] = []
     while True:
         if not alive:
             yield mate
         else:
-            v = min(alive, key=degree)
-            if adj[v]:
-                detach(v)
-                mate[v] = -1  # no partner tried yet
-                stack.append((v, iter(tuple(adj[v]))))
-        # undo the deepest branch and take its next partner
+            # the first vertex of degree <= 1, else the first of minimum degree
+            v, least, rest = -1, g.n, alive
+            while rest:
+                low = rest & -rest
+                w = low.bit_length() - 1
+                d = (nbr[w] & alive).bit_count()
+                if d < least:
+                    v, least = w, d
+                    if d <= 1:
+                        break
+                rest ^= low
+            if least:
+                stack.append((v, alive ^ (1 << v), nbr[v] & alive))
+        # undo the deepest branch and take its next partner, lowest bit first
         while stack:
-            v, partners = stack[-1]
-            if mate[v] >= 0:
-                attach(mate[v])
-            u = next(partners, -1)
-            if u >= 0:
+            v, rest, partners = stack.pop()
+            if partners:
                 budget -= 1
                 if budget < 0:
                     raise BoundError(
                         f"brute-force search exceeds its node limit {BRUTE_NODE_LIMIT}"
                     )
-                detach(u)
+                low = partners & -partners
+                u = low.bit_length() - 1
+                stack.append((v, rest, partners ^ low))
                 mate[v] = u
                 mate[u] = v
+                alive = rest ^ low
                 break
-            stack.pop()
-            attach(v)
         else:
             return
 

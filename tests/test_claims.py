@@ -29,11 +29,14 @@ from matchenum.claims import (
     kk_star_charpoly,
     matching_orbits,
     random_region,
+    random_spec,
+    region_key,
 )
+from matchenum.regions import RegionSpec
 
 
 # the per-case loop that counting each distinct region once replaced, kept
-# verbatim as its reference
+# verbatim as its reference, except that ``distinct`` collects region keys
 def per_case_verify_oracles(seed: int = 1, cases: int = 50):
     t0 = time.perf_counter()
     if not 1 <= cases <= 1000:
@@ -47,7 +50,7 @@ def per_case_verify_oracles(seed: int = 1, cases: int = 50):
         kind = _CORPUS_KINDS[case % len(_CORPUS_KINDS)]
         spec, g = random_region(rng, kind)
         kind_tally[kind] = kind_tally.get(kind, 0) + 1
-        distinct.add(json.dumps(spec.to_dict(), sort_keys=True))
+        distinct.add(region_key(spec))
         reference = count_brute(g)
         if reference == 0:
             zero_cases += 1
@@ -87,15 +90,15 @@ def per_case_verify_oracles(seed: int = 1, cases: int = 50):
 
 
 def spy_on_draws(monkeypatch):
-    """Record the spec key of every case drawn; the draw is unchanged."""
+    """Record the region key of every case drawn; the draw is unchanged."""
     keys = []
 
     def draw(rng, kind=None):
-        spec, g = random_region(rng, kind)
-        keys.append(json.dumps(spec.to_dict(), sort_keys=True))
-        return spec, g
+        spec = random_spec(rng, kind)
+        keys.append(region_key(spec))
+        return spec
 
-    monkeypatch.setattr(claims, "random_region", draw)
+    monkeypatch.setattr(claims, "random_spec", draw)
     return keys
 
 
@@ -288,8 +291,9 @@ class TestOracles:
         report = verify_oracles(seed=1, cases=50)
         assert report.verdict == "PASS"
         assert report.computed["cases"] == 50
-        # the draw repeats small regions: 25 of the 50 specs differ at seed 1
-        assert report.computed["distinct_cases"] == 25
+        # the draw repeats small regions: 25 of the 50 specs differ at seed 1,
+        # and two of them are a x a rectangles, the cells of a drawn diamond
+        assert report.computed["distinct_cases"] == 23
         assert set(report.computed["kinds"]) == {
             "HEXAGON", "AZTEC_DIAMOND", "AZTEC_RECTANGLE",
             "AZTEC_WINDOW", "HYPERCUBE",
@@ -316,7 +320,7 @@ class TestOracles:
             raise Drawn
 
         # refused before any region is drawn; 1000 gets as far as the draw
-        monkeypatch.setattr(claims, "random_region", draw)
+        monkeypatch.setattr(claims, "random_spec", draw)
         for cases in (0, 1001, 10**9):
             with pytest.raises(BoundError):
                 verify_oracles(seed=1, cases=cases)
@@ -346,14 +350,55 @@ class TestOracles:
         for name in ("count_brute", "count_kasteleyn", "count_permanent",
                      "kk_star_charpoly"):
             monkeypatch.setattr(claims, name, spy(name))
+        build = RegionSpec.build
+        built = []
+
+        def counted_build(spec):
+            built.append(keys[-1])
+            return build(spec)
+
+        monkeypatch.setattr(RegionSpec, "build", counted_build)
         report = verify_oracles(seed=1, cases=50)
         assert report.verdict == "PASS"
-        assert len(keys) == 50 and len(set(keys)) == report.computed["distinct_cases"] == 25
+        assert len(keys) == 50 and len(set(keys)) == report.computed["distinct_cases"] == 23
         assert set(calls) == {"count_brute", "count_kasteleyn", "count_permanent",
                               "kk_star_charpoly"}
         for name, specs in calls.items():
             assert max(Counter(specs).values()) == 1, name
         assert sorted(calls["count_brute"]) == sorted(set(keys))
+        # only the first case of each distinct region is built
+        assert sorted(built) == sorted(set(keys))
+
+    @pytest.mark.parametrize("seed, distinct", [(1, 23), (2, 26), (3, 27)])
+    def test_distinct_cases_are_distinct_graphs(self, seed, distinct):
+        # every drawn region built, keyed by its labelled graph alone; at
+        # these seeds no two different keys build the same graph
+        rng = random.Random(seed)
+        graphs = set()
+        for case in range(50):
+            _, g = random_region(rng, _CORPUS_KINDS[case % len(_CORPUS_KINDS)])
+            graphs.add((g.labels, g.edges))
+        assert verify_oracles(seed=seed, cases=50).computed["distinct_cases"] == distinct
+        assert len(graphs) == distinct
+
+    @pytest.mark.parametrize("a", [1, 2, 3])
+    def test_square_rectangle_is_keyed_as_the_diamond(self, a):
+        diamond = RegionSpec("AZTEC_DIAMOND", {"n": a})
+        for params in ({"a": a, "b": a}, {"a": a, "b": a, "removed": []}):
+            square = RegionSpec("AZTEC_RECTANGLE", params)
+            assert region_key(square) == region_key(diamond)
+        wide = RegionSpec("AZTEC_RECTANGLE", {"a": a, "b": a + 1, "removed": [[0, 0]]})
+        assert region_key(wide) == json.dumps(wide.to_dict(), sort_keys=True)
+
+    @pytest.mark.parametrize("kind", (None,) + _CORPUS_KINDS)
+    def test_random_region_is_the_spec_built(self, kind):
+        for seed in range(1, 21):
+            drawn, spec_rng = random.Random(seed), random.Random(seed)
+            spec, g = random_region(drawn, kind)
+            assert random_spec(spec_rng, kind) == spec
+            assert drawn.getstate() == spec_rng.getstate()
+            built = spec.build()
+            assert (g.labels, g.edges, g.color) == (built.labels, built.edges, built.color)
 
     def test_a_repeated_region_disagrees_in_every_case(self, monkeypatch):
         keys = spy_on_draws(monkeypatch)

@@ -117,7 +117,7 @@ class TestCount:
         assert "limit" in err
 
     def test_brute_node_budget_exits_2(self, capsys, region_file, monkeypatch):
-        # the order-4 diamond's search tries 4405 partners
+        # the order-4 diamond's search tries 4404 partners
         monkeypatch.setattr(counting, "BRUTE_NODE_LIMIT", 1000)
         path = region_file("ad4.json", {"kind": "AZTEC_DIAMOND", "params": {"n": 4}})
         code, out, err = run(capsys, "count", "--region", path, "--method", "brute")

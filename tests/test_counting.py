@@ -84,6 +84,35 @@ def cycle_graph(n):
     )
 
 
+def reference_tries(g):
+    """Partner tries of a plain recursive search that follows the brute
+    force's documented rule: branch on the first unmatched vertex (lowest
+    index) of degree <= 1, else the first of minimum degree, and try its
+    unmatched neighbours one by one."""
+
+    def search(alive):
+        if not alive:
+            return 0
+        order = sorted(alive)
+        degree = {v: sum(u in alive for u in g.adj[v]) for v in order}
+        v = next((v for v in order if degree[v] <= 1), None)
+        if v is None:
+            v = min(order, key=degree.get)
+        return sum(1 + search(alive - {v, u}) for u in g.adj[v] if u in alive)
+
+    return search(frozenset(range(g.n)))
+
+
+def dead_after_forced_chain():
+    """A 4-cycle on 0..3, then the path 4-5-6-7-9 with 8 hanging off 5.
+    The pendant 4 forces 4-5, which kills 8 and leaves 6 pendant.  The rule
+    takes 6, the first vertex of degree <= 1, before the dead 8, and forces
+    6-7; then 8 is pruned.  The search ends after those two tries, before
+    the cycle ever branches: no perfect matching."""
+    edges = [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (5, 8), (7, 9)]
+    return MatchGraph(labels=range(10), edges=edges)
+
+
 class TestBrute:
     def test_even_cycles_have_two_matchings(self):
         for n in (4, 6, 8, 10):
@@ -110,16 +139,32 @@ class TestBrute:
         with pytest.raises(BoundError):
             next(enumerate_matchings(build_hypercube(7)))
 
-    def test_node_budget(self, monkeypatch):
-        # the order-4 diamond's search tries exactly 4405 partners
-        g = build_aztec_diamond(4)
-        monkeypatch.setattr(counting, "BRUTE_NODE_LIMIT", 4405)
-        assert count_brute(g) == 1024
-        monkeypatch.setattr(counting, "BRUTE_NODE_LIMIT", 4404)
-        with pytest.raises(BoundError, match="node limit 4404"):
+    @staticmethod
+    def check_budget(monkeypatch, g, count):
+        # the search tries exactly as many partners as the reference
+        tries = reference_tries(g)
+        monkeypatch.setattr(counting, "BRUTE_NODE_LIMIT", tries)
+        assert count_brute(g) == count
+        assert len(list(enumerate_matchings(g))) == count
+        monkeypatch.setattr(counting, "BRUTE_NODE_LIMIT", tries - 1)
+        with pytest.raises(BoundError, match=f"node limit {tries - 1}"):
             count_brute(g)
-        with pytest.raises(BoundError, match="node limit 4404"):
+        with pytest.raises(BoundError, match=f"node limit {tries - 1}"):
             list(enumerate_matchings(g))
+        return tries
+
+    def test_node_budget(self, monkeypatch):
+        # 4404 tries on the order-4 diamond
+        self.check_budget(monkeypatch, build_aztec_diamond(4), 1024)
+
+    def test_dead_vertex_after_forced_chain(self, monkeypatch):
+        assert self.check_budget(monkeypatch, dead_after_forced_chain(), 0) == 2
+
+    def test_partners_in_index_order(self):
+        # the 4-cycle branches on vertex 0 and tries partner 1 before 3
+        assert list(enumerate_matchings(cycle_graph(4))) == [
+            frozenset({(0, 1), (2, 3)}), frozenset({(0, 3), (1, 2)}),
+        ]
 
     def test_regular_bipartite_refused_before_search(self, monkeypatch):
         # the 5-cube has at least 4^64 / 5^48 ~ 9.6e4 matchings (Schrijver);
@@ -135,6 +180,10 @@ class TestBrute:
     def test_enumeration_matches_count(self):
         cases = [(build_hexagon(sides), count) for sides, count in HEX_COUNTS.items()]
         cases.append((build_hypercube(4), CUBE_COUNTS[4]))  # no embedding
+        cases.append((build_aztec_diamond(3), DIAMOND_COUNTS[3]))
+        cases.append((nested_island_hexagon(), 32))  # a hexagon with holes
+        cases.append((build_aztec_window(2, 1), 0))  # balanced, no matching
+        cases.append((dead_after_forced_chain(), 0))
         cases.append((MatchGraph(labels=range(3), edges=[(0, 1), (1, 2)]), 0))
         for g, count in cases:
             matchings = list(enumerate_matchings(g))

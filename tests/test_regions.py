@@ -275,6 +275,8 @@ class TestAztecDiamond:
 class TestAztecRectangle:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_square_case_equals_diamond(self, n):
+        # why ``claims.region_key`` keys an n x n rectangle as the diamond
+        assert aztec_rectangle_cells(n, n) == aztec_diamond_cells(n)
         ar = build_aztec_rectangle(n, n)
         ad = build_aztec_diamond(n)
         # canonical labeled form: identical label set and adjacency
