@@ -14,7 +14,6 @@ problem14 claim finds exactly.
 from matchenum import (
     RegionSpec,
     build_aztec_window,
-    column_transfer_matrix,
     count_kasteleyn,
     count_sequence,
     detect_polynomial,
@@ -26,14 +25,6 @@ print("=== one window, two engines ===")
 spec = RegionSpec("AZTEC_WINDOW", {"x": 2, "w": 2})
 print("transfer sweep :", transfer_count(spec))
 print("Kasteleyn check:", count_kasteleyn(build_aztec_window(2, 2)))
-
-print()
-print("=== the single-column step operator ===")
-a = column_transfer_matrix(2)
-print("thickness 2, sparse {incoming mask: {outgoing mask: 1}} "
-      "(masks have w bits; A does not depend on the inner order):")
-for mask, row in sorted(a.items()):
-    print(f"   {mask:02b} -> {', '.join(f'{b:02b}' for b in sorted(row))}")
 
 print()
 print("=== count sequences and their difference tables ===")

@@ -38,7 +38,6 @@ from .counting import (
 )
 from .transfer import (
     column_annihilator,
-    column_transfer_matrix,
     count_sequence,
     detect_polynomial,
     transfer_count,
@@ -68,7 +67,6 @@ __all__ = [
     "build_hypercube",
     "central_rhombus_edge",
     "column_annihilator",
-    "column_transfer_matrix",
     "containment_ratio",
     "count_auto",
     "count_brute",

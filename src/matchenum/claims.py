@@ -8,13 +8,12 @@ in REPORT_ONLY content (the asymptotic table).
 
 from __future__ import annotations
 
-import json
 import math
 import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Hashable, Optional
 
 from .counting import (
     PERMANENT_LIMIT,
@@ -29,8 +28,10 @@ from .counting import (
 from .graphs import MatchGraph
 from .regions import (
     RegionSpec,
+    aztec_diamond_cells,
     aztec_rectangle_cells,
     aztec_window_cell_count,
+    aztec_window_cells,
     central_rhombus_edge,
     hexagon_cells,
 )
@@ -383,14 +384,23 @@ def random_region(rng: random.Random, kind: Optional[str] = None) -> tuple[Regio
     return spec, spec.build()
 
 
-def region_key(spec: RegionSpec) -> str:
-    """The key of the region a spec builds: its JSON with sorted keys,
-    except that an Aztec rectangle with a = b and nothing removed has the
-    cells of the order-a Aztec diamond, and is keyed as that diamond."""
+def region_key(spec: RegionSpec) -> Hashable:
+    """The key of the region a spec builds, from the closed forms and
+    without a build: a hexagon's triangular-lattice cells less its holes,
+    an Aztec region's square-lattice cells, a hypercube's dimension.  A
+    region's cells are its graph's labels and fix its edges, so two specs
+    share a key exactly when they build the same graph."""
     p = spec.params
-    if spec.kind == "AZTEC_RECTANGLE" and p["a"] == p["b"] and not p.get("removed"):
-        spec = RegionSpec("AZTEC_DIAMOND", {"n": p["a"]})
-    return json.dumps(spec.to_dict(), sort_keys=True)
+    if spec.kind == "HEXAGON":
+        return frozenset(hexagon_cells(p["sides"]).difference(spec.holes))
+    if spec.kind == "AZTEC_DIAMOND":
+        return frozenset(aztec_diamond_cells(p["n"]))
+    if spec.kind == "AZTEC_RECTANGLE":
+        removed = {tuple(r) for r in p.get("removed", [])}
+        return frozenset(aztec_rectangle_cells(p["a"], p["b"]) - removed)
+    if spec.kind == "AZTEC_WINDOW":
+        return frozenset(aztec_window_cells(p["x"], p["w"]))
+    return p["n"]
 
 
 def _majority_color(cells) -> int:
@@ -443,7 +453,7 @@ def verify_oracles(seed: int = 1, cases: int = 50) -> ClaimReport:
     disagreements = []
     zero_cases = 0
     kind_tally: dict[str, int] = {}
-    counted: dict[str, dict] = {}  # region key -> its engines' counts
+    counted: dict[Hashable, dict] = {}  # region key -> its engines' counts
     for case in range(cases):
         kind = _CORPUS_KINDS[case % len(_CORPUS_KINDS)]
         spec = random_spec(rng, kind)

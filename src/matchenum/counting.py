@@ -10,10 +10,12 @@
   preceded by the columns it is the last row to meet.
 * ``count_kasteleyn`` - determinant of the signed biadjacency under a
   Kasteleyn orientation; needs the planar embedding, which may be
-  disconnected.  The determinant (``det_bareiss``) is a fraction-free
-  elimination confined to the band of the matrix, which lexicographic
-  lattice labels keep narrow: 20 diagonals on each side for the order-20
-  Aztec diamond's 420 rows.
+  disconnected.  ``signed_biadjacency`` builds that matrix, for
+  ``spectra`` too, and checks ``kasteleyn_classes`` before it orients.
+  The determinant (``det_bareiss``) is a fraction-free elimination
+  confined to the band of the matrix, which lexicographic lattice labels
+  keep narrow: 20 diagonals on each side for the order-20 Aztec
+  diamond's 420 rows.
 
 One DP loop, ``_advance``, serves the state DP here and both operators of
 an Aztec window in ``transfer``.  It runs the compiled steps of a vertex
@@ -329,15 +331,14 @@ def kasteleyn_orient(g: MatchGraph, seed: int = 0) -> Orientation:
     return orient
 
 
-def kasteleyn_classes(g: MatchGraph, caller: str) -> Classes:
+def kasteleyn_classes(g: MatchGraph) -> Classes:
     """(rows, columns) of a Kasteleyn matrix, refused unless g has, in this
     order, an embedding, a bipartition, classes of equal size and at most
-    KASTELEYN_LIMIT rows (the matrix is dense).  ``caller`` names the
-    entry; each entry checks before ``kasteleyn_orient`` walks a face."""
+    KASTELEYN_LIMIT rows (the matrix is dense)."""
     if g.coords is None:
-        raise GraphError(f"{caller} needs an embedding")
+        raise GraphError("a Kasteleyn matrix needs an embedding")
     if g.color is None:
-        raise GraphError(f"{caller} needs a bipartition")
+        raise GraphError("a Kasteleyn matrix needs a bipartition")
     rows, cols = g.balanced_classes()
     if len(rows) > KASTELEYN_LIMIT:
         raise BoundError(
@@ -346,12 +347,14 @@ def kasteleyn_classes(g: MatchGraph, caller: str) -> Classes:
     return rows, cols
 
 
-def signed_biadjacency(g: MatchGraph, orient: Orientation) -> list[list[int]]:
-    """Rows are the class-0 vertices, columns the class-1 vertices, both in
-    ``g.classes`` order; entries +1 when the edge is oriented row -> column,
-    -1 the other way, 0 for non-edges.  The matrix is dense: it is refused
-    as ``kasteleyn_classes`` refuses."""
-    rows, cols = kasteleyn_classes(g, "signed_biadjacency")
+def signed_biadjacency(g: MatchGraph, seed: int = 0) -> list[list[int]]:
+    """K under ``kasteleyn_orient(g, seed)``: rows are the class-0 vertices,
+    columns the class-1 vertices, both in ``g.classes`` order; entries +1
+    when the edge is oriented row -> column, -1 the other way, 0 for
+    non-edges.  The matrix is dense: it is refused as ``kasteleyn_classes``
+    refuses, before any face is walked."""
+    rows, cols = kasteleyn_classes(g)
+    orient = kasteleyn_orient(g, seed)
     pos = g.class_pos
     mat = [[0] * len(cols) for _ in rows]
     for r, v in enumerate(rows):
@@ -426,7 +429,7 @@ def det_bareiss(matrix: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def count_kasteleyn(g: MatchGraph, seed: int = 0) -> int:
+def count_kasteleyn(g: MatchGraph) -> int:
     """|det| of the Kasteleyn-signed biadjacency.
 
     Imbalanced graphs count 0 (no perfect matching exists); the other
@@ -435,9 +438,7 @@ def count_kasteleyn(g: MatchGraph, seed: int = 0) -> int:
     """
     if g.coords is not None and g.color is not None and not g.is_balanced():
         return 0
-    kasteleyn_classes(g, "count_kasteleyn")
-    mat = signed_biadjacency(g, kasteleyn_orient(g, seed=seed))
-    return abs(det_bareiss(mat))
+    return abs(det_bareiss(signed_biadjacency(g)))
 
 
 # -- forced edges and ratios -------------------------------------------------
@@ -446,18 +447,15 @@ def count_kasteleyn(g: MatchGraph, seed: int = 0) -> int:
 def count_auto(g: MatchGraph) -> int:
     """Pick the strongest applicable exact method for this graph.
 
-    A bipartite graph without an embedding goes to the permanent, whose
-    BoundError stands past its limit.  Only a graph without a bipartition
-    goes to the backtracking search, bounded by BRUTE_NODE_LIMIT partner
-    tries.
+    An embedded bipartite graph goes to Kasteleyn, one without an
+    embedding to the permanent, and a graph without a bipartition to the
+    backtracking search.  The chosen engine's refusals stand.
     """
-    if g.color is not None and not g.is_balanced():
-        return 0
-    if g.color is not None:
-        return count_kasteleyn(g) if g.coords is not None else count_permanent(g)
-    if g.n <= BRUTE_FORCE_LIMIT:
+    if g.color is None:
         return count_brute(g)
-    raise BoundError(f"no exact method applies to {g.n} vertices")
+    if not g.is_balanced():
+        return 0
+    return count_kasteleyn(g) if g.coords is not None else count_permanent(g)
 
 
 def count_with_forced_edge(g: MatchGraph, e: tuple[int, int]) -> int:

@@ -11,8 +11,9 @@ additions per row.  B comes from a proved bound: with rho the largest
 absolute row sum of K*K^T, no entry exceeds 2^m * rho^m.
 Floating point appears only in the singular values: eigenvalues of
 K*K^T by Householder reduction to tridiagonal form and implicit-shift QL.
-Both refuse K larger than SPECTRUM_DIMENSION_LIMIT with BoundError;
-``check_dimension`` lets a caller refuse it before the orientation.
+Both refuse K larger than SPECTRUM_DIMENSION_LIMIT with BoundError, as
+they accept any SignedMatrix; ``kasteleyn_matrix`` refuses a region with
+such a K before the orientation.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .counting import BoundError, kasteleyn_classes, kasteleyn_orient, signed_biadjacency
+from .counting import BoundError, kasteleyn_classes, signed_biadjacency
 from .graphs import MatchGraph
 
 # K dimension; the charpoly of the (4,4,8) hexagon's K at 80 takes ~0.1 s on a
@@ -58,9 +59,10 @@ class CharPoly:
 
 
 def kasteleyn_matrix(g: MatchGraph, seed: int = 0) -> SignedMatrix:
-    """Signed biadjacency whose |det| is the perfect matching count."""
-    kasteleyn_classes(g, "kasteleyn_matrix")
-    mat = signed_biadjacency(g, kasteleyn_orient(g, seed=seed))
+    """Signed biadjacency whose |det| is the perfect matching count; refused
+    past SPECTRUM_DIMENSION_LIMIT rows before any face is walked."""
+    check_dimension(len(kasteleyn_classes(g)[0]))
+    mat = signed_biadjacency(g, seed)
     return SignedMatrix(entries=tuple(tuple(r) for r in mat))
 
 

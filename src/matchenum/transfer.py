@@ -56,12 +56,17 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Hashable, Optional, Sequence
 
-from .counting import FRONTIER_LIMIT, BoundError, _advance, _compile_order
+from .counting import BoundError, _advance, _compile_order
 from .graphs import MatchGraph
 from .regions import RegionError, RegionSpec, aztec_window_cell_count
 
-_EVEN_BITS = 0x5555_5555  # bits 0, 2, 4, ... of a mask; w <= 10
+_EVEN_BITS = 0x5555_5555  # bits 0, 2, 4, ... of a mask of up to 32 bits
 ANNIHILATOR_LIMIT = 24  # degree j + k searched for A^j (A - I)^k = 0
+# thickness w, bounded by the operators' own cost on a 2-vCPU Xeon: at
+# w = 10, T0 and A take ~0.02 s, column_annihilator ~0.3 s and
+# ``verify problem14 --w 10`` ~1 s; at w = 12 that claim takes 26-34 s
+# and ~190 MB
+WINDOW_THICKNESS_LIMIT = 10
 
 Operator = dict[int, dict[int, int]]  # sparse {row mask: {column mask: entry}}
 
@@ -178,13 +183,9 @@ def _operators(w: int) -> tuple[Operator, Operator]:
     thickness is checked here and nowhere else, before any sweep."""
     if w < 1:
         raise RegionError("Aztec window needs w >= 1")
-    # the bound is that of the whole window swept in ring order, which only
-    # the tests still do as a reference: frontier width 2w + 1 (w >= 2); the
-    # operators' own sweeps are narrower
-    if 2 * w + 1 > FRONTIER_LIMIT:
+    if w > WINDOW_THICKNESS_LIMIT:
         raise BoundError(
-            f"thickness {w} needs frontier width {2 * w + 1}, "
-            f"over the limit {FRONTIER_LIMIT}"
+            f"thickness {w} exceeds the window limit {WINDOW_THICKNESS_LIMIT}"
         )
     return _diamond_quarter(w), _column_operator(w)
 
@@ -242,21 +243,6 @@ def count_sequence(w: int, x_from: int, x_to: int) -> list[int]:
         transfer_count(RegionSpec("AZTEC_WINDOW", {"x": x, "w": w}))
         for x in range(x_from, x_to + 1)
     ]
-
-
-def column_transfer_matrix(w: int) -> Operator:
-    """Single-column step operator A of the window's band, as sparse
-    ``{a: {b: 1}}``.
-
-    States are w-bit masks over the cells of one column of the band (bit
-    k set = cell k covered by a domino crossing into the column); [a][b]
-    is 1 when the column with incoming mask a can be completed (vertical
-    dominoes inside the column, horizontal pokes into the next column)
-    leaving outgoing mask b.  Masks without a completion have no row.
-    A depends only on the thickness, never on the inner order x.  The
-    result is a copy, free to modify.
-    """
-    return {a: dict(row) for a, row in _operators(w)[1].items()}
 
 
 def column_annihilator(w: int) -> tuple[int, int]:

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from matchenum import counting, spectra
+from matchenum import counting
 from matchenum.claims import CLAIMS, FAIL, ClaimReport
 from matchenum.cli import cli_main
 
@@ -261,7 +261,6 @@ class TestKasteleynLimit:
             raise AssertionError("the faces were walked")
 
         monkeypatch.setattr(counting, "kasteleyn_orient", fail)
-        monkeypatch.setattr(spectra, "kasteleyn_orient", fail)
         path = region_file("ad180.json", {"kind": "AZTEC_DIAMOND", "params": {"n": 180}})
         start = time.perf_counter()
         code, out, err = run(capsys, command, "--region", path)
@@ -362,7 +361,6 @@ class TestSpectrum:
             raise AssertionError("the faces were walked")
 
         monkeypatch.setattr(counting, "kasteleyn_orient", fail)
-        monkeypatch.setattr(spectra, "kasteleyn_orient", fail)
         for n in (12, 44):
             path = region_file("ad.json", {"kind": "AZTEC_DIAMOND", "params": {"n": n}})
             start = time.perf_counter()

@@ -20,7 +20,7 @@ from matchenum import (
     random_region,
     singular_values,
 )
-from matchenum import spectra
+from matchenum import counting, spectra
 from matchenum.cli import cli_main
 from matchenum.spectra import CharPoly, SignedMatrix, _kk_star, check_dimension
 from test_counting import nested_island_hexagon
@@ -346,7 +346,9 @@ class TestDimensionBound:
 
     @pytest.mark.parametrize("compute", [kk_star_charpoly, singular_values])
     def test_refused_before_any_work(self, compute, monkeypatch):
-        k = kasteleyn_matrix(build_aztec_diamond(9))  # dimension 90
+        # dimension 90: built past kasteleyn_matrix, which refuses it
+        mat = counting.signed_biadjacency(build_aztec_diamond(9))
+        k = SignedMatrix(tuple(map(tuple, mat)))
 
         def no_work(_):
             raise AssertionError("K K^T built past the bound")
@@ -354,3 +356,11 @@ class TestDimensionBound:
         monkeypatch.setattr(spectra, "_kk_star", no_work)
         with pytest.raises(BoundError, match="spectrum limit"):
             compute(k)
+
+    def test_kasteleyn_matrix_refused_before_the_orientation(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the faces were walked")
+
+        monkeypatch.setattr(counting, "kasteleyn_orient", fail)
+        with pytest.raises(BoundError, match="K dimension 90 exceeds the spectrum limit 80"):
+            kasteleyn_matrix(build_aztec_diamond(9))
