@@ -13,7 +13,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Optional
+from typing import Optional
 
 from .counting import (
     PERMANENT_LIMIT,
@@ -28,10 +28,8 @@ from .counting import (
 from .graphs import MatchGraph
 from .regions import (
     RegionSpec,
-    aztec_diamond_cells,
     aztec_rectangle_cells,
     aztec_window_cell_count,
-    aztec_window_cells,
     central_rhombus_edge,
     hexagon_cells,
 )
@@ -384,25 +382,6 @@ def random_region(rng: random.Random, kind: Optional[str] = None) -> tuple[Regio
     return spec, spec.build()
 
 
-def region_key(spec: RegionSpec) -> Hashable:
-    """The key of the region a spec builds, from the closed forms and
-    without a build: a hexagon's triangular-lattice cells less its holes,
-    an Aztec region's square-lattice cells, a hypercube's dimension.  A
-    region's cells are its graph's labels and fix its edges, so two specs
-    share a key exactly when they build the same graph."""
-    p = spec.params
-    if spec.kind == "HEXAGON":
-        return frozenset(hexagon_cells(p["sides"]).difference(spec.holes))
-    if spec.kind == "AZTEC_DIAMOND":
-        return frozenset(aztec_diamond_cells(p["n"]))
-    if spec.kind == "AZTEC_RECTANGLE":
-        removed = {tuple(r) for r in p.get("removed", [])}
-        return frozenset(aztec_rectangle_cells(p["a"], p["b"]) - removed)
-    if spec.kind == "AZTEC_WINDOW":
-        return frozenset(aztec_window_cells(p["x"], p["w"]))
-    return p["n"]
-
-
 def _majority_color(cells) -> int:
     ones = sum((i + j) & 1 for i, j in cells)
     return 1 if 2 * ones > len(cells) else 0
@@ -442,10 +421,12 @@ def verify_oracles(seed: int = 1, cases: int = 50) -> ClaimReport:
     The permanent runs the state DP (``counting._advance``, the loop that
     also sweeps the window operators), so every balanced case checks that
     loop against the backtracking search.  The draw can repeat a region;
-    ``distinct_cases`` counts the different regions (``region_key``) among
-    the cases.  The engines are deterministic, so only the first case of
-    each distinct region is built and counted, and a repeated case reuses
-    its result; the tallies and ``disagreements`` still list every case."""
+    ``distinct_cases`` counts the different regions among the cases, keyed
+    by ``RegionSpec.cells``, which are equal exactly when two specs build
+    the same graph.  The engines are deterministic, so only the first case
+    of each distinct region is built and counted, and a repeated case
+    reuses its result; the tallies and ``disagreements`` still list every
+    case."""
     t0 = time.perf_counter()
     if not 1 <= cases <= 1000:
         raise BoundError("oracles desk bound is 1 <= cases <= 1000")
@@ -453,15 +434,15 @@ def verify_oracles(seed: int = 1, cases: int = 50) -> ClaimReport:
     disagreements = []
     zero_cases = 0
     kind_tally: dict[str, int] = {}
-    counted: dict[Hashable, dict] = {}  # region key -> its engines' counts
+    counted: dict[frozenset, dict] = {}  # region cells -> their engines' counts
     for case in range(cases):
         kind = _CORPUS_KINDS[case % len(_CORPUS_KINDS)]
         spec = random_spec(rng, kind)
         kind_tally[kind] = kind_tally.get(kind, 0) + 1
-        key = region_key(spec)
-        if key not in counted:
-            counted[key] = _oracle_counts(spec.build())
-        got = counted[key]
+        cells = spec.cells()
+        if cells not in counted:
+            counted[cells] = _oracle_counts(spec.build())
+        got = counted[cells]
         if got["brute"] == 0:
             zero_cases += 1
         if not _oracles_agree(got):

@@ -6,8 +6,8 @@
   the matchings themselves.
 * ``frontier_count``  - the state DP along any vertex order of any graph.
   ``count_permanent`` is one schedule of it: the rows of the 0/1
-  biadjacency of a balanced bipartite graph (hypercubes included), each
-  preceded by the columns it is the last row to meet.
+  biadjacency of a bipartite graph (hypercubes included), each preceded
+  by the columns it is the last row to meet; unequal classes count 0.
 * ``count_kasteleyn`` - determinant of the signed biadjacency under a
   Kasteleyn orientation; needs the planar embedding, which may be
   disconnected.  ``signed_biadjacency`` builds that matrix, for
@@ -240,8 +240,10 @@ def count_permanent(g: MatchGraph) -> int:
     FRONTIER_LIMIT.  The 5-cube (m = 16) has width 13, peaks at 1708 live
     states and takes ~4 ms on a 2-vCPU Xeon.  Dense input is the worst
     case: K20,20 holds all C(20, 10) states at its widest and takes
-    3-4.5 s with ~62 MB max RSS.
+    3-4.5 s with ~62 MB max RSS.  Unequal classes count 0, before the bound.
     """
+    if not g.is_balanced():
+        return 0
     rows, cols = g.balanced_classes()
     m = len(rows)
     if m > PERMANENT_LIMIT:
@@ -449,12 +451,10 @@ def count_auto(g: MatchGraph) -> int:
 
     An embedded bipartite graph goes to Kasteleyn, one without an
     embedding to the permanent, and a graph without a bipartition to the
-    backtracking search.  The chosen engine's refusals stand.
+    backtracking search.  The chosen engine's refusals and zeros stand.
     """
     if g.color is None:
         return count_brute(g)
-    if not g.is_balanced():
-        return 0
     return count_kasteleyn(g) if g.coords is not None else count_permanent(g)
 
 

@@ -25,6 +25,11 @@ Coordinate conventions (the single source of geometric truth):
   the order-n Aztec diamond is the box |p| <= n, |q| <= n, since
   |2i+1| + |2j+1| = max(|2p|, |2q|), and the a x b Aztec rectangle is
   |p| <= a, -a <= q <= 2b-a.
+
+Every region takes one path: ``RegionSpec`` checks it on construction,
+``RegionSpec.cells`` lists its cells (a hypercube's vertices 0..2^n - 1)
+and ``RegionSpec.build`` makes the graph they label.  The ``build_*``
+functions are shorthands for a spec, so they refuse what files refuse.
 """
 
 from __future__ import annotations
@@ -67,6 +72,60 @@ def _check_cell_count(count: int, what: str) -> None:
         raise RegionError(f"{what} has more than {REGION_CELL_LIMIT} cells")
 
 
+def _strict_int(value, what: str) -> int:
+    # bool is a subclass of int, and int() would silently truncate floats
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise RegionError(
+            f"{what} must be an integer, got {type(value).__name__} {_brief(value)}"
+        )
+    return value
+
+
+def _strict_list(value, what: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise RegionError(
+            f"{what} must be a list, got {type(value).__name__} {_brief(value)}"
+        )
+    return value
+
+
+def _strict_ints(value, what: str, length: int) -> None:
+    if len(_strict_list(value, what)) != length:
+        raise RegionError(
+            f"{what} must have {length} entries, got {len(value)}: {_brief(value)}"
+        )
+    for v in value:
+        _strict_int(v, f"each entry of {what}")
+
+
+def _hole(h) -> TriCell:
+    if not isinstance(h, (list, tuple)) or len(h) != 3:
+        raise RegionError(
+            "each hole must be [x, y, 'up'|'down'], "
+            f"got {type(h).__name__} {_brief(h)}"
+        )
+    x, y, orient = h
+    x, y = _strict_int(x, "a hole's x"), _strict_int(y, "a hole's y")
+    if orient not in (UP, DOWN):
+        # echoed as text, whatever its JSON type
+        raise RegionError(
+            f"hole orientation must be 'up' or 'down', got {_brief(str(orient))}"
+        )
+    return TriCell(x, y, orient)
+
+
+def _less(cells: set, entries: Iterable, name: str, outside: str) -> set:
+    """cells minus the entries, each of which must be a cell listed once."""
+    seen = set()
+    for e in entries:
+        if e not in cells:
+            raise RegionError(f"{name} {_brief(e)} {outside}")
+        if e in seen:
+            raise RegionError(f"{name} {_brief(e)} listed twice")
+        seen.add(e)
+    return cells - seen
+
+
 def _tri_center3(cell: TriCell) -> tuple[int, int]:
     # centroid in lattice coordinates, scaled by 3 to stay integral
     if cell.orient == UP:
@@ -75,7 +134,7 @@ def _tri_center3(cell: TriCell) -> tuple[int, int]:
 
 
 def validate_hex_sides(sides: Sequence[int]) -> tuple[int, ...]:
-    s = tuple(int(v) for v in sides)
+    s = tuple(_strict_int(v, "each hexagon side length") for v in sides)
     if len(s) != 6:
         raise RegionError("a hexagon needs exactly six side lengths")
     if any(v < 0 for v in s):
@@ -131,20 +190,7 @@ def build_hexagon(sides: Sequence[int], holes: Iterable[TriCell] = ()) -> MatchG
     Perfect matchings of the result are in bijection with the rhombus
     tilings of the holey hexagon.
     """
-    cells = hexagon_cells(sides)
-    seen_holes: set[TriCell] = set()
-    for h in holes:
-        h = TriCell(int(h[0]), int(h[1]), str(h[2]))
-        if h.orient not in (UP, DOWN):
-            raise RegionError(
-                f"hole orientation must be 'up' or 'down', got {_brief(h.orient)}"
-            )
-        if h not in cells:
-            raise RegionError(f"hole {_brief(h)} lies outside the region")
-        if h in seen_holes:
-            raise RegionError(f"hole {_brief(h)} listed twice")
-        seen_holes.add(h)
-    return _tri_graph(cells - seen_holes)
+    return RegionSpec("HEXAGON", {"sides": sides}, holes=tuple(holes)).build()
 
 
 def central_rhombus_edge(sides: Sequence[int]) -> tuple[TriCell, TriCell]:
@@ -207,7 +253,7 @@ def aztec_diamond_cells(n: int) -> set[tuple[int, int]]:
 
 def build_aztec_diamond(n: int) -> MatchGraph:
     """Cell-adjacency graph of the order-n Aztec diamond (2n(n+1) cells)."""
-    return _square_graph(aztec_diamond_cells(n))
+    return RegionSpec("AZTEC_DIAMOND", {"n": n}).build()
 
 
 def aztec_rectangle_cells(a: int, b: int) -> set[tuple[int, int]]:
@@ -232,20 +278,7 @@ def build_aztec_rectangle(
     must restore balance; an imbalanced result would trivially have zero
     matchings and is rejected rather than silently counted.
     """
-    cells = aztec_rectangle_cells(a, b)
-    seen: set[tuple[int, int]] = set()
-    for r in removed:
-        r = (int(r[0]), int(r[1]))
-        if r not in cells:
-            raise RegionError(f"removed vertex {_brief(r)} is not in the region")
-        if r in seen:
-            raise RegionError(f"removed vertex {_brief(r)} listed twice")
-        seen.add(r)
-    g = _square_graph(cells - seen)
-    if not g.is_balanced():
-        raise RegionError("removal leaves color classes of sizes {} and {}; "
-                          "matchings would be trivially zero".format(*g.class_sizes()))
-    return g
+    return RegionSpec("AZTEC_RECTANGLE", {"a": a, "b": b, "removed": list(removed)}).build()
 
 
 def aztec_window_row(x: int, w: int, i: int) -> list[int]:
@@ -282,7 +315,7 @@ def build_aztec_window(x: int, w: int) -> MatchGraph:
     2w(2x+w+1) cells, balanced; the embedding has one long bounded face
     around the hole in addition to the unit square faces.
     """
-    return _square_graph(aztec_window_cells(x, w))
+    return RegionSpec("AZTEC_WINDOW", {"x": x, "w": w}).build()
 
 
 def build_hypercube(n: int) -> MatchGraph:
@@ -290,18 +323,7 @@ def build_hypercube(n: int) -> MatchGraph:
 
     Non-planar for n >= 3, so no drawing coordinates are attached.
     """
-    if not (1 <= n <= HYPERCUBE_LIMIT):
-        raise RegionError(f"hypercube dimension must be in 1..{HYPERCUBE_LIMIT}")
-    size = 1 << n
-    labels = list(range(size))
-    edges = [
-        (v, v | (1 << k))
-        for v in range(size)
-        for k in range(n)
-        if not (v >> k) & 1
-    ]
-    color = [bin(v).count("1") & 1 for v in range(size)]
-    return MatchGraph(labels, edges, color=color)
+    return RegionSpec("HYPERCUBE", {"n": n}).build()
 
 
 # -- declarative region specs ----------------------------------------------
@@ -317,40 +339,15 @@ KIND_PARAMS = {
 }
 
 
-def _strict_int(value, what: str) -> int:
-    # bool is a subclass of int, and int() would silently truncate floats
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise RegionError(
-            f"{what} must be an integer, got {type(value).__name__} {_brief(value)}"
-        )
-    return value
-
-
-def _strict_list(value, what: str) -> list:
-    if not isinstance(value, (list, tuple)):
-        raise RegionError(
-            f"{what} must be a list, got {type(value).__name__} {_brief(value)}"
-        )
-    return value
-
-
-def _strict_ints(value, what: str, length: int) -> None:
-    if len(_strict_list(value, what)) != length:
-        raise RegionError(
-            f"{what} must have {length} entries, got {len(value)}: {_brief(value)}"
-        )
-    for v in value:
-        _strict_int(v, f"each entry of {what}")
-
-
 @dataclass(frozen=True)
 class RegionSpec:
     """Declarative region description; the JSON form is the CLI input format.
 
     {"kind": "...", "params": {...}, "holes": [[x, y, "up"|"down"], ...]}
 
-    Parameters are checked strictly on construction: integers must be
-    ints (not bools or floats) and lists must be lists, else RegionError.
+    Parameters and holes are checked strictly on construction: integers
+    must be ints (not bools or floats), lists must be lists and a hole's
+    orientation "up" or "down", else RegionError.
     """
 
     kind: str
@@ -358,6 +355,8 @@ class RegionSpec:
     holes: tuple[TriCell, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
+        holes = tuple(_hole(h) for h in _strict_list(self.holes, "'holes'"))
+        object.__setattr__(self, "holes", holes)
         if self.kind not in KIND_PARAMS:
             raise RegionError(f"unknown region kind {_brief(self.kind)}")
         if self.holes and self.kind != "HEXAGON":
@@ -381,18 +380,43 @@ class RegionSpec:
             else:
                 _strict_int(value, what)
 
-    def build(self) -> MatchGraph:
+    def cells(self) -> frozenset:
+        """The region's cells, which label its graph's vertices: the
+        hexagon less its holes, the diamond, the rectangle less its
+        removals, the window, or a hypercube's vertices 0..2^n - 1.  Two
+        specs build the same graph exactly when their cells are equal."""
         p = self.params
         if self.kind == "HEXAGON":
-            return build_hexagon(p["sides"], self.holes)
-        if self.kind == "AZTEC_DIAMOND":
-            return build_aztec_diamond(p["n"])
-        if self.kind == "AZTEC_RECTANGLE":
-            removed = [tuple(r) for r in p.get("removed", [])]
-            return build_aztec_rectangle(p["a"], p["b"], removed)
-        if self.kind == "AZTEC_WINDOW":
-            return build_aztec_window(p["x"], p["w"])
-        return build_hypercube(p["n"])
+            cells = _less(hexagon_cells(p["sides"]), self.holes,
+                          "hole", "lies outside the region")
+        elif self.kind == "AZTEC_DIAMOND":
+            cells = aztec_diamond_cells(p["n"])
+        elif self.kind == "AZTEC_RECTANGLE":
+            cells = _less(aztec_rectangle_cells(p["a"], p["b"]),
+                          [tuple(r) for r in p.get("removed", [])],
+                          "removed vertex", "is not in the region")
+        elif self.kind == "AZTEC_WINDOW":
+            cells = aztec_window_cells(p["x"], p["w"])
+        else:
+            if not 1 <= p["n"] <= HYPERCUBE_LIMIT:
+                raise RegionError(f"hypercube dimension must be in 1..{HYPERCUBE_LIMIT}")
+            cells = range(1 << p["n"])
+        return frozenset(cells)
+
+    def build(self) -> MatchGraph:
+        cells = self.cells()
+        if self.kind == "HEXAGON":
+            return _tri_graph(cells)
+        if self.kind == "HYPERCUBE":  # v meets v with one more bit set
+            n, labels = self.params["n"], range(len(cells))
+            edges = [(v, v | 1 << k) for v in labels for k in range(n) if not v >> k & 1]
+            return MatchGraph(list(labels), edges,
+                              color=[bin(v).count("1") & 1 for v in labels])
+        g = _square_graph(cells)
+        if not g.is_balanced():  # only a rectangle's removals can leave this
+            raise RegionError("removal leaves color classes of sizes {} and {}; "
+                              "matchings would be trivially zero".format(*g.class_sizes()))
+        return g
 
     def to_dict(self) -> dict:
         d = {"kind": self.kind, "params": dict(self.params)}
@@ -410,17 +434,7 @@ class RegionSpec:
         params = d.get("params", {})
         if not isinstance(params, dict):
             raise RegionError("'params' must be an object")
-        holes = []
-        for h in _strict_list(d.get("holes", []), "'holes'"):
-            if not isinstance(h, (list, tuple)) or len(h) != 3:
-                raise RegionError(
-                    "each hole must be [x, y, 'up'|'down'], "
-                    f"got {type(h).__name__} {_brief(h)}"
-                )
-            x, y, orient = h
-            holes.append(TriCell(_strict_int(x, "a hole's x"),
-                                 _strict_int(y, "a hole's y"), str(orient)))
-        return cls(kind=str(d["kind"]), params=params, holes=tuple(holes))
+        return cls(kind=str(d["kind"]), params=params, holes=d.get("holes", []))
 
     @classmethod
     def from_json(cls, text: str) -> "RegionSpec":

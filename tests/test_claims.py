@@ -30,7 +30,6 @@ from matchenum.claims import (
     matching_orbits,
     random_region,
     random_spec,
-    region_key,
 )
 from matchenum.regions import RegionSpec, aztec_rectangle_cells
 
@@ -50,7 +49,7 @@ def per_case_verify_oracles(seed: int = 1, cases: int = 50):
         kind = _CORPUS_KINDS[case % len(_CORPUS_KINDS)]
         spec, g = random_region(rng, kind)
         kind_tally[kind] = kind_tally.get(kind, 0) + 1
-        distinct.add(region_key(spec))
+        distinct.add(spec.cells())
         reference = count_brute(g)
         if reference == 0:
             zero_cases += 1
@@ -95,7 +94,7 @@ def spy_on_draws(monkeypatch):
 
     def draw(rng, kind=None):
         spec = random_spec(rng, kind)
-        keys.append(region_key(spec))
+        keys.append(spec.cells())
         return spec
 
     monkeypatch.setattr(claims, "random_spec", draw)
@@ -386,15 +385,15 @@ class TestOracles:
         diamond = RegionSpec("AZTEC_DIAMOND", {"n": a})
         for params in ({"a": a, "b": a}, {"a": a, "b": a, "removed": []}):
             square = RegionSpec("AZTEC_RECTANGLE", params)
-            assert region_key(square) == region_key(diamond)
+            assert square.cells() == diamond.cells()
         wide = RegionSpec("AZTEC_RECTANGLE", {"a": a, "b": a + 1, "removed": [[0, 0]]})
-        assert region_key(wide) == frozenset(aztec_rectangle_cells(a, a + 1) - {(0, 0)})
+        assert wide.cells() == frozenset(aztec_rectangle_cells(a, a + 1) - {(0, 0)})
 
     def test_empty_hexagons_share_a_key(self):
         empty = [RegionSpec("HEXAGON", {"sides": sides})
                  for sides in ([0, 0, 3, 0, 0, 3], [3, 0, 0, 3, 0, 0])]
         assert [spec.build().n for spec in empty] == [0, 0]
-        assert region_key(empty[0]) == region_key(empty[1])
+        assert empty[0].cells() == empty[1].cells()
 
     def test_specs_share_a_key_exactly_when_they_build_one_graph(self):
         rng = random.Random(1)
@@ -402,7 +401,8 @@ class TestOracles:
         for case in range(1000):
             spec = random_spec(rng, _CORPUS_KINDS[case % len(_CORPUS_KINDS)])
             g = spec.build()
-            graph, key = (g.labels, g.edges), region_key(spec)
+            graph, key = (g.labels, g.edges), spec.cells()
+            assert key == set(g.labels), spec
             assert key_of.setdefault(graph, key) == key, spec
             assert graph_of.setdefault(key, graph) == graph, spec
         report = verify_oracles(seed=1, cases=1000)
@@ -421,7 +421,7 @@ class TestOracles:
     def test_a_repeated_region_disagrees_in_every_case(self, monkeypatch):
         keys = spy_on_draws(monkeypatch)
         q4 = {"kind": "HYPERCUBE", "params": {"n": 4}}
-        target = region_key(RegionSpec.from_dict(q4))
+        target = RegionSpec.from_dict(q4).cells()
 
         def wrong_on_target(g):
             return count_permanent(g) + (keys[-1] == target)

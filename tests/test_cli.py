@@ -47,6 +47,16 @@ class TestCount:
             values.append(out.strip())
         assert values == ["8"] * 4
 
+    def test_unequal_classes_count_zero_by_every_method(self, capsys, region_file):
+        # 11 up against 12 down cells: each engine counts 0, none refuses
+        path = region_file("hole.json", {
+            "kind": "HEXAGON", "params": {"sides": [2, 2, 2, 2, 2, 2]},
+            "holes": [[0, 0, "up"]],
+        })
+        for method in ("auto", "brute", "kasteleyn", "permanent"):
+            code, out, err = run(capsys, "count", "--region", path, "--method", method)
+            assert (code, out, err) == (0, "0\n", ""), method
+
     def test_transfer_on_window(self, capsys, region_file):
         path = region_file("aw.json", {"kind": "AZTEC_WINDOW",
                                        "params": {"x": 1, "w": 2}})

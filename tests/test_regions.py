@@ -275,7 +275,7 @@ class TestAztecDiamond:
 class TestAztecRectangle:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_square_case_equals_diamond(self, n):
-        # why ``claims.region_key`` keys an n x n rectangle as the diamond
+        # why an n x n rectangle's ``RegionSpec.cells`` are the diamond's
         assert aztec_rectangle_cells(n, n) == aztec_diamond_cells(n)
         ar = build_aztec_rectangle(n, n)
         ad = build_aztec_diamond(n)
@@ -445,6 +445,31 @@ class TestRegionSpec:
     def test_strict_parameter_types(self, kind, params):
         with pytest.raises(RegionError):
             RegionSpec(kind, params)
+
+    @pytest.mark.parametrize("make", [
+        lambda: build_hexagon((1.5, 1, 1, 1, 1, 1)),
+        lambda: build_hexagon((True, 1, 1, 1, 1, 1)),
+        lambda: build_hexagon((2,) * 6, holes=[(0, False, "up")]),
+        lambda: build_aztec_diamond(2.5),
+        lambda: build_aztec_diamond(True),
+        lambda: build_aztec_rectangle(1, 2, removed=[(0.9, -0.2)]),
+        lambda: build_aztec_rectangle(1, True),
+        lambda: build_aztec_window(1.0, 2),
+        lambda: build_aztec_window(1, True),
+        lambda: build_hypercube(2.0),
+        lambda: build_hypercube(True),
+        lambda: hexagon_cells((1, 1, 1, 1, 1, 1.0)),
+        lambda: hexagon_cells((1, 1, 1, True, 1, 1)),
+        lambda: RegionSpec("HEXAGON", {"sides": [2] * 6}, holes=((0.5, 0, "up"),)),
+        lambda: RegionSpec("HEXAGON", {"sides": [2] * 6}, holes=((0, True, "up"),)),
+    ], ids=["hexagon-float", "hexagon-bool", "hexagon-bool-hole", "diamond-float",
+            "diamond-bool", "rectangle-float-removal", "rectangle-bool", "window-float",
+            "window-bool", "hypercube-float", "hypercube-bool", "hexagon-cells-float",
+            "hexagon-cells-bool", "spec-float-hole", "spec-bool-hole"])
+    def test_library_inputs_refuse_floats_and_bools(self, make):
+        # int() would count a neighbouring region, or fail with a TypeError
+        with pytest.raises(RegionError, match="must be an integer"):
+            make()
 
 
 class TestCellLimit:
