@@ -15,6 +15,7 @@ usage, input or bound errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import sys
@@ -29,7 +30,10 @@ from .spectra import kasteleyn_matrix, kk_star_charpoly, singular_values
 from .transfer import transfer_count
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on its first use; parsing does
+    not change it, so every ``cli_main`` call shares it."""
     parser = argparse.ArgumentParser(
         prog="matchenum",
         description="Exact perfect-matching enumeration of lattice regions.",

@@ -15,7 +15,9 @@
   The determinant (``det_bareiss``) is a fraction-free elimination
   confined to the band of the matrix, which lexicographic lattice labels
   keep narrow: 20 diagonals on each side for the order-20 Aztec
-  diamond's 420 rows.
+  diamond's 420 rows.  Rows are rescaled lazily: each keeps the pivot it
+  was last updated with, a row whose factor is 0 is skipped, and an
+  entry that is 0 in both rows stays 0 without arithmetic.
 
 One DP loop, ``_advance``, serves the state DP here and both operators of
 an Aztec window in ``transfer``.  It runs the compiled steps of a vertex
@@ -45,7 +47,7 @@ BRUTE_NODE_LIMIT = 1 << 22
 PERMANENT_LIMIT = 20     # columns (one color class)
 FRONTIER_LIMIT = 22      # slots; a 2**22-state table is the desk-scale ceiling
 # rows (one color class) of the dense Kasteleyn matrix, 2048^2 list slots
-# (32 MiB); the order-44 diamond's 1980 rows take ~3.4 s on a 2-vCPU Xeon
+# (32 MiB); the order-44 diamond's 1980 rows take ~2.6 s on a 2-vCPU Xeon
 KASTELEYN_LIMIT = 2048
 
 
@@ -368,19 +370,24 @@ def signed_biadjacency(g: MatchGraph, seed: int = 0) -> list[list[int]]:
 
 def det_bareiss(matrix: list[list[int]]) -> int:
     """Exact integer determinant by fraction-free (Bareiss) elimination,
-    confined to the band of the matrix.
+    confined to the band of the matrix; the argument is not changed.
 
     The lower and upper bandwidths ``lo`` and ``hi`` are read from the
     nonzero pattern.  Step k updates only rows k+1..k+lo and columns
     k+1..k+lo+hi: the rows below have a zero in column k, and a zero-pivot
     row swap inside the band widens the upper band to at most lo+hi.
 
-    Bareiss changes a row below the band only by the factor pivot/prev at
-    each step, and these factors telescope.  Such rows are scaled lazily
-    instead: when row k+lo enters the band at step k it is multiplied once
-    by the current ``prev`` (for lo = 0 this also scales the last row).
+    Rows are scaled lazily.  Bareiss changes a row whose column-k factor
+    is 0 only by pivot/prev, and these factors telescope, so such a row is
+    skipped and keeps its ``stamp``: the pivot it was last updated with
+    (1 for a row never updated, such as one below the band).  A row with
+    a nonzero factor f is updated as (a*pivot - f*b) // stamp, which is
+    the true Bareiss entry, so the division is exact; an entry with
+    a = b = 0 stays 0 without arithmetic.  The pivot row, and at the end
+    the last row, is brought up to date as v*prev // stamp before use.
+    Stamps move with their rows on a zero-pivot swap.
 
-    A dense matrix is the case lo = hi = n-1.  The cost is about
+    A dense matrix is the case lo = hi = n-1.  The cost is at most
     n*lo*(lo+hi) big-integer updates instead of n**3/3, and every division
     is exact, as in the dense elimination.
     """
@@ -397,38 +404,39 @@ def det_bareiss(matrix: list[list[int]]) -> int:
             hi = n - 1 - i - list(map(bool, reversed(right))).index(True)
     width = lo + hi + 1  # band rows are zero outside columns k..k+lo+hi
     m = [row[:] for row in matrix]
+    stamp = [1] * n  # the pivot each row was last updated with
     sign = 1
     prev = 1
-    for k in range(n):
+    for k in range(n - 1):
         end = min(n, k + width)
-        entering = k + lo
-        if k and entering < n:
-            row_e = m[entering]
-            row_e[k:end] = [v * prev for v in row_e[k:end]]
-        if k == n - 1:
-            break
-        last = min(n, entering + 1)
+        last = min(n, k + lo + 1)
         if m[k][k] == 0:
             for r in range(k + 1, last):
                 if m[r][k] != 0:
                     m[k], m[r] = m[r], m[k]
+                    stamp[k], stamp[r] = stamp[r], stamp[k]
                     sign = -sign
                     break
             else:
                 return 0
         row_k = m[k]
-        pivot = row_k[k]
-        tail_k = row_k[k + 1:end]
+        s = stamp[k]
+        if s == prev:
+            pivot = row_k[k]
+            tail_k = row_k[k + 1:end]
+        else:  # bring the pivot row up to date
+            pivot = row_k[k] * prev // s
+            tail_k = [b * prev // s if b else 0 for b in row_k[k + 1:end]]
         for i in range(k + 1, last):
             row_i = m[i]
-            factor = row_i[k]
-            if factor:
-                row_i[k + 1:end] = [(a * pivot - factor * b) // prev
+            f = row_i[k]
+            if f:  # a zero factor leaves only a scaling, kept in the stamp
+                s = stamp[i]
+                row_i[k + 1:end] = [(a * pivot - f * b) // s if a or b else 0
                                     for a, b in zip(row_i[k + 1:end], tail_k)]
-            else:  # only the pivot/prev scaling is left
-                row_i[k + 1:end] = [a * pivot // prev for a in row_i[k + 1:end]]
+                stamp[i] = pivot
         prev = pivot
-    return sign * m[n - 1][n - 1]
+    return sign * (m[n - 1][n - 1] * prev // stamp[n - 1])
 
 
 def count_kasteleyn(g: MatchGraph) -> int:

@@ -245,7 +245,7 @@ def _diagonal_box(p_max: int, q_min: int, q_max: int) -> set[tuple[int, int]]:
 
 
 def aztec_diamond_cells(n: int) -> set[tuple[int, int]]:
-    if n < 1:
+    if _strict_int(n, "Aztec diamond order") < 1:
         raise RegionError("Aztec diamond order must be >= 1")
     _check_cell_count(2 * n * (n + 1), "the Aztec diamond")
     return _diagonal_box(n, -n, n)
@@ -263,6 +263,7 @@ def aztec_rectangle_cells(a: int, b: int) -> set[tuple[int, int]]:
     [-a, a] x [-a, 2b-a] window, whose color classes have a(b+1) and
     (a+1)b cells; for a = b it coincides with the order-a Aztec diamond.
     """
+    a, b = _strict_int(a, "Aztec rectangle a"), _strict_int(b, "Aztec rectangle b")
     if not (1 <= a <= b):
         raise RegionError("Aztec rectangle needs 1 <= a <= b")
     _check_cell_count(a * (b + 1) + (a + 1) * b, "the Aztec rectangle")
@@ -293,7 +294,9 @@ def aztec_window_row(x: int, w: int, i: int) -> list[int]:
 
 def aztec_window_cell_count(x: int, w: int) -> int:
     """Closed-form cell count 2w(2x+w+1) of the window; RegionError for
-    x < 1 or w < 1 and past REGION_CELL_LIMIT, like the window itself."""
+    x < 1 or w < 1 and past REGION_CELL_LIMIT, like the window itself,
+    and for x or w not an int."""
+    x, w = _strict_int(x, "Aztec window x"), _strict_int(w, "Aztec window w")
     if x < 1 or w < 1:
         raise RegionError("Aztec window needs x >= 1 and w >= 1")
     count = 2 * w * (2 * x + w + 1)
@@ -345,9 +348,10 @@ class RegionSpec:
 
     {"kind": "...", "params": {...}, "holes": [[x, y, "up"|"down"], ...]}
 
-    Parameters and holes are checked strictly on construction: integers
-    must be ints (not bools or floats), lists must be lists and a hole's
-    orientation "up" or "down", else RegionError.
+    The spec is checked strictly on construction: the kind must be a str
+    and the params a dict, integers must be ints (not bools or floats),
+    lists must be lists and a hole's orientation "up" or "down", else
+    RegionError.
     """
 
     kind: str
@@ -355,6 +359,16 @@ class RegionSpec:
     holes: tuple[TriCell, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
+        if not isinstance(self.kind, str):
+            raise RegionError(
+                f"region kind must be a string, got {type(self.kind).__name__} "
+                f"{_brief(self.kind)}"
+            )
+        if not isinstance(self.params, dict):
+            raise RegionError(
+                f"region params must be a dict, got {type(self.params).__name__} "
+                f"{_brief(self.params)}"
+            )
         holes = tuple(_hole(h) for h in _strict_list(self.holes, "'holes'"))
         object.__setattr__(self, "holes", holes)
         if self.kind not in KIND_PARAMS:

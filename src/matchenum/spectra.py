@@ -7,8 +7,10 @@ division in the recurrence is exact), so the counting identity
 The Faddeev-LeVerrier recurrence keeps each row of its m x m matrices as
 one Python int whose m signed B-bit digits are the row's entries
 (Kronecker substitution), so a matrix product is a few long-integer
-additions per row.  B comes from a proved bound: with rho the largest
-absolute row sum of K*K^T, no entry exceeds 2^m * rho^m.
+additions per row.  B comes from a proved bound: K*K^T and the
+recurrence's matrices are +-(positive semidefinite), so their entries are
+bounded by their traces, and Maclaurin's inequality bounds those by
+m * max_j C(m, j) (tr K*K^T / m)^j.
 Floating point appears only in the singular values: eigenvalues of
 K*K^T by Householder reduction to tridiagonal form and implicit-shift QL.
 Both refuse K larger than SPECTRUM_DIMENSION_LIMIT with BoundError, as
@@ -25,8 +27,8 @@ from dataclasses import dataclass
 from .counting import BoundError, kasteleyn_classes, signed_biadjacency
 from .graphs import MatchGraph
 
-# K dimension; the charpoly of the (4,4,8) hexagon's K at 80 takes ~0.1 s on a
-# 2-vCPU Xeon, that of a dense +-1 K at 80 ~2.5 s
+# K dimension; the charpoly of the (4,4,8) hexagon's K at 80 takes ~0.03 s on
+# a 2-vCPU Xeon, that of a dense +-1 K at 80 ~1.2 s
 SPECTRUM_DIMENSION_LIMIT = 80
 QL_ITERATION_LIMIT = 60  # QL sweeps allowed per eigenvalue
 
@@ -109,23 +111,32 @@ def kk_star_charpoly(k: SignedMatrix) -> CharPoly:
     ((r + H) >> (B*i)) & mask, minus half, where half = 2^(B-1) and H
     (``halves``) holds half in each of the m digits.
 
-    The digit width B is proved wide enough.  Let rho >= 1 bound the
-    absolute row sums of A.  Every eigenvalue of A has modulus at most
-    rho (A is positive semidefinite, so they lie in [0, rho]), hence
-    |c_{m-j}| = |e_j(eigenvalues)| <= C(m, j) rho^j; and
-    |(A^r)_tu| <= ||A^r||_inf <= rho^r.  As
-    M_s = sum_{j<s} c_{m-j} A^(s-1-j) and A M_s = sum_{j<s} c_{m-j} A^(s-j),
-    every entry of M_s and of A M_s, s <= m, is at most
-    rho^s sum_{j<s} C(m, j) <= 2^m rho^m in absolute value.  With
-    B = bit_length(2^m rho^m) + 1 (``width``) every entry d has
-    |d| < half, so the digits d + half of r + H lie in [0, 2^B) and are
-    read without carry.
+    The digit width B is proved wide enough.  A is positive
+    semidefinite: A = sum_i lambda_i v_i v_i^T with lambda_i >= 0 and
+    orthonormal v_i.  With c_{m-j} = (-1)^j e_j(lambda) and
+    e_j(lambda) = e_j(lambda without lambda_i) + lambda_i e_{j-1}(lambda
+    without lambda_i), the sum M_s = sum_{j<s} c_{m-j} A^(s-1-j)
+    telescopes on each v_i to
+
+        M_s   = (-1)^(s-1) sum_i e_{s-1}(lambda without lambda_i) v_i v_i^T,
+        A M_s = (-1)^(s-1) sum_i lambda_i e_{s-1}(lambda without lambda_i) v_i v_i^T,
+
+    so both are +-(positive semidefinite).  An entry of a semidefinite P
+    obeys |P_tu| <= sqrt(P_tt P_uu) <= tr P, and the traces are
+    (m-s+1) e_{s-1}(lambda) and s e_s(lambda).  Maclaurin's inequality
+    bounds e_j(lambda) <= C(m, j) (tr A / m)^j, so every entry of M_s and
+    of A M_s, s <= m, is at most m * max_j ceil(C(m, j) (tr A)^j / m^j)
+    in absolute value.  With B one bit more than that bound (``width``)
+    every entry d has |d| < half, so the digits d + half of r + H lie in
+    [0, 2^B) and are read without carry.  Maclaurin's inequality is an
+    equality when every eigenvalue is equal, as for K = c*I.
     """
     check_dimension(k.dimension)
     a = _kk_star(k)
     m = len(a)
-    rho = max(1, max((sum(map(abs, row)) for row in a), default=0))
-    width = ((rho**m) << m).bit_length() + 1
+    trace = sum(a[i][i] for i in range(m))
+    width = (m * max(-(-math.comb(m, j) * trace**j // m**j)
+                     for j in range(m + 1))).bit_length() + 1
     half = 1 << (width - 1)
     mask = (1 << width) - 1
     shifts = range(0, width * m, width)

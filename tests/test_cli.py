@@ -8,7 +8,7 @@ import pytest
 
 from matchenum import counting
 from matchenum.claims import CLAIMS, FAIL, ClaimReport
-from matchenum.cli import cli_main
+from matchenum.cli import build_parser, cli_main
 
 
 @pytest.fixture
@@ -577,3 +577,36 @@ class TestReportBytes:
             code, out, err = run(capsys, *argv)
             assert (code, err) == (0, ""), argv
             assert re.sub(r'"runtime_ms": \d+', '"runtime_ms": 0', out) == expected, argv
+
+
+class TestParserReuse:
+    def test_one_parser_serves_every_command(self, capsys, region_file):
+        # one process runs many commands on the parser built once; each
+        # reads as it does from a parser built fresh for it
+        diamond = region_file("ad.json", {"kind": "AZTEC_DIAMOND", "params": {"n": 2}})
+        hexagon = region_file("hex.json", {
+            "kind": "HEXAGON", "params": {"sides": [1, 1, 2, 1, 1, 2]},
+        })
+        commands = [
+            ["count", "--region", diamond, "--method", "kasteleyn"],
+            ["ratio", "--region", hexagon, "--edge", "central", "--format", "json"],
+            ["count", "--region", hexagon, "--format", "json"],
+            ["spectrum", "--region", diamond],
+            ["verify", "--claim", "problem19-parity", "--n-max", "3"],
+            ["verify", "--claim", "problem1", "--seed", "5"],  # exit 2
+            ["count", "--region", diamond],
+        ]
+
+        def report(argv):
+            code, out, err = run(capsys, *argv)
+            return code, re.sub(r'"runtime_ms": \d+', '"runtime_ms": 0', out), err
+
+        shared = [report(argv) for argv in commands]
+        assert build_parser() is build_parser()
+        fresh = []
+        for argv in commands:
+            build_parser.cache_clear()
+            fresh.append(report(argv))
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [0, 0, 0, 0, 0, 2, 0]
+        assert shared[0][1] == shared[-1][1] == "8\n"

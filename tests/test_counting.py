@@ -732,6 +732,23 @@ class TestBareiss:
             anti = [[int(i + j == n - 1) for j in range(n)] for i in range(n)]
             assert det_bareiss(anti) == (-1) ** (n * (n - 1) // 2)
 
+    def test_stale_rows_are_brought_up_to_date(self):
+        # step 0 updates rows 1 and 2 (stamp 2) and leaves row 3 below the
+        # band (stamp 1); row 1 then has a zero pivot, so step 1 swaps the
+        # stale row 3 in as pivot, and its stamp must move with it
+        swapped = [[2, 0, 3, 0], [1, 0, 1, 2], [1, 0, 1, 0], [0, 3, 0, 0]]
+        assert det_bareiss(swapped) == det_fraction(swapped) == 6
+        # the last row has factor 0 at every step and is stale at the end
+        stale_last = [[2, 2, 0, 0], [1, 1, 5, 0], [0, 3, 1, 0], [0, 0, 0, 4]]
+        assert det_bareiss(stale_last) == det_fraction(stale_last) == -120
+        rng = random.Random(19)
+        for trial in range(200):  # a zero factor in every other row
+            n = rng.randint(3, 12)
+            m = banded_matrix(rng, n, 2, 2, density=0.8)
+            for i in range(1, n - 1, 2):
+                m[i][i - 1] = 0
+            assert det_bareiss(m) == det_fraction(m), m
+
     def test_input_unchanged(self):
         m = banded_matrix(random.Random(18), 9, 2, 2, density=1.0)
         before = [row[:] for row in m]

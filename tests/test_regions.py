@@ -21,6 +21,7 @@ from matchenum.regions import (
     REGION_CELL_LIMIT,
     aztec_diamond_cells,
     aztec_rectangle_cells,
+    aztec_window_cell_count,
     aztec_window_cells,
 )
 
@@ -470,6 +471,33 @@ class TestRegionSpec:
         # int() would count a neighbouring region, or fail with a TypeError
         with pytest.raises(RegionError, match="must be an integer"):
             make()
+
+    @pytest.mark.parametrize("make", [
+        lambda: aztec_diamond_cells(2.5),
+        lambda: aztec_diamond_cells(True),
+        lambda: aztec_rectangle_cells(True, 2),
+        lambda: aztec_rectangle_cells(1, 2.0),
+        lambda: aztec_window_cells(1, True),
+        lambda: aztec_window_cells(1.5, 2),
+        lambda: aztec_window_cell_count(2, 1.0),
+    ], ids=["diamond-float", "diamond-bool", "rectangle-bool", "rectangle-float",
+            "window-bool", "window-float", "window-count-float"])
+    def test_cell_helpers_refuse_floats_and_bools(self, make):
+        # a bool would list a neighbouring region's cells, a float end in a
+        # bare TypeError from range
+        with pytest.raises(RegionError, match="must be an integer"):
+            make()
+
+    @pytest.mark.parametrize("kind, params, match", [
+        (["HEXAGON"], {"sides": [1] * 6}, "kind must be a string, got list"),
+        (None, {"n": 2}, "kind must be a string, got NoneType"),
+        ("HEXAGON", None, "params must be a dict, got NoneType"),
+        ("AZTEC_DIAMOND", [("n", 2)], "params must be a dict, got list"),
+    ], ids=["list-kind", "none-kind", "none-params", "list-params"])
+    def test_kind_and_params_types(self, kind, params, match):
+        # checked first: a list kind is unhashable, None params not iterable
+        with pytest.raises(RegionError, match=match):
+            RegionSpec(kind, params)
 
 
 class TestCellLimit:

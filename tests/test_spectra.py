@@ -238,13 +238,37 @@ class TestCharPoly:
         zero_row = SignedMatrix(entries=((1, 0, 1), (0, 0, 0), (1, -1, 0)))
         assert assert_packed_equals_scalar(zero_row).constant_term == 0
 
+    @pytest.mark.parametrize("m", [1, 2, 12, spectra.SPECTRUM_DIMENSION_LIMIT])
+    @pytest.mark.parametrize("c", [1, 2, 3])
+    def test_scalar_k_is_the_equality_case(self, m, c):
+        # K = c*I: every eigenvalue of K K^T is c^2, Maclaurin's inequality
+        # holds with equality, and the charpoly is (t - c^2)^m
+        k = SignedMatrix(entries=tuple(tuple(c * (i == j) for j in range(m))
+                                       for i in range(m)))
+        expected = tuple(math.comb(m, i) * (-c * c) ** (m - i) for i in range(m + 1))
+        assert kk_star_charpoly(k).coeffs == expected
+
+    def test_dense_sign_matrix_against_determinants(self):
+        # p(t) = det(t*I - K K^T) at integer t, by the banded elimination
+        rng = random.Random(31)
+        for m in (11, 12, 13):
+            k = SignedMatrix(entries=tuple(tuple(rng.choice((-1, 1)) for _ in range(m))
+                                           for _ in range(m)))
+            coeffs, a = kk_star_charpoly(k).coeffs, _kk_star(k)
+            for t in (-3, 0, 1, 7, 50, 10**6):
+                shifted = [[t * (i == j) - a[i][j] for j in range(m)] for i in range(m)]
+                assert sum(c * t**i for i, c in enumerate(coeffs)) == \
+                    counting.det_bareiss(shifted), (m, t)
+
     @pytest.mark.parametrize("m,diagonal,below", [(16, 0, 3), (16, 2, 3), (24, -1, 2)])
     def test_packed_bound_holds_for_any_integer_matrix(self, m, diagonal, below,
                                                        monkeypatch):
         # diagonal * I + below * (ones strictly below the diagonal) has the
         # charpoly (t - diagonal)^m, while the entries of its powers outgrow
         # every coefficient, as those of K K^T never do; below the diagonal,
-        # they sit in the digits under each row's trace digit
+        # they sit in the digits under each row's trace digit.  The digit
+        # width is proved for a positive semidefinite A = K K^T only; this
+        # pins that such overflow still leaves the result exact here
         a = [[diagonal if i == j else below if j < i else 0 for j in range(m)]
              for i in range(m)]
         monkeypatch.setattr(spectra, "_kk_star", lambda _: [row[:] for row in a])
