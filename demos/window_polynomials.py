@@ -6,7 +6,9 @@ turn, so its tiling count is trace(T^4) of the quarter operator T of one
 quadrant.  Moving the hole out by one column prepends a column to the
 quadrant, so T(x) = A^x T0: T0 is the quarter operator of the order-w
 Aztec diamond and A the single-column step operator, each swept once by
-the frontier DP.  An annihilator A^j (A - I)^k = 0 then proves that the
+the frontier DP.  T0 = H M factors through the diagonal of the diamond,
+so the count is computed as trace(R^4) of the half-size R = M A^x H.
+An annihilator A^j (A - I)^k = 0 then proves that the
 count is a polynomial in the inner order x for x >= j, which the
 problem14 claim finds exactly.
 """

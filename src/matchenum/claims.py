@@ -151,7 +151,7 @@ def verify_problem14(w: int = 2, x_to: int = 8) -> ClaimReport:
     """Aztec windows of thickness w: the count is a polynomial in the inner
     order x from an onset on, proved and found exactly.
 
-    The count is trace((A^x T0)^4) (see ``transfer``).  With
+    The count is trace((M A^x H)^4) (see ``transfer``).  With
     A^j (A - I)^k = 0 from ``column_annihilator``, it is a polynomial of
     degree <= D = 4(k - 1) for x >= j (zero for k = 0; D is then taken as
     0).  The D + 1 counts from the onset fix it in Newton form, and two

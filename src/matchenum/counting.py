@@ -387,6 +387,9 @@ def det_bareiss(matrix: list[list[int]]) -> int:
     the last row, is brought up to date as v*prev // stamp before use.
     Stamps move with their rows on a zero-pivot swap.
 
+    Only the band is held: a row is copied when it enters the band, and
+    each pivot row is dropped once its step is done.
+
     A dense matrix is the case lo = hi = n-1.  The cost is at most
     n*lo*(lo+hi) big-integer updates instead of n**3/3, and every division
     is exact, as in the dense elimination.
@@ -403,13 +406,17 @@ def det_bareiss(matrix: list[list[int]]) -> int:
         if any(right):
             hi = n - 1 - i - list(map(bool, reversed(right))).index(True)
     width = lo + hi + 1  # band rows are zero outside columns k..k+lo+hi
-    m = [row[:] for row in matrix]
+    m = list(matrix)
+    entered = 0  # rows from here on are still the caller's
     stamp = [1] * n  # the pivot each row was last updated with
     sign = 1
     prev = 1
     for k in range(n - 1):
         end = min(n, k + width)
         last = min(n, k + lo + 1)
+        for r in range(entered, last):  # copy the rows entering the band
+            m[r] = m[r][:]
+        entered = last
         if m[k][k] == 0:
             for r in range(k + 1, last):
                 if m[r][k] != 0:
@@ -436,6 +443,7 @@ def det_bareiss(matrix: list[list[int]]) -> int:
                                     for a, b in zip(row_i[k + 1:end], tail_k)]
                 stamp[i] = pivot
         prev = pivot
+        m[k] = None  # the pivot row is done with
     return sign * (m[n - 1][n - 1] * prev // stamp[n - 1])
 
 

@@ -3,8 +3,8 @@
 ``_boundary_operator`` runs the state DP of ``counting`` (``_advance``)
 over some cells only and holds a few boundary vertices that are never
 swept: the states that survive, read on the held vertices as pairs of
-masks (in, out), give an operator {in: {out: count}}.  Both operators of
-an Aztec window come from it.
+masks (in, out), give an operator {in: {out: count}}.  The two swept
+operators of an Aztec window, H and A below, come from it.
 
 The window of inner order x and thickness w is invariant under the
 quarter turn (i, j) -> (j, -i-1).  Its first quadrant is the staircase
@@ -30,18 +30,13 @@ and its seam onto its cut, and the diagonal cells D = {(i, i)} are
 pairwise non-adjacent, so each is covered either from the side j > i or
 from the side j < i.  With H[a][S] the coverings of the cells j >= i,
 seam mask a, in which exactly the diagonal cells in S are left to the
-other side, T0[a][b] = sum over S of H[a][S].H[b][D - S].  One sweep of
+other side, and M[D - S][b] = H[b][S] its mirror, T0 = H.M.  One sweep of
 that octant gives H.
 
-Colouring lemma: colour cell (i, j) by the parity of i + j.  The
-diagonal i + j = s of Q(x) has s + 1 cells, all of colour s mod 2; a
-domino inside Q(x) covers one cell of each colour, and the domino across
-at seam or cut index k covers a cell on the diagonal x + k.  So
-level(a) + level(b), with level(m) = sum of (-1)^k over the set bits k of
-m, is the same for every nonzero T(x)[a][b].  T(x)^2 is then block
-diagonal by level, and T(x) maps the block at level s onto the block at
-e - s, so the two have equal traces of T(x)^4: ``_trace4`` squares only
-the rows at levels s <= e/2.
+Half-size trace: T(x) = U(x).M with U(x) = A^x.H, so by the cyclicity of
+the trace, count = trace((U(x).M)^4) = trace(R(x)^4) with R(x) = M.U(x),
+a square operator on the 2^ceil(w/2) subsets of D.  The 2^w-state T(x)
+is never formed; only U(x) is stepped by A.
 
 Polynomiality: if A^j (A - I)^k = 0, every entry of A^x is a polynomial
 in x of degree < k for x >= j, so the count is a polynomial of degree
@@ -60,12 +55,11 @@ from .counting import BoundError, _advance, _compile_order
 from .graphs import MatchGraph
 from .regions import RegionError, RegionSpec, aztec_window_cell_count
 
-_EVEN_BITS = 0x5555_5555  # bits 0, 2, 4, ... of a mask of up to 32 bits
 ANNIHILATOR_LIMIT = 24  # degree j + k searched for A^j (A - I)^k = 0
 # thickness w, bounded by the operators' own cost on a 2-vCPU Xeon: at
-# w = 10, T0 and A take ~0.02 s, column_annihilator ~0.3 s and
-# ``verify problem14 --w 10`` ~1 s; at w = 12 that claim takes 26-34 s
-# and ~190 MB
+# w = 10, H, M and A take ~0.008 s, column_annihilator ~0.2 s and
+# ``verify problem14 --w 10`` ~0.3 s; at w = 12 that claim takes ~6 s
+# and ~190 MB, nearly all of it in column_annihilator
 WINDOW_THICKNESS_LIMIT = 10
 
 Operator = dict[int, dict[int, int]]  # sparse {row mask: {column mask: entry}}
@@ -94,22 +88,29 @@ def _boundary_operator(
     g = MatchGraph(labels, [(index[u], index[v]) for u, v in edges])
     steps, _, slot = _compile_order(g, range(g.n))
 
-    def bits(held: Sequence[Hashable]) -> list[int]:
-        # a held vertex without a swept neighbour is never covered
-        return [1 << s if s >= 0 else 0 for s in (slot[index[c]] for c in held)]
-
-    bits_in, bits_out = bits(held_in), bits(held_out)
+    # slot bit -> bit k of a, or bit len(held_in) + k of b; once every cell
+    # is swept only held slots are live, and a held vertex without a swept
+    # neighbour has no slot and is never covered
+    held = {1 << s: 1 << k
+            for k, s in enumerate(slot[index[c]] for c in (*held_in, *held_out))
+            if s >= 0}
+    shift = len(held_in)
+    low = (1 << shift) - 1
     operator: Operator = {}
     for state, cnt in _advance(steps[:len(cells)], {0: 1}).items():
-        a = sum(1 << k for k, bit in enumerate(bits_in) if state & bit)
-        b = sum(1 << k for k, bit in enumerate(bits_out) if state & bit)
-        operator.setdefault(a, {})[b] = cnt
+        ab = 0
+        while state:
+            bit = state & -state
+            ab |= held[bit]
+            state ^= bit
+        operator.setdefault(ab & low, {})[ab >> shift] = cnt
     return operator
 
 
-def _diamond_quarter(w: int) -> Operator:
-    """T0, the quarter operator of the order-w Aztec diamond, from one sweep
-    of the octant j >= i of its first quadrant (the octant identity)."""
+def _diamond_quarter(w: int) -> tuple[Operator, Operator]:
+    """(H, M), the factors of T0 = H.M, the quarter operator of the order-w
+    Aztec diamond, from one sweep of the octant j >= i of its first
+    quadrant (the octant identity)."""
     # rows from the top down: the table holds one row of the octant
     cells = [(i, j) for j in range(w - 1, -1, -1) for i in range(min(j, w - 1 - j) + 1)]
     inside = set(cells)
@@ -122,13 +123,13 @@ def _diamond_quarter(w: int) -> Operator:
     h = _boundary_operator(
         cells, edges, [(-1, j) for j in range(w)], [("diagonal", i) for i in range(half)]
     )
-    # h_mirror[D - S][b] = h[b][S]: the side j < i, reflected onto j > i
+    # m[D - S][b] = h[b][S]: the side j < i, reflected onto j > i
     full = (1 << half) - 1
-    h_mirror: Operator = {}
+    m: Operator = {}
     for b, row in h.items():
         for s, cnt in row.items():
-            h_mirror.setdefault(full ^ s, {})[b] = cnt
-    return _product(h, h_mirror)
+            m.setdefault(full ^ s, {})[b] = cnt
+    return h, m
 
 
 def _column_operator(w: int) -> Operator:
@@ -178,8 +179,8 @@ def _difference(p: Operator, q: Operator) -> Operator:
 
 
 @lru_cache(maxsize=None)  # one entry per thickness, and w <= 10
-def _operators(w: int) -> tuple[Operator, Operator]:
-    """(T0, A) for thickness w, which callers must not modify.  The
+def _operators(w: int) -> tuple[Operator, Operator, Operator]:
+    """(H, M, A) for thickness w, which callers must not modify.  The
     thickness is checked here and nowhere else, before any sweep."""
     if w < 1:
         raise RegionError("Aztec window needs w >= 1")
@@ -187,54 +188,36 @@ def _operators(w: int) -> tuple[Operator, Operator]:
         raise BoundError(
             f"thickness {w} exceeds the window limit {WINDOW_THICKNESS_LIMIT}"
         )
-    return _diamond_quarter(w), _column_operator(w)
+    return (*_diamond_quarter(w), _column_operator(w))
 
 
-# the last quarter operator reached for each w, so a sequence steps once per x
+# the last U(x) reached for each w, so a sequence steps once per x
 _reached: dict[int, tuple[int, Operator]] = {}
 
 
-def _quarter(x: int, w: int) -> Operator:
-    """T(x) = A^x.T0, stepped from the last T reached for w unless it is
+def _stepped(x: int, w: int) -> Operator:
+    """U(x) = A^x.H, stepped from the last U reached for w unless it is
     past x."""
-    t0, a = _operators(w)
-    start, t = _reached.get(w, (0, t0))
+    h, _, a = _operators(w)
+    start, u = _reached.get(w, (0, h))
     if start > x:
-        start, t = 0, t0
+        start, u = 0, h
     for _ in range(start, x):
-        t = _product(a, t)
-    _reached[w] = (x, t)
-    return t
-
-
-def _level(mask: int) -> int:
-    return (mask & _EVEN_BITS).bit_count() - (mask & ~_EVEN_BITS).bit_count()
-
-
-def _trace4(t: Operator) -> int:
-    """trace(T^4) of a quarter operator, from the rows of T^2 at levels
-    up to half the constant of the colouring lemma (see the module
-    docstring); the block at level s counts twice for s < e/2."""
-    if not t:
-        return 0
-    a = next(iter(t))
-    e = _level(a) + _level(next(iter(t[a])))
-    t2 = _product({a: row for a, row in t.items() if 2 * _level(a) <= e}, t)
-    total = 0
-    for a, row in t2.items():
-        diagonal = sum(v * t2.get(c, {}).get(a, 0) for c, v in row.items())
-        total += diagonal if 2 * _level(a) == e else 2 * diagonal
-    return total
+        u = _product(a, u)
+    _reached[w] = (x, u)
+    return u
 
 
 def transfer_count(spec: RegionSpec) -> int:
-    """Exact matching count of an Aztec window as trace(T^4) of its quarter
-    operator T = A^x.T0; the window itself is never built."""
+    """Exact matching count of an Aztec window as trace(R^4) of the
+    half-size operator R = M.A^x.H; the window itself is never built."""
     if spec.kind != "AZTEC_WINDOW":
         raise RegionError("the transfer method applies only to AZTEC_WINDOW regions")
     x, w = spec.params["x"], spec.params["w"]
     aztec_window_cell_count(x, w)  # the window's own refusals, before any work
-    return _trace4(_quarter(x, w))
+    r = _product(_operators(w)[1], _stepped(x, w))
+    r2 = _product(r, r)
+    return sum(v * r2.get(c, {}).get(a, 0) for a, row in r2.items() for c, v in row.items())
 
 
 def count_sequence(w: int, x_from: int, x_to: int) -> list[int]:
@@ -256,7 +239,7 @@ def column_annihilator(w: int) -> tuple[int, int]:
     lower degree annihilates A, so it is z^j (z - 1)^k itself.  Raises
     BoundError when none vanishes up to degree ANNIHILATOR_LIMIT.
     """
-    a = _operators(w)[1]
+    a = _operators(w)[2]
     diffs: list[Operator] = [{m: {m: 1} for m in range(1 << w)}]  # n = 0: I
     for n in range(1, ANNIHILATOR_LIMIT + 1):
         nxt = [_product(a, diffs[0])]

@@ -750,10 +750,26 @@ class TestBareiss:
             assert det_bareiss(m) == det_fraction(m), m
 
     def test_input_unchanged(self):
-        m = banded_matrix(random.Random(18), 9, 2, 2, density=1.0)
-        before = [row[:] for row in m]
-        det_bareiss(m)
-        assert m == before
+        # rows are copied only as they enter the band: zero-pivot swaps and
+        # stale rows must still leave the caller's list and rows untouched
+        rng = random.Random(18)
+        cases = [
+            banded_matrix(rng, 9, 2, 2, density=1.0),
+            [[2, 0, 3, 0], [1, 0, 1, 2], [1, 0, 1, 0], [0, 3, 0, 0]],
+            [[2, 2, 0, 0], [1, 1, 5, 0], [0, 3, 1, 0], [0, 0, 0, 4]],
+        ]
+        for trial in range(100):
+            n = rng.randint(2, 12)
+            m = banded_matrix(rng, n, rng.randint(1, 3), rng.randint(1, 3), density=0.9)
+            for k in range(0, n, 1 + trial % 2):  # every diagonal entry, or every other
+                m[k][k] = 0
+            cases.append(m)
+        for m in cases:
+            rows = list(m)
+            values = [row[:] for row in m]
+            assert det_bareiss(m) == det_fraction(values), values
+            assert len(m) == len(rows) and all(r is s for r, s in zip(m, rows)), values
+            assert rows == values, values
 
 
 class TestKasteleynClosedForms:

@@ -22,14 +22,7 @@ from matchenum import (
 from matchenum import transfer
 from matchenum.regions import REGION_CELL_LIMIT, _square_graph, build_aztec_diamond
 from matchenum.counting import FRONTIER_LIMIT, _advance, _compile_order
-from matchenum.transfer import (
-    _level,
-    _operators,
-    _product,
-    _quarter,
-    _trace4,
-    column_annihilator,
-)
+from matchenum.transfer import _operators, _product, _stepped, column_annihilator
 
 
 def window_spec(x, w):
@@ -76,10 +69,23 @@ def trace4(t):
     return sum(v * t2.get(c, {}).get(a, 0) for a, row in t2.items() for c, v in row.items())
 
 
+def quarter(x, w):
+    # the quarter operator T(x) = U(x).M, which the count never forms
+    return _product(_stepped(x, w), _operators(w)[1])
+
+
+def level(mask):
+    # sum of (-1)^k over the set bits k of a mask of up to 32 bits
+    return (mask & 0x5555_5555).bit_count() - (mask & ~0x5555_5555).bit_count()
+
+
 class TestTransferCount:
-    @pytest.mark.parametrize("x", [1, 2, 3, 4, 5, 6])
-    @pytest.mark.parametrize("w", [1, 2, 3, 4, 5, 6, 7])
-    def test_agrees_with_kasteleyn(self, x, w):
+    @pytest.mark.parametrize(
+        "w, x",
+        [(w, x) for w in range(1, 8) for x in range(1, 7)]
+        + [(w, x) for w in (8, 9, 10) for x in (1, 2, 3)],
+    )
+    def test_agrees_with_kasteleyn(self, w, x):
         assert transfer_count(window_spec(x, w)) == count_kasteleyn(
             build_aztec_window(x, w)
         )
@@ -190,54 +196,62 @@ class TestQuarterTrace:
         for x in (0, 1, 2, 3):
             entries = {
                 (a, b): cnt
-                for a, row in _quarter(x, w).items()
+                for a, row in quarter(x, w).items()
                 for b, cnt in row.items()
             }
             assert entries == {(b, a): cnt for (a, b), cnt in entries.items()}, x
 
     def test_even_thickness_support_does_not_depend_on_x(self):
-        # C(w + 1, w / 2) rows; the entries grow with x, their positions do not
-        for w, rows, nonzero in [(2, 3, 4), (4, 10, 22), (6, 35, 140)]:
+        # U(x) = A^x.H has C(w + 1, w / 2) rows; the entries grow with x,
+        # their positions do not
+        for w, rows, nonzero in [(2, 3, 3), (4, 10, 12), (6, 35, 55)]:
             supports = []
             for x in range(1, 6):
-                t = _quarter(x, w)
-                supports.append({(a, b) for a, row in t.items() for b in row})
-                assert len(t) == rows, (x, w)
+                u = _stepped(x, w)
+                supports.append({(a, b) for a, row in u.items() for b in row})
+                assert len(u) == rows, (x, w)
             assert all(sup == supports[0] for sup in supports), w
             assert len(supports[0]) == nonzero, w
-        t = _quarter(5, 8)
-        assert (len(t), sum(map(len, t.values()))) == (126, 969)
+        for w, size in [(8, (126, 273)), (10, (462, 1428))]:
+            u = _stepped(5, w)
+            assert (len(u), sum(map(len, u.values()))) == size, w
 
 
 class TestOperators:
     @pytest.mark.parametrize("w", range(1, 9))
     def test_octant_equals_the_diamond_quadrant_sweep(self, w):
-        assert _operators(w)[0] == quadrant_operator(build_aztec_diamond(w), 0, w)
+        h, m, _ = _operators(w)
+        assert _product(h, m) == quadrant_operator(build_aztec_diamond(w), 0, w)
 
     @pytest.mark.parametrize("w", range(1, 9))
     def test_column_operator_steps_the_quarter_operator(self, w):
-        # T(x + 1) = A.T(x), from the diamond's T(0) on
-        t0, a = _operators(w)
-        t = t0
+        # T(x) = U(x).M with U(x + 1) = A.U(x), from U(0) = H on
+        h, m, a = _operators(w)
+        u = h
         for x in range(1, 7):
             swept = quadrant_operator(build_aztec_window(x, w), x, w)
-            assert _product(a, t) == swept, (x, w)
-            t = swept
+            assert _product(_product(a, u), m) == swept, (x, w)
+            u = _product(a, u)
+            assert _stepped(x, w) == u, (x, w)
 
     @pytest.mark.parametrize("w", range(1, 11))
     def test_diamond_trace(self, w):
-        # Elkies, Kuperberg, Larsen and Propp: 2^(w(w+1)/2) tilings
-        assert trace4(_operators(w)[0]) == 2 ** (w * (w + 1) // 2)
+        # Elkies, Kuperberg, Larsen and Propp: 2^(w(w+1)/2) tilings, as the
+        # trace of T0^4 = (H.M)^4 and of its half-size form (M.H)^4
+        h, m, _ = _operators(w)
+        assert trace4(_product(h, m)) == trace4(_product(m, h)) == 2 ** (w * (w + 1) // 2)
 
     @pytest.mark.parametrize("w", range(1, 11))
     def test_colouring_lemma(self, w):
-        # level(a) + level(b) is one constant over the nonzero entries of T(x),
-        # so the halved trace equals the plain one
+        # colour cell (i, j) by the parity of i + j: level(a) + level(b) is
+        # one constant over the nonzero entries of T(x), and the half-size
+        # product R(x) = M.U(x) has the trace of T(x)^4
         for x in (0, 1, 2, 3, 6):
-            t = _quarter(x, w)
-            assert len({_level(a) + _level(b) for a, row in t.items() for b in row}) <= 1
+            t = quarter(x, w)
+            assert len({level(a) + level(b) for a, row in t.items() for b in row}) <= 1
             if w <= 8:
-                assert _trace4(t) == trace4(t), (x, w)
+                r = _product(_operators(w)[1], _stepped(x, w))
+                assert trace4(r) == trace4(t), (x, w)
 
     def test_sequence_steps_from_the_last_x_reached(self):
         # descending, repeated and ascending x all give the fresh counts
@@ -269,7 +283,7 @@ class TestColumnAnnihilator:
 
     @pytest.mark.parametrize("w", range(1, 6))
     def test_pair_is_least_by_dense_products(self, w):
-        a = dense(_operators(w)[1], w)
+        a = dense(_operators(w)[2], w)
         size = 1 << w
         eye = [[int(r == c) for c in range(size)] for r in range(size)]
         a_minus_i = [[a[r][c] - eye[r][c] for c in range(size)] for r in range(size)]
@@ -407,7 +421,7 @@ class TestColumnTransferMatrix:
     def test_entries_are_zero_or_one(self):
         # sparse: only the ones are stored, no row is empty, masks have w bits
         for w in (1, 2, 3):
-            m = _operators(w)[1]
+            m = _operators(w)[2]
             assert all(row and set(row.values()) == {1} for row in m.values())
             assert all(0 <= b < 1 << w for a, row in m.items() for b in (a, *row))
 
@@ -415,7 +429,7 @@ class TestColumnTransferMatrix:
         # a(w) = 2 a(w-1) + a(w-2): the completions of each incoming mask
         pinned = [1, 3, 7, 17, 41, 99, 239, 577, 1393, 3363]
         for w, nonzero in enumerate(pinned, start=1):
-            m = _operators(w)[1]
+            m = _operators(w)[2]
             assert sum(map(len, m.values())) == nonzero, w
 
     def test_an_entry_other_than_one_is_refused(self, monkeypatch):
@@ -429,7 +443,7 @@ class TestColumnTransferMatrix:
         # [A][B] counts the matchings of column 0 without the cells in A
         # plus the cells in B of column 1, which sits one step lower, using
         # column 0's vertical edges and the edges across
-        t = _operators(w)[1]
+        t = _operators(w)[2]
         for a in range(1 << w):
             for b in range(1 << w):
                 cells = [(0, k) for k in range(w) if not a >> k & 1]
@@ -449,7 +463,7 @@ class TestColumnTransferMatrix:
         cells = {(i, j) for i in range(k) for j in range(-i, -i + w)}
         strip = _square_graph(cells)
         vec = {0: 1}
-        t = _operators(w)[1]
+        t = _operators(w)[2]
         for _ in range(k):
             nxt = {}
             for a, u in vec.items():
