@@ -8,9 +8,9 @@ quadrant, so T(x) = A^x T0: T0 is the quarter operator of the order-w
 Aztec diamond and A the single-column step operator, each swept once by
 the frontier DP.  T0 = H M factors through the diagonal of the diamond,
 so the count is computed as trace(R^4) of the half-size R = M A^x H.
-An annihilator A^j (A - I)^k = 0 then proves that the
-count is a polynomial in the inner order x for x >= j, which the
-problem14 claim finds exactly.
+The count reads A only through U(x) = A^x H, so an annihilator
+A^j (A - I)^k H = 0 proves that the count is a polynomial in the inner
+order x for x >= j, which the problem14 claim finds exactly.
 """
 
 from matchenum import (
@@ -39,13 +39,14 @@ for w in (1, 2, 3):
     print(f"   detected degree: {report.detected_degree}")
 
 print()
-print("=== annihilators of A and the certified polynomials ===")
+print("=== annihilators of H under A, and the certified polynomials ===")
 for w in (2, 3, 4, 6):
     cert = verify_problem14(w, 8).computed["certificate"]
-    print(f"w={w}: A^{cert['j']} (A - I)^{cert['k']} = 0, degree {cert['d']} "
+    print(f"w={w}: A^{cert['j']} (A - I)^{cert['k']} H = 0, degree {cert['d']} "
           f"for x >= {cert['onset']}, coefficients {cert['coefficients']}")
 
 print()
 print("Thickness 2 is constant; thickness 4 is 256 (x^2 + 2x + 2)^2.  Odd")
-print("thickness has a nilpotent A, so those windows stop being tileable")
-print("as x grows; the claim reports them rather than asserting tileability.")
+print("thickness has A^j H = 0, so U(x) = 0 and those windows stop being")
+print("tileable as x grows; the claim reports them rather than asserting")
+print("tileability.")

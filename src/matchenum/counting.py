@@ -244,10 +244,10 @@ def count_permanent(g: MatchGraph) -> int:
     case: K20,20 holds all C(20, 10) states at its widest and takes
     3-4.5 s with ~62 MB max RSS.  Unequal classes count 0, before the bound.
     """
-    if not g.is_balanced():
+    m, other = g.class_sizes()
+    if m != other:
         return 0
-    rows, cols = g.balanced_classes()
-    m = len(rows)
+    rows, cols = g.classes
     if m > PERMANENT_LIMIT:
         raise BoundError(
             f"class size {m} exceeds the permanent limit {PERMANENT_LIMIT}"

@@ -119,9 +119,12 @@ class MatchGraph:
         self.adj = tuple(tuple(sorted(ns)) for ns in adj)
 
         if coords is not None:
-            coords = tuple((int(x), int(y)) for x, y in coords)
+            coords = tuple((x, y) for x, y in coords)
             if len(coords) != n:
                 raise GraphError("coords must cover every vertex")
+            # int() would truncate a float; bool is refused as well
+            if any(type(v) is not int for xy in coords for v in xy):
+                raise GraphError("coords must be integer pairs")
         self.coords = coords
 
         self._rotation: Optional[tuple[tuple[int, ...], ...]] = None

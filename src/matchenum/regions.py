@@ -151,7 +151,7 @@ def hexagon_cells(sides: Sequence[int]) -> set[TriCell]:
     """All unit triangles of the hexagon: per row y and orientation, the
     x range left by the three strips (see the module docstring)."""
     s = validate_hex_sides(sides)
-    _check_cell_count(hexagon_cell_count(s), "the hexagon")
+    _check_cell_count(_hexagon_area(s), "the hexagon")
     return {
         TriCell(x, y, orient)
         for y in range(s[1] + s[2])
@@ -164,7 +164,10 @@ def hexagon_cells(sides: Sequence[int]) -> set[TriCell]:
 def hexagon_cell_count(sides: Sequence[int]) -> int:
     """Closed-form area in unit triangles: the enclosing lattice triangle
     of side s6+s1+s2 minus the three cut corners of sides s2, s4, s6."""
-    s = validate_hex_sides(sides)
+    return _hexagon_area(validate_hex_sides(sides))
+
+
+def _hexagon_area(s: tuple[int, ...]) -> int:
     t = s[5] + s[0] + s[1]
     return t * t - s[1] ** 2 - s[3] ** 2 - s[5] ** 2
 
@@ -201,8 +204,10 @@ def central_rhombus_edge(sides: Sequence[int]) -> tuple[TriCell, TriCell]:
     (a-b, a+b), both coordinates odd.  Of the three edges of UP(x, y) only
     the one shared with DOWN(x, y) has a doubled midpoint with both
     coordinates odd, (2x+1, 2y+1), so the pair is UP/DOWN(x, y) with
-    x = (a-b-1)/2 and y = (a+b-1)/2; it exists iff both cells lie in the
-    hexagon.
+    x = (a-b-1)/2 and y = (a+b-1)/2.  Both cells lie in the strips of the
+    module docstring iff a >= 1: 0 <= y < a+b and -b <= x < a hold as
+    a + b >= 1, and x + y = a - 1 must lie in [0, 2a-1] for UP and in
+    [-1, 2a-2] for DOWN.
     """
     s = validate_hex_sides(sides)
     if not (s[0] == s[1] == s[3] == s[4] and s[2] == s[5]):
@@ -210,12 +215,10 @@ def central_rhombus_edge(sides: Sequence[int]) -> tuple[TriCell, TriCell]:
     a, b = s[0], s[2]
     if (a + b) % 2 == 0:
         raise RegionError(f"a={a} and b={b} must have opposite parity")
-    x, y = (a - b - 1) // 2, (a + b - 1) // 2
-    pair = (TriCell(x, y, UP), TriCell(x, y, DOWN))
-    cells = hexagon_cells(s)
-    if not cells.issuperset(pair):
+    if a == 0:
         raise RegionError(f"the hexagon {_brief(s)} has no central rhombus")
-    return pair
+    x, y = (a - b - 1) // 2, (a + b - 1) // 2
+    return TriCell(x, y, UP), TriCell(x, y, DOWN)
 
 
 # -- square-lattice regions -----------------------------------------------

@@ -7,14 +7,14 @@ division in the recurrence is exact), so the counting identity
 The Faddeev-LeVerrier recurrence keeps each row of its m x m matrices as
 one Python int whose m signed B-bit digits are the row's entries
 (Kronecker substitution), so a matrix product is a few long-integer
-additions per row.  B comes from a proved bound: K*K^T and the
-recurrence's matrices are +-(positive semidefinite), so their entries are
-bounded by their traces, and Maclaurin's inequality bounds those by
-m * max_j C(m, j) (tr K*K^T / m)^j.
+additions per row.  B comes from a proved bound: the recurrence's
+matrices are +-(positive semidefinite), so their entries are bounded by
+their largest diagonal entries, and Maclaurin's inequality bounds those by
+max_j C(m, j) (tr K*K^T / m)^j.
 Floating point appears only in the singular values: eigenvalues of
 K*K^T by Householder reduction to tridiagonal form and implicit-shift QL.
-Both refuse K larger than SPECTRUM_DIMENSION_LIMIT with BoundError, as
-they accept any SignedMatrix; ``kasteleyn_matrix`` refuses a region with
+A SignedMatrix of more than SPECTRUM_DIMENSION_LIMIT rows is refused with
+BoundError when it is made; ``kasteleyn_matrix`` refuses a region with
 such a K before the orientation.
 """
 
@@ -36,9 +36,13 @@ QL_ITERATION_LIMIT = 60  # QL sweeps allowed per eigenvalue
 @dataclass(frozen=True)
 class SignedMatrix:
     """Signed biadjacency: rows one color class, columns the other,
-    entries +-1 on edges per the Kasteleyn orientation, 0 elsewhere."""
+    entries +-1 on edges per the Kasteleyn orientation, 0 elsewhere.
+    Refused past SPECTRUM_DIMENSION_LIMIT rows."""
 
     entries: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        _check_dimension(self.dimension)
 
     @property
     def dimension(self) -> int:
@@ -63,18 +67,25 @@ class CharPoly:
 def kasteleyn_matrix(g: MatchGraph, seed: int = 0) -> SignedMatrix:
     """Signed biadjacency whose |det| is the perfect matching count; refused
     past SPECTRUM_DIMENSION_LIMIT rows before any face is walked."""
-    check_dimension(len(kasteleyn_classes(g)[0]))
+    _check_dimension(len(kasteleyn_classes(g)[0]))
     mat = signed_biadjacency(g, seed)
     return SignedMatrix(entries=tuple(tuple(r) for r in mat))
 
 
-def check_dimension(dimension: int) -> None:
+def _check_dimension(dimension: int) -> None:
     """Refuse a K of more than SPECTRUM_DIMENSION_LIMIT rows."""
     if dimension > SPECTRUM_DIMENSION_LIMIT:
         raise BoundError(
             f"K dimension {dimension} exceeds the spectrum limit "
             f"{SPECTRUM_DIMENSION_LIMIT}"
         )
+
+
+def _digit_width(m: int, trace: int) -> int:
+    """B for ``kk_star_charpoly``: one bit more than the bound on every
+    entry of the recurrence for an m x m A = K*K^T of trace ``trace``."""
+    return max(-(-math.comb(m, j) * trace**j // m**j)
+               for j in range(m + 1)).bit_length() + 1
 
 
 def _kk_star(k: SignedMatrix) -> list[list[int]]:
@@ -122,21 +133,22 @@ def kk_star_charpoly(k: SignedMatrix) -> CharPoly:
         A M_s = (-1)^(s-1) sum_i lambda_i e_{s-1}(lambda without lambda_i) v_i v_i^T,
 
     so both are +-(positive semidefinite).  An entry of a semidefinite P
-    obeys |P_tu| <= sqrt(P_tt P_uu) <= tr P, and the traces are
-    (m-s+1) e_{s-1}(lambda) and s e_s(lambda).  Maclaurin's inequality
-    bounds e_j(lambda) <= C(m, j) (tr A / m)^j, so every entry of M_s and
-    of A M_s, s <= m, is at most m * max_j ceil(C(m, j) (tr A)^j / m^j)
-    in absolute value.  With B one bit more than that bound (``width``)
-    every entry d has |d| < half, so the digits d + half of r + H lie in
-    [0, 2^B) and are read without carry.  Maclaurin's inequality is an
+    obeys |P_tu| <= sqrt(P_tt P_uu), at most its largest diagonal entry.
+    A diagonal entry of M_s is, up to sign, a convex combination
+    (sum_i v_i[t]^2 = 1) of the e_{s-1}(lambda without lambda_i), each at
+    most e_{s-1}(lambda) as lambda >= 0; one of A M_s is one of the
+    lambda_i e_{s-1}(lambda without lambda_i), each at most e_s(lambda).
+    Maclaurin's inequality bounds e_j(lambda) <= C(m, j) (tr A / m)^j, so
+    every entry of M_s and of A M_s, s <= m, is at most
+    max_j ceil(C(m, j) (tr A)^j / m^j) in absolute value.  With B one bit
+    more than that bound (``_digit_width``) every entry d has |d| < half,
+    so the digits d + half of r + H lie in [0, 2^B) and are read without
+    carry.  Maclaurin's inequality is an
     equality when every eigenvalue is equal, as for K = c*I.
     """
-    check_dimension(k.dimension)
     a = _kk_star(k)
     m = len(a)
-    trace = sum(a[i][i] for i in range(m))
-    width = (m * max(-(-math.comb(m, j) * trace**j // m**j)
-                     for j in range(m + 1))).bit_length() + 1
+    width = _digit_width(m, sum(a[i][i] for i in range(m)))
     half = 1 << (width - 1)
     mask = (1 << width) - 1
     shifts = range(0, width * m, width)
@@ -267,7 +279,6 @@ def singular_values(k: SignedMatrix) -> list[float]:
     eigenvalues of K*K^T, by Householder tridiagonalization and implicit
     QL.  Their product equals the matching count up to floating round-off.
     """
-    check_dimension(k.dimension)
     a = [[float(v) for v in row] for row in _kk_star(k)]
     eigs = _tridiagonal_eigenvalues(*_tridiagonalize(a))
     return sorted((math.sqrt(max(e, 0.0)) for e in eigs), reverse=True)

@@ -38,9 +38,14 @@ the trace, count = trace((U(x).M)^4) = trace(R(x)^4) with R(x) = M.U(x),
 a square operator on the 2^ceil(w/2) subsets of D.  The 2^w-state T(x)
 is never formed; only U(x) is stepped by A.
 
-Polynomiality: if A^j (A - I)^k = 0, every entry of A^x is a polynomial
-in x of degree < k for x >= j, so the count is a polynomial of degree
-<= 4(k - 1) there (identically zero when k = 0).
+Polynomiality: the count reads A only through U(x) = A^x.H.  If
+A^j (A - I)^k.H = 0, then for x >= j
+
+    U(x) = A^j (I + (A - I))^(x - j).H = sum_{i<k} C(x - j, i) A^j (A - I)^i.H,
+
+since every term with i >= k is (A - I)^(i - k) times A^j (A - I)^k.H = 0.
+So R(x) = M.U(x) is a polynomial in x of degree < k, and trace(R(x)^4) one
+of degree <= 4(k - 1) there (identically zero when k = 0).
 
 Everything is exact integer arithmetic.
 """
@@ -55,11 +60,11 @@ from .counting import BoundError, _advance, _compile_order
 from .graphs import MatchGraph
 from .regions import RegionError, RegionSpec, aztec_window_cell_count
 
-ANNIHILATOR_LIMIT = 24  # degree j + k searched for A^j (A - I)^k = 0
+ANNIHILATOR_LIMIT = 24  # degree j + k searched for A^j (A - I)^k.H = 0
 # thickness w, bounded by the operators' own cost on a 2-vCPU Xeon: at
-# w = 10, H, M and A take ~0.008 s, column_annihilator ~0.2 s and
-# ``verify problem14 --w 10`` ~0.3 s; at w = 12 that claim takes ~6 s
-# and ~190 MB, nearly all of it in column_annihilator
+# w = 10, H, M and A take ~0.01 s, column_annihilator ~0.02 s and
+# ``verify problem14 --w 10`` ~0.1 s; at w = 12 that claim takes ~1 s
+# and ~24 MB, most of it stepping U(x) to x = 39 for the fit
 WINDOW_THICKNESS_LIMIT = 10
 
 Operator = dict[int, dict[int, int]]  # sparse {row mask: {column mask: entry}}
@@ -229,20 +234,21 @@ def count_sequence(w: int, x_from: int, x_to: int) -> list[int]:
 
 
 def column_annihilator(w: int) -> tuple[int, int]:
-    """The least k, then the least j, with A^j (A - I)^k = 0, by exact
+    """The least k, then the least j, with A^j (A - I)^k.H = 0, by exact
     sparse products.
 
-    Pass n of the search holds the differences A^(n-k) (A - I)^k for
+    Pass n of the search holds the differences A^(n-k) (A - I)^k.H for
     k = 0..n; each is the difference of two of pass n-1's, and only
-    A^n takes a product.  The first vanishing one is unique: the minimal
-    polynomial of A then divides z^j (z - 1)^k, and no z^j' (z - 1)^k' of
-    lower degree annihilates A, so it is z^j (z - 1)^k itself.  Raises
-    BoundError when none vanishes up to degree ANNIHILATOR_LIMIT.
+    A^n.H = U(n) takes a product, stepped by ``_stepped`` as for the
+    counts.  The polynomials p with p(A).H = 0 form an ideal.  Once it
+    holds some z^j (z - 1)^k, its generator divides that one, so it is of
+    the same form, and it is the first found: unique in its pass, and
+    least in both j and k.  Raises BoundError when none vanishes up to
+    degree ANNIHILATOR_LIMIT.
     """
-    a = _operators(w)[2]
-    diffs: list[Operator] = [{m: {m: 1} for m in range(1 << w)}]  # n = 0: I
-    for n in range(1, ANNIHILATOR_LIMIT + 1):
-        nxt = [_product(a, diffs[0])]
+    diffs: list[Operator] = []
+    for n in range(ANNIHILATOR_LIMIT + 1):
+        nxt = [_stepped(n, w)]
         for k in range(n):
             nxt.append(_difference(nxt[k], diffs[k]))
         for k, d in enumerate(nxt):
@@ -250,7 +256,7 @@ def column_annihilator(w: int) -> tuple[int, int]:
                 return n - k, k
         diffs = nxt
     raise BoundError(
-        f"no A^j (A - I)^k of degree <= {ANNIHILATOR_LIMIT} vanishes at w = {w}"
+        f"no A^j (A - I)^k.H of degree <= {ANNIHILATOR_LIMIT} vanishes at w = {w}"
     )
 
 
@@ -300,7 +306,9 @@ def detect_polynomial(
     window.  An identically zero window reports degree 0 (the zero
     polynomial), flagged in the note.
     """
-    counts = tuple(int(c) for c in counts)
+    counts = tuple(counts)
+    if any(type(c) is not int for c in counts):  # int() would truncate 1.5 to 1
+        raise TypeError("polynomial detection needs integer counts")
     if len(counts) < 3:
         raise BoundError("polynomial detection needs at least 3 counts")
 

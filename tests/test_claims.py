@@ -138,11 +138,12 @@ class TestProblem14:
         with pytest.raises(BoundError):
             verify_problem14(2, 2)
 
-    # (j, k, d): A^j (A - I)^k = 0, and the count is a polynomial of degree
-    # d <= 4(k - 1) for x >= j; odd w is zero from x = j = w + 1 on
-    CERTIFICATES = {2: (1, 1, 0), 3: (4, 0, 0), 4: (2, 2, 4), 5: (6, 0, 0),
-                    6: (3, 3, 8), 7: (8, 0, 0), 8: (4, 5, 16), 9: (10, 0, 0),
-                    10: (5, 7, 24)}
+    # (j, k, d): A^j (A - I)^k H = 0, and the count is a polynomial of
+    # degree d <= 4(k - 1) for x >= j; even w has j = 0, and odd w is zero
+    # from x = j = (w + 3) / 2 on
+    CERTIFICATES = {2: (0, 1, 0), 3: (3, 0, 0), 4: (0, 2, 4), 5: (4, 0, 0),
+                    6: (0, 3, 8), 7: (5, 0, 0), 8: (0, 5, 16), 9: (6, 0, 0),
+                    10: (0, 7, 24)}
 
     @pytest.mark.parametrize("w", range(2, 11))
     def test_every_thickness_is_certified(self, w):
@@ -150,8 +151,11 @@ class TestProblem14:
         cert = report.computed["certificate"]
         j, k, d = self.CERTIFICATES[w]
         assert (cert["j"], cert["k"], cert["d"]) == (j, k, d)
-        assert cert["onset"] == j and cert["degree_bound"] == max(4 * (k - 1), 0)
-        assert cert["held_out"] == [j + cert["degree_bound"] + 1, j + cert["degree_bound"] + 2]
+        onset = max(j, 1)  # the first window has x = 1
+        assert cert["onset"] == onset and cert["degree_bound"] == max(4 * (k - 1), 0)
+        assert cert["fit_points"] == [onset, onset + cert["degree_bound"]]
+        assert cert["held_out"] == [onset + cert["degree_bound"] + 1,
+                                    onset + cert["degree_bound"] + 2]
         assert len(cert["newton"]) == len(cert["coefficients"]) == d + 1
         if w % 2:
             assert report.verdict == "REPORT_ONLY"
@@ -162,9 +166,10 @@ class TestProblem14:
             assert d == 4 * (k - 1)
 
     def test_w4_polynomial_and_its_diamond_base(self):
-        # 256 (x^2 + 2x + 2)^2, proved for x >= 2; at x = 0 it gives the
-        # order-4 diamond's 2^10, though x = 0 is below the proved onset
+        # 256 (x^2 + 2x + 2)^2, proved for x >= j = 0, so its value at x = 0
+        # is the order-4 diamond's 2^10 = trace(T0^4)
         cert = verify_problem14(4, 12).computed["certificate"]
+        assert cert["j"] == 0
         coeffs = [Fraction(c) for c in cert["coefficients"]]
         assert coeffs == [1024, 2048, 2048, 1024, 256]
         assert coeffs[0] == 2 ** 10
@@ -278,6 +283,19 @@ class TestProblem19Asymptotic:
         assert all(b - a > 1e-9 for a, b in zip(gs, gs[1:]))
         assert table[0]["g"] == 1.0
         assert table[-1]["n_over_e"] == pytest.approx(5 / 2.718281828459045)
+
+    def test_trend_is_exact_where_the_floats_tie(self, monkeypatch):
+        # g(5) = (10^20 + 1)^(1/16) and g(4) = (10^10)^(1/8) are one float,
+        # but f(5) > f(4)^2, so g still rises
+        f = {1: 1, 2: 2, 3: 9, 4: 10**10, 5: 10**20 + 1}
+        monkeypatch.setattr(claims, "_hypercube_count", f.__getitem__)
+        report = verify_problem19_asymptotic(5)
+        gs = [row["g"] for row in report.computed["table"]]
+        assert gs[4] == gs[3]
+        assert report.computed["strictly_increasing"] is True
+        assert report.verdict == "REPORT_ONLY"
+        f[5] = 10**20
+        assert verify_problem19_asymptotic(5).verdict == "FAIL"
 
     def test_single_value(self):
         report = verify_problem19_asymptotic(1)

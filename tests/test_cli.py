@@ -437,7 +437,7 @@ class TestVerify:
         doc = json.loads(out)
         assert doc["verdict"] == "PASS"
         cert = doc["computed"]["certificate"]
-        assert (cert["j"], cert["k"], cert["d"]) == (3, 3, 8)
+        assert (cert["j"], cert["k"], cert["d"]) == (0, 3, 8)
 
     def test_problem19_family(self, capsys):
         for claim in ("problem19-parity", "problem19-orbits", "problem19-asymptotic"):

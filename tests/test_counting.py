@@ -318,6 +318,20 @@ class TestPermanent:
         monkeypatch.setattr(counting, "PERMANENT_LIMIT", 1)
         assert count_permanent(g) == 0
 
+    def test_bipartition_is_tested_once(self, monkeypatch):
+        calls = []
+        sizes = MatchGraph.class_sizes
+
+        def counted(g):
+            calls.append(g)
+            return sizes(g)
+
+        monkeypatch.setattr(MatchGraph, "class_sizes", counted)
+        assert count_permanent(build_hypercube(3)) == 9
+        assert len(calls) == 1
+        with pytest.raises(GraphError, match="no bipartition"):
+            count_permanent(MatchGraph(labels=range(2), edges=[(0, 1)]))
+
     def test_class_size_bound(self):
         with pytest.raises(BoundError):
             count_permanent(build_hypercube(6))

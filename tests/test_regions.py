@@ -23,6 +23,7 @@ from matchenum.regions import (
     aztec_rectangle_cells,
     aztec_window_cell_count,
     aztec_window_cells,
+    validate_hex_sides,
 )
 
 
@@ -142,6 +143,19 @@ class TestMatchGraph:
         with pytest.raises(GraphError):
             MatchGraph(labels=["a", "a"], edges=[])
 
+    @pytest.mark.parametrize("coords", [
+        [(0.9, 0), (1.5, 0)],
+        [(0, 0), (1, 0.0)],
+        [(True, 0), (0, 1)],
+        [("0", 0), (1, 0)],
+    ])
+    def test_rejects_coords_that_are_not_integer_pairs(self, coords):
+        # int() would store (0.9, 0), (1.5, 0) as (0, 0), (1, 0), another drawing
+        from matchenum import GraphError
+
+        with pytest.raises(GraphError, match="coords must be integer pairs"):
+            MatchGraph(labels=[0, 1], edges=[(0, 1)], coords=coords)
+
     def test_rotation_needs_coords(self):
         from matchenum import GraphError
 
@@ -187,6 +201,21 @@ class TestHexagon:
         hole = next(c for c in g.labels if c.orient == excess)
         h = build_hexagon(sides, holes=[hole])
         assert h.is_balanced()
+
+    def test_sides_are_validated_once_per_call(self, monkeypatch):
+        from matchenum import regions
+
+        calls = []
+
+        def counted(sides):
+            calls.append(sides)
+            return validate_hex_sides(sides)
+
+        monkeypatch.setattr(regions, "validate_hex_sides", counted)
+        for entry in (hexagon_cells, hexagon_cell_count, central_rhombus_edge):
+            calls.clear()
+            entry((1, 1, 2, 1, 1, 2))
+            assert len(calls) == 1, entry.__name__
 
     def test_closure_violation_rejected(self):
         with pytest.raises(RegionError):

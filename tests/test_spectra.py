@@ -22,7 +22,7 @@ from matchenum import (
 )
 from matchenum import counting, spectra
 from matchenum.cli import cli_main
-from matchenum.spectra import CharPoly, SignedMatrix, _kk_star, check_dimension
+from matchenum.spectra import CharPoly, SignedMatrix, _digit_width, _kk_star
 from test_counting import nested_island_hexagon
 
 
@@ -30,44 +30,38 @@ def four_cycle():
     return build_aztec_diamond(1)
 
 
-# the scalar recurrence that the packed rows replaced, kept verbatim as
-# their reference
-def scalar_kk_star_charpoly(k: SignedMatrix) -> CharPoly:
-    """Exact characteristic polynomial of K*K^T.
+# the scalar recurrence that the packed rows replaced, their reference
+def scalar_kk_star_charpoly(k: SignedMatrix, matrices=None) -> CharPoly:
+    """Exact characteristic polynomial of A = K*K^T.
 
-    Faddeev-LeVerrier recurrence over the integers; the trace divisions
-    are exact and asserted to be so.
+    Faddeev-LeVerrier recurrence over the integers: M_1 = I, then
+    c_{m-s} = -tr(A M_s) / s and M_{s+1} = A M_s + c_{m-s} I; the trace
+    divisions are exact and asserted to be so.  Each M_s and A M_s, s <= m,
+    is appended to ``matrices`` when it is given.
     """
-    check_dimension(k.dimension)
     a = _kk_star(k)
     m = len(a)
     coeffs = [0] * (m + 1)
     coeffs[m] = 1
-    mat = [[0] * m for _ in range(m)]  # M_0 = 0
+    mat = [[int(i == j) for j in range(m)] for i in range(m)]  # M_1 = I
     for step in range(1, m + 1):
-        # M_step = A @ M_{step-1} + c_{m-step+1} * I
-        prev_c = coeffs[m - step + 1]
-        nxt = [[0] * m for _ in range(m)]
+        prod = [[0] * m for _ in range(m)]  # A @ M_step
         for i in range(m):
             ai = a[i]
-            row = nxt[i]
+            row = prod[i]
             for t in range(m):
                 ait = ai[t]
                 if ait:
                     mt = mat[t]
                     for j in range(m):
                         row[j] += ait * mt[j]
-            row[i] += prev_c
-        mat = nxt
-        tr = 0
-        for i in range(m):
-            ai = a[i]
-            for t in range(m):
-                tr += ai[t] * mat[t][i]
-        q, r = divmod(-tr, step)
+        q, r = divmod(-sum(prod[i][i] for i in range(m)), step)
         if r:
             raise ArithmeticError("trace division in the recurrence not exact")
         coeffs[m - step] = q
+        if matrices is not None:
+            matrices += [mat, prod]
+        mat = [[v + q * (i == j) for j, v in enumerate(row)] for i, row in enumerate(prod)]
     return CharPoly(tuple(coeffs))
 
 
@@ -81,6 +75,20 @@ def assert_packed_equals_scalar(k):
     if a:
         assert cp.coeffs[-2] == -sum(a[i][i] for i in range(len(a)))
     return cp
+
+
+def assert_digit_width_bounds_every_entry(k):
+    """The packed digit width's contract: every entry of every M_s and
+    A M_s of the recurrence on A = K K^T lies below 2^(B - 1)."""
+    a = _kk_star(k)
+    width = _digit_width(len(a), sum(a[i][i] for i in range(len(a))))
+    matrices = []
+    cp = scalar_kk_star_charpoly(k, matrices)
+    assert cp == kk_star_charpoly(k)
+    assert len(matrices) == 2 * len(a)
+    widest = max((abs(v) for mat in matrices for row in mat for v in row), default=0)
+    assert widest < 1 << (width - 1)
+    return widest, width
 
 
 def eigvalsh_of_kk_star(k):
@@ -260,22 +268,28 @@ class TestCharPoly:
                 assert sum(c * t**i for i, c in enumerate(coeffs)) == \
                     counting.det_bareiss(shifted), (m, t)
 
-    @pytest.mark.parametrize("m,diagonal,below", [(16, 0, 3), (16, 2, 3), (24, -1, 2)])
-    def test_packed_bound_holds_for_any_integer_matrix(self, m, diagonal, below,
-                                                       monkeypatch):
-        # diagonal * I + below * (ones strictly below the diagonal) has the
-        # charpoly (t - diagonal)^m, while the entries of its powers outgrow
-        # every coefficient, as those of K K^T never do; below the diagonal,
-        # they sit in the digits under each row's trace digit.  The digit
-        # width is proved for a positive semidefinite A = K K^T only; this
-        # pins that such overflow still leaves the result exact here
-        a = [[diagonal if i == j else below if j < i else 0 for j in range(m)]
-             for i in range(m)]
-        monkeypatch.setattr(spectra, "_kk_star", lambda _: [row[:] for row in a])
-        identity = SignedMatrix(
-            entries=tuple(tuple(int(i == j) for j in range(m)) for i in range(m)))
-        expected = tuple(math.comb(m, i) * (-diagonal) ** (m - i) for i in range(m + 1))
-        assert kk_star_charpoly(identity).coeffs == expected
+    @pytest.mark.parametrize("make", [
+        four_cycle,
+        nested_island_hexagon,
+        lambda: build_aztec_diamond(4),
+        lambda: build_hexagon((2, 3, 4, 2, 3, 4)),
+        lambda: build_hexagon((4, 4, 4, 4, 4, 4)),
+    ], ids=["four-cycle", "nested-island", "aztec-4", "hexagon-234", "hexagon-4^6"])
+    def test_digit_width_bounds_every_entry_on_lattice_k(self, make):
+        assert_digit_width_bounds_every_entry(kasteleyn_matrix(make()))
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 16, 30])
+    def test_digit_width_bounds_every_entry_on_dense_sign_k(self, m):
+        rng = random.Random(m)
+        assert_digit_width_bounds_every_entry(SignedMatrix(entries=tuple(
+            tuple(rng.choice((-1, 1)) for _ in range(m)) for _ in range(m))))
+
+    @pytest.mark.parametrize("m,c", [(1, 3), (12, 1), (12, 3), (40, 2),
+                                     (spectra.SPECTRUM_DIMENSION_LIMIT, 1)])
+    def test_digit_width_bounds_every_entry_on_scalar_k(self, m, c):
+        # K = c*I, where Maclaurin's inequality holds with equality
+        assert_digit_width_bounds_every_entry(SignedMatrix(entries=tuple(
+            tuple(c * (i == j) for j in range(m)) for i in range(m))))
 
     def test_json_constant_term_first(self, tmp_path, capsys):
         # the spectrum report lists the coefficients as strings, constant first
@@ -370,16 +384,16 @@ class TestDimensionBound:
 
     @pytest.mark.parametrize("compute", [kk_star_charpoly, singular_values])
     def test_refused_before_any_work(self, compute, monkeypatch):
-        # dimension 90: built past kasteleyn_matrix, which refuses it
+        # dimension 90, built past kasteleyn_matrix, which refuses it: the
+        # SignedMatrix that would carry it is refused when it is made
         mat = counting.signed_biadjacency(build_aztec_diamond(9))
-        k = SignedMatrix(tuple(map(tuple, mat)))
 
         def no_work(_):
             raise AssertionError("K K^T built past the bound")
 
         monkeypatch.setattr(spectra, "_kk_star", no_work)
-        with pytest.raises(BoundError, match="spectrum limit"):
-            compute(k)
+        with pytest.raises(BoundError, match="K dimension 90 exceeds the spectrum limit 80"):
+            compute(SignedMatrix(tuple(map(tuple, mat))))
 
     def test_kasteleyn_matrix_refused_before_the_orientation(self, monkeypatch):
         def fail(*args, **kwargs):

@@ -262,46 +262,68 @@ class TestOperators:
             ]
 
 
-def dense(op, w):
-    return [[op.get(a, {}).get(b, 0) for b in range(1 << w)] for a in range(1 << w)]
+def dense(op, rows, cols):
+    return [[op.get(a, {}).get(b, 0) for b in range(cols)] for a in range(rows)]
 
 
 def dense_product(p, q):
-    return [[sum(u * q[k][c] for k, u in enumerate(row) if u) for c in range(len(q))]
+    return [[sum(u * q[k][c] for k, u in enumerate(row) if u) for c in range(len(q[0]))]
             for row in p]
 
 
+def dense_operators(w):
+    # A, A - I and H as dense lists; H has a column per subset of the diagonal
+    h, _, a = _operators(w)
+    size = 1 << w
+    a = dense(a, size, size)
+    a_minus_i = [[v - (r == c) for c, v in enumerate(row)] for r, row in enumerate(a)]
+    return a, a_minus_i, dense(h, size, 1 << (w + 1) // 2)
+
+
+def dense_term(factors, j, k, start):
+    # A^j (A - I)^k . start, the factors multiplied onto start one at a time
+    a, a_minus_i = factors
+    m = start
+    for f in [a] * j + [a_minus_i] * k:
+        m = dense_product(f, m)
+    return m
+
+
+def nonzero(m):
+    return any(any(row) for row in m)
+
+
 class TestColumnAnnihilator:
-    PAIRS = {1: (2, 0), 2: (1, 1), 3: (4, 0), 4: (2, 2), 5: (6, 0),
-             6: (3, 3), 7: (8, 0), 8: (4, 5), 9: (10, 0)}
+    # A^j (A - I)^k H = 0: j = 0 for even w, (w + 3) / 2 for odd w >= 3
+    PAIRS = {1: (2, 0), 2: (0, 1), 3: (3, 0), 4: (0, 2), 5: (4, 0),
+             6: (0, 3), 7: (5, 0), 8: (0, 5), 9: (6, 0)}
 
     @pytest.mark.parametrize("w", range(1, 10))
     def test_pairs(self, w):
-        # minimal polynomial z^j (z - 1)^k; odd w is nilpotent of index w + 1;
-        # w = 10 is pinned through the problem14 certificate
+        # least k, then least j, with A^j (A - I)^k H = 0; w = 10 is pinned
+        # through the problem14 certificate
         assert column_annihilator(w) == self.PAIRS[w]
 
     @pytest.mark.parametrize("w", range(1, 6))
     def test_pair_is_least_by_dense_products(self, w):
-        a = dense(_operators(w)[2], w)
-        size = 1 << w
-        eye = [[int(r == c) for c in range(size)] for r in range(size)]
-        a_minus_i = [[a[r][c] - eye[r][c] for c in range(size)] for r in range(size)]
-
-        def term(j, k):
-            m = eye
-            for _ in range(j):
-                m = dense_product(m, a)
-            for _ in range(k):
-                m = dense_product(m, a_minus_i)
-            return any(any(row) for row in m)
-
+        a, a_minus_i, h = dense_operators(w)
         j, k = column_annihilator(w)
-        assert not term(j, k)
+        assert not nonzero(dense_term((a, a_minus_i), j, k, h))
         if j:
-            assert term(j - 1, k)
+            assert nonzero(dense_term((a, a_minus_i), j - 1, k, h))
         if k:
-            assert term(j, k - 1)
+            assert nonzero(dense_term((a, a_minus_i), j, k - 1, h))
+
+    @pytest.mark.parametrize("w", [4, 6])
+    def test_even_thickness_needs_h(self, w):
+        # (A - I)^k annihilates H but not A itself: the full A needs a
+        # factor A^j, j > 0, that the count never uses
+        a, a_minus_i, h = dense_operators(w)
+        j, k = column_annihilator(w)
+        assert j == 0
+        eye = [[int(r == c) for c in range(1 << w)] for r in range(1 << w)]
+        assert nonzero(dense_term((a, a_minus_i), 0, k, eye))
+        assert not nonzero(dense_term((a, a_minus_i), 0, k, h))
 
     def test_thickness_limit(self, monkeypatch):
         # every entry refuses through the one check of the thickness, before
@@ -491,6 +513,17 @@ class TestDetectPolynomial:
     def test_window_too_short(self):
         with pytest.raises(BoundError):
             detect_polynomial([1, 2])
+
+    @pytest.mark.parametrize("counts", [
+        [1.5, 2.5, 3.5],
+        ["1", "4", "9"],
+        [1, 4, 9.0],
+        [True, False, True],
+    ])
+    def test_refuses_counts_that_are_not_integers(self, counts):
+        # int() would read [1.5, 2.5, 3.5] as (1, 2, 3), of degree 1
+        with pytest.raises(TypeError, match="integer counts"):
+            detect_polynomial(counts)
 
     def test_random_integer_polynomials(self):
         rng = random.Random(99)
