@@ -32,7 +32,7 @@ print()
 print("=== count sequences and their difference tables ===")
 for w in (1, 2, 3):
     counts = count_sequence(w, 1, 8)
-    report = detect_polynomial(counts, x_from=1, w=w)
+    report = detect_polynomial(counts)
     print(f"w={w}: counts {counts}")
     for depth, row in enumerate(report.differences[:4]):
         print(f"   diff^{depth}: {list(row)}")
@@ -47,6 +47,6 @@ for w in (2, 3, 4, 6):
 
 print()
 print("Thickness 2 is constant; thickness 4 is 256 (x^2 + 2x + 2)^2.  Odd")
-print("thickness has A^j H = 0, so U(x) = 0 and those windows stop being")
-print("tileable as x grows; the claim reports them rather than asserting")
-print("tileability.")
+print("thickness has A^j H = 0, so U(x) = 0 for x >= j: those windows stop")
+print("being tileable, and the claim proves their count is the zero")
+print("polynomial from there on.")

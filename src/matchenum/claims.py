@@ -34,7 +34,9 @@ from .regions import (
     hexagon_cells,
 )
 from .spectra import kasteleyn_matrix, kk_star_charpoly
-from .transfer import column_annihilator, count_sequence, detect_polynomial
+from .transfer import (
+    _operators, _ring_trace, column_annihilator, count_sequence, detect_polynomial,
+)
 
 PASS, FAIL, REPORT_ONLY = "PASS", "FAIL", "REPORT_ONLY"
 
@@ -78,6 +80,14 @@ def _verdict(computed: dict, expected: Optional[dict]) -> str:
     return PASS
 
 
+def _require_ints(**params) -> None:
+    """Refuse a claim parameter that is not an int before any work: a bool
+    or a float would pass the desk bounds and be reported as given."""
+    for name, value in params.items():
+        if type(value) is not int:
+            raise TypeError(f"{name} must be an int, not {type(value).__name__}")
+
+
 def _finish(claim_id, parameters, computed, expected, t0, verdict=None) -> ClaimReport:
     if verdict is None:
         verdict = _verdict(computed, expected)
@@ -96,6 +106,7 @@ def verify_problem1(n: int = 1, off_center: bool = False) -> ClaimReport:
     edge instead (negative control, REPORT_ONLY).
     """
     t0 = time.perf_counter()
+    _require_ints(n=n)
     if not 1 <= n <= 3:
         raise BoundError("problem1 desk bound is 1 <= n <= 3")
     a, b = 2 * n - 1, 2 * n
@@ -151,32 +162,34 @@ def verify_problem14(w: int = 2, x_to: int = 8) -> ClaimReport:
 
     The count is trace((M A^x H)^4) (see ``transfer``).  With
     A^j (A - I)^k H = 0 from ``column_annihilator``, it is a polynomial of
-    degree <= D = 4(k - 1) for x >= j (zero for k = 0; D is then taken as
-    0).  The D + 1 counts from the onset fix it in Newton form, and two
-    more held-out counts must fit it: PASS is a proof for this w, with
-    (j, k, d) and the coefficients in the report.  The counts for
-    x = 1..x_to and their difference table are reported as well.
-    Windows with zero counts (odd w, past half their width) are reported,
-    not asserted.  Counts out of reach raise BoundError or RegionError.
+    degree <= D = 4(k - 1) for x >= j (the zero polynomial for k = 0, as
+    for odd w; D is then taken as 0).  The counts for x = 1..X, with
+    X = max(x_to, onset + D + 2), take one difference table from the
+    onset: its first D + 1 counts fix the polynomial in Newton form and
+    every later count, at least two, is held out and must fit it.  PASS is
+    a proof for this w, with (j, k, d) and the coefficients in the report,
+    and checks H and M against the order-w diamond's 2^(w(w+1)/2) tilings
+    (Elkies, Kuperberg, Larsen and Propp 1992) as trace((M H)^4).  The
+    counts for x = 1..x_to are reported.  Counts out of reach raise
+    BoundError or RegionError.
     """
     t0 = time.perf_counter()
-    if x_to < 3:
-        raise BoundError("problem14 needs x_to >= 3 for difference detection")
+    _require_ints(w=w, x_to=x_to)
     aztec_window_cell_count(x_to, w)  # the largest window's own refusal
     if x_to > 64:  # every certificate, up to w = 10, needs x <= 27
         raise BoundError("problem14 desk bound is x_to <= 64")
     j, k = column_annihilator(w)
     onset, bound = max(j, 1), max(4 * (k - 1), 0)
-    last = onset + bound + 2
-    counts = count_sequence(w, 1, max(x_to, last))
-    report = detect_polynomial(counts[:x_to], x_from=1, w=w)
-    fit = detect_polynomial(counts[onset - 1:last], x_from=onset, w=w)
+    last = max(x_to, onset + bound + 2)
+    counts = count_sequence(w, 1, last)
+    fit = detect_polynomial(counts[onset - 1:])
     d = fit.detected_degree
     proved = d is not None and d <= bound
     newton = [row[0] for row in fit.differences[:d + 1]] if proved else []
     computed = {
         "degree_finite": proved,
-        "poly": report.to_dict(),
+        "diamond_count": str(_ring_trace(_operators(w)[0], w)),
+        "poly": {"counts": [str(c) for c in counts[:x_to]]},
         "certificate": {
             "j": j,
             "k": k,
@@ -184,22 +197,20 @@ def verify_problem14(w: int = 2, x_to: int = 8) -> ClaimReport:
             "onset": onset,
             "degree_bound": bound,
             "fit_points": [onset, onset + bound],
-            "held_out": [last - 1, last],
+            "held_out": [onset + bound + 1, last],
             "newton": [str(c) for c in newton],
             "coefficients": [str(c) for c in _power_coefficients(newton, onset)],
         },
     }
-    params = {"w": w, "x_from": 1, "x_to": x_to}
-    if 0 in counts:
-        computed["zero_counts"] = True
-        return _finish("problem14", params, computed, None, t0)
     expected = {
         "degree_finite": True,
+        "diamond_count": str(2 ** (w * (w + 1) // 2)),
         "note": "A^j (A - I)^k H = 0 makes the count a polynomial of degree "
                 "<= 4(k - 1) in the inner order for x >= j; D + 1 counts fix "
-                "it and two held-out counts fit it",
+                "it and every later count fits it; trace((M H)^4) is the "
+                "order-w diamond's count",
     }
-    return _finish("problem14", params, computed, expected, t0)
+    return _finish("problem14", {"w": w, "x_from": 1, "x_to": x_to}, computed, expected, t0)
 
 
 # -- problem 19: hypercube 1-factors ----------------------------------------
@@ -216,6 +227,7 @@ def verify_problem19_parity(n_max: int = 5) -> ClaimReport:
     backtracking oracle for n <= 4.
     """
     t0 = time.perf_counter()
+    _require_ints(n_max=n_max)
     if not 1 <= n_max <= 5:
         raise BoundError("problem19 parity desk bound is 1 <= n_max <= 5")
     f, agree = [], True
@@ -273,6 +285,7 @@ def verify_problem19_orbits(n: int = 3) -> ClaimReport:
     all of them all-parallel, every other orbit an even power of two, and
     the sizes add up to f(n)."""
     t0 = time.perf_counter()
+    _require_ints(n=n)
     if not 1 <= n <= 4:
         raise BoundError("problem19 orbits desk bound is 1 <= n <= 4")
     orbits = matching_orbits(n)
@@ -311,6 +324,7 @@ def verify_problem19_asymptotic(n_max: int = 5) -> ClaimReport:
     is ever issued here.
     """
     t0 = time.perf_counter()
+    _require_ints(n_max=n_max)
     if not 1 <= n_max <= 5:
         raise BoundError("problem19 asymptotic desk bound is 1 <= n_max <= 5")
     fs = [_hypercube_count(n) for n in range(1, n_max + 1)]
@@ -420,6 +434,7 @@ def verify_oracles(seed: int = 1, cases: int = 50) -> ClaimReport:
     reuses its result; the tallies and ``disagreements`` still list every
     case."""
     t0 = time.perf_counter()
+    _require_ints(seed=seed, cases=cases)
     if not 1 <= cases <= 1000:
         raise BoundError("oracles desk bound is 1 <= cases <= 1000")
     rng = random.Random(seed)

@@ -86,7 +86,8 @@ class MatchGraph:
         self.classes = self.class_pos = None
         if color is not None:
             color = tuple(color)
-            if len(color) != n or any(c not in (0, 1) for c in color):
+            # a float cannot index the classes, and a bool is not a colour
+            if len(color) != n or any(type(c) is not int or c not in (0, 1) for c in color):
                 raise GraphError("bipartition must assign 0/1 to every vertex")
             classes: tuple[list[int], list[int]] = ([], [])
             pos = []

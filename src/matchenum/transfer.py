@@ -36,7 +36,9 @@ that octant gives H.
 Half-size trace: T(x) = U(x).M with U(x) = A^x.H, so by the cyclicity of
 the trace, count = trace((U(x).M)^4) = trace(R(x)^4) with R(x) = M.U(x),
 a square operator on the 2^ceil(w/2) subsets of D.  The 2^w-state T(x)
-is never formed; only U(x) is stepped by A.
+is never formed; only U(x) is stepped by A.  ``_ring_trace`` takes that
+trace for the counts and, at U(0) = H, for the diamond's 2^(w(w+1)/2),
+an exact check of H and M independent of A.
 
 Polynomiality: the count reads A only through U(x) = A^x.H.  If
 A^j (A - I)^k.H = 0, then for x >= j
@@ -45,7 +47,8 @@ A^j (A - I)^k.H = 0, then for x >= j
 
 since every term with i >= k is (A - I)^(i - k) times A^j (A - I)^k.H = 0.
 So R(x) = M.U(x) is a polynomial in x of degree < k, and trace(R(x)^4) one
-of degree <= 4(k - 1) there (identically zero when k = 0).
+of degree <= 4(k - 1) there.  When k = 0, A^j.H = 0 and the count is the
+zero polynomial for x >= j: the case of every odd w up to the limit.
 
 Everything is exact integer arithmetic.
 """
@@ -213,6 +216,14 @@ def _stepped(x: int, w: int) -> Operator:
     return u
 
 
+def _ring_trace(u: Operator, w: int) -> int:
+    """trace((M.U)^4) for thickness w: the window count when U = A^x.H,
+    and the order-w diamond's 2^(w(w+1)/2) when U = H."""
+    r = _product(_operators(w)[1], u)
+    r2 = _product(r, r)
+    return sum(v * r2.get(c, {}).get(a, 0) for a, row in r2.items() for c, v in row.items())
+
+
 def transfer_count(spec: RegionSpec) -> int:
     """Exact matching count of an Aztec window as trace(R^4) of the
     half-size operator R = M.A^x.H; the window itself is never built."""
@@ -220,9 +231,7 @@ def transfer_count(spec: RegionSpec) -> int:
         raise RegionError("the transfer method applies only to AZTEC_WINDOW regions")
     x, w = spec.params["x"], spec.params["w"]
     aztec_window_cell_count(x, w)  # the window's own refusals, before any work
-    r = _product(_operators(w)[1], _stepped(x, w))
-    r2 = _product(r, r)
-    return sum(v * r2.get(c, {}).get(a, 0) for a, row in r2.items() for c, v in row.items())
+    return _ring_trace(_stepped(x, w), w)
 
 
 def count_sequence(w: int, x_from: int, x_to: int) -> list[int]:
@@ -265,9 +274,9 @@ def column_annihilator(w: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class PolyReport:
-    """Finite-difference analysis of a count sequence over one window.
+    """Finite-difference analysis of a count sequence.
 
-    The detected degree is evidence on this window only; finite data can
+    The detected degree is evidence on these counts only; finite data can
     never certify that the sequence is globally polynomial, and the note
     says so.
     """
@@ -275,36 +284,15 @@ class PolyReport:
     counts: tuple[int, ...]
     detected_degree: Optional[int]
     differences: tuple[tuple[int, ...], ...]
-    x_from: Optional[int] = None
-    x_to: Optional[int] = None
-    w: Optional[int] = None
     note: str = ""
 
-    def to_dict(self) -> dict:
-        d = {
-            "counts": [str(c) for c in self.counts],
-            "detected_degree": self.detected_degree,
-            "differences": [[str(v) for v in row] for row in self.differences],
-            "note": self.note,
-        }
-        if self.w is not None:
-            d["w"] = self.w
-        if self.x_from is not None:
-            d["x_from"] = self.x_from
-            d["x_to"] = self.x_to
-        return d
 
+def detect_polynomial(counts: Sequence[int]) -> PolyReport:
+    """Least degree d whose (d+1)-th differences vanish across the counts.
 
-def detect_polynomial(
-    counts: Sequence[int],
-    x_from: Optional[int] = None,
-    w: Optional[int] = None,
-) -> PolyReport:
-    """Least degree d whose (d+1)-th differences vanish across the window.
-
-    Returns degree None when no order of differences vanishes within the
-    window.  An identically zero window reports degree 0 (the zero
-    polynomial), flagged in the note.
+    Returns degree None when no order of differences vanishes on them.  An
+    identically zero window reports degree 0 (the zero polynomial),
+    flagged in the note.
     """
     counts = tuple(counts)
     if any(type(c) is not int for c in counts):  # int() would truncate 1.5 to 1
@@ -318,17 +306,10 @@ def detect_polynomial(
         rows.append(tuple(b - a for a, b in zip(prev, prev[1:])))
     table = tuple(rows)
 
-    x_to = None if x_from is None else x_from + len(counts) - 1
-    window = (
-        f"x={x_from}..{x_to}" if x_from is not None else f"{len(counts)} samples"
-    )
-
+    window = f"window of {len(counts)} counts"
     if not any(counts):
-        return PolyReport(
-            counts, 0, table, x_from, x_to, w,
-            note=f"window {window} is identically zero; reporting the zero "
-                 "polynomial as degree 0",
-        )
+        return PolyReport(counts, 0, table, note=f"the {window} is identically "
+                          "zero; reporting the zero polynomial as degree 0")
 
     degree = None
     for d in range(len(counts) - 1):
@@ -336,9 +317,9 @@ def detect_polynomial(
             degree = d
             break
     if degree is None:
-        note = (f"no order of differences vanishes on window {window}; "
+        note = (f"no order of differences vanishes on the {window}; "
                 "no polynomial of degree < window length fits")
     else:
-        note = (f"degree {degree} fits on window {window}; windowed evidence "
+        note = (f"degree {degree} fits on the {window}; windowed evidence "
                 "only, not a certificate of global polynomial behaviour")
-    return PolyReport(counts, degree, table, x_from, x_to, w, note=note)
+    return PolyReport(counts, degree, table, note=note)

@@ -98,7 +98,7 @@ def test_problem14_polynomiality_evidence():
     counts = count_sequence(2, 1, 8)
     for x in (1, 2, 3):
         assert counts[x - 1] == count_kasteleyn(build_aztec_window(x, 2))
-    report = detect_polynomial(counts, x_from=1, w=2)
+    report = detect_polynomial(counts)
     d = report.detected_degree
     assert d is not None
     assert not any(report.differences[d + 1])

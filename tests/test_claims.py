@@ -1,3 +1,4 @@
+import inspect
 import json
 import random
 import time
@@ -18,7 +19,7 @@ from matchenum import (
     verify_problem19_orbits,
     verify_problem19_parity,
 )
-from matchenum import claims
+from matchenum import claims, transfer
 from matchenum.claims import (
     _CORPUS_KINDS,
     PERMANENT_LIMIT,
@@ -123,20 +124,24 @@ class TestProblem14:
     def test_w2_detects_finite_degree(self):
         report = verify_problem14(2, 8)
         assert report.verdict == "PASS"
-        poly = report.computed["poly"]
-        assert poly["detected_degree"] is not None
-        d = poly["detected_degree"]
-        assert all(v == "0" for v in poly["differences"][d + 1])
+        assert report.computed["poly"] == {"counts": ["8"] * 8}
+        assert report.computed["certificate"]["d"] == 0
 
     def test_w1_reports_zero_counts(self):
+        # odd w: A^j H = 0 proves the zero polynomial from x = j on
         report = verify_problem14(1, 6)
-        assert report.verdict == "REPORT_ONLY"
-        assert report.expected is None
-        assert "0" in report.computed["poly"]["counts"]
+        assert report.verdict == "PASS"
+        assert report.computed["poly"]["counts"] == ["1", "0", "0", "0", "0", "0"]
+        assert report.computed["certificate"]["coefficients"] == ["0"]
 
     def test_window_too_short(self):
-        with pytest.raises(BoundError):
-            verify_problem14(2, 2)
+        # one difference table over the certificate's counts, whatever x_to
+        report = verify_problem14(2, 2)
+        assert report.verdict == "PASS"
+        assert report.computed["poly"] == {"counts": ["8", "8"]}
+        assert report.computed["certificate"]["held_out"] == [2, 3]
+        with pytest.raises(RegionError):
+            verify_problem14(2, 0)
 
     # (j, k, d): A^j (A - I)^k H = 0, and the count is a polynomial of
     # degree d <= 4(k - 1) for x >= j; even w has j = 0, and odd w is zero
@@ -157,13 +162,42 @@ class TestProblem14:
         assert cert["held_out"] == [onset + cert["degree_bound"] + 1,
                                     onset + cert["degree_bound"] + 2]
         assert len(cert["newton"]) == len(cert["coefficients"]) == d + 1
+        assert report.verdict == "PASS"
+        assert report.computed["degree_finite"] is True
+        assert report.computed["diamond_count"] == str(2 ** (w * (w + 1) // 2))
+        assert set(report.computed["poly"]) == {"counts"}
         if w % 2:
-            assert report.verdict == "REPORT_ONLY"
             assert cert["coefficients"] == ["0"]
         else:
-            assert report.verdict == "PASS"
-            assert report.computed["degree_finite"] is True
             assert d == 4 * (k - 1)
+
+    @pytest.mark.parametrize("w", range(2, 11))
+    def test_every_count_from_the_onset_is_the_polynomial(self, w):
+        report = verify_problem14(w, 12)
+        cert = report.computed["certificate"]
+        coeffs = [Fraction(c) for c in cert["coefficients"]]
+        counts = report.computed["poly"]["counts"]
+        assert len(counts) == 12
+        assert cert["held_out"] == [cert["onset"] + cert["degree_bound"] + 1,
+                                    max(12, cert["onset"] + cert["degree_bound"] + 2)]
+        for x, count in enumerate(counts, start=1):
+            if x >= cert["onset"]:
+                assert sum(c * x**p for p, c in enumerate(coeffs)) == int(count), x
+
+    def test_a_changed_diamond_operator_fails(self):
+        # H with one entry raised: the diamond's trace((M H)^4) is off
+        row = next(iter(transfer._operators(4)[0].values()))
+        b = next(iter(row))
+        transfer._reached.clear()  # no U(x) stepped from the unchanged H
+        try:
+            row[b] += 1
+            report = verify_problem14(4, 12)
+        finally:
+            transfer._operators.cache_clear()
+            transfer._reached.clear()
+        assert report.verdict == "FAIL"
+        assert report.computed["diamond_count"] != report.expected["diamond_count"] == "1024"
+        assert verify_problem14(4, 12).verdict == "PASS"
 
     def test_w4_polynomial_and_its_diamond_base(self):
         # 256 (x^2 + 2x + 2)^2, proved for x >= j = 0, so its value at x = 0
@@ -180,8 +214,8 @@ class TestProblem14:
         assert report.verdict == "PASS"
         stored = [33554432, 314703872, 1919025152, 8589934592, 30704402432,
                   92704735232, 245650030592, 586869112832]
-        assert report.computed["poly"]["counts"] == [str(c) for c in stored]
-        assert report.computed["poly"]["detected_degree"] is None
+        assert report.computed["poly"] == {"counts": [str(c) for c in stored]}
+        assert report.computed["certificate"]["held_out"] == [10, 11]
         coeffs = [Fraction(c) for c in report.computed["certificate"]["coefficients"]]
         for x, count in enumerate(stored, start=1):
             if x >= 3:
@@ -470,3 +504,28 @@ class TestReportShape:
     def test_counts_never_serialize_as_numbers(self):
         doc = verify_problem19_parity(4).to_dict()
         assert all(isinstance(v, str) for v in doc["computed"]["f"])
+
+
+class TestIntParameters:
+    # each engine a claim would start with; none may run before the check
+    FIRST_WORK = ("RegionSpec", "aztec_window_cell_count", "column_annihilator",
+                  "count_sequence", "random_spec", "_hypercube_count", "matching_orbits")
+
+    @pytest.mark.parametrize("claim", sorted(claims.CLAIMS))
+    def test_refuses_bool_and_float_before_any_work(self, claim, monkeypatch):
+        # True would pass a desk bound as 1 and be reported as true; 5.0
+        # would pass it and fail later on range()
+        verify = claims.CLAIMS[claim]
+        ints = {name: p.default for name, p in inspect.signature(verify).parameters.items()
+                if type(p.default) is int}
+        assert ints
+
+        def fail(*args, **kwargs):
+            raise AssertionError("the claim started its work")
+
+        for name in self.FIRST_WORK:
+            monkeypatch.setattr(claims, name, fail)
+        for name, default in ints.items():
+            for value in (True, float(default)):
+                with pytest.raises(TypeError, match=f"{name} must be an int"):
+                    verify(**{name: value})

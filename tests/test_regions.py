@@ -156,6 +156,15 @@ class TestMatchGraph:
         with pytest.raises(GraphError, match="coords must be integer pairs"):
             MatchGraph(labels=[0, 1], edges=[(0, 1)], coords=coords)
 
+    @pytest.mark.parametrize("color", [[0.0, 1.0], [False, True], [0, 2], ["0", "1"]])
+    def test_rejects_colors_that_are_not_int_zero_or_one(self, color):
+        # [0.0, 1.0] would index the class tuple by a float, and [False, True]
+        # would be stored as a colouring of bools
+        from matchenum import GraphError
+
+        with pytest.raises(GraphError, match="bipartition must assign 0/1"):
+            MatchGraph(labels=[0, 1], edges=[(0, 1)], color=color)
+
     def test_rotation_needs_coords(self):
         from matchenum import GraphError
 
