@@ -103,10 +103,13 @@ def verify_problem1(n: int = 1, off_center: bool = False) -> ClaimReport:
     rhombus tilings containing the central rhombus is exactly 1/3.
 
     With ``off_center`` the ratio is taken at a deliberately non-central
-    edge instead (negative control, REPORT_ONLY).
+    edge instead (negative control, REPORT_ONLY); it must be a bool, so
+    that a truthy string is not taken for the flag.
     """
     t0 = time.perf_counter()
     _require_ints(n=n)
+    if type(off_center) is not bool:
+        raise TypeError(f"off_center must be a bool, not {type(off_center).__name__}")
     if not 1 <= n <= 3:
         raise BoundError("problem1 desk bound is 1 <= n <= 3")
     a, b = 2 * n - 1, 2 * n

@@ -12,10 +12,12 @@
   Kasteleyn orientation; needs the planar embedding, which may be
   disconnected.  ``signed_biadjacency`` builds that matrix, for
   ``spectra`` too, and checks ``kasteleyn_classes`` before it orients.
-  The determinant (``det_bareiss``) is a fraction-free elimination
-  confined to the band of the matrix, which lexicographic lattice labels
-  keep narrow: 20 diagonals on each side for the order-20 Aztec
-  diamond's 420 rows.  Rows are rescaled lazily: each keeps the pivot it
+  K is sparse from orientation to determinant: one ``{column: +-1}``
+  dict per row, zeros not stored.  The determinant (``det_bareiss``) is
+  a fraction-free elimination confined to the band of the matrix, which
+  lexicographic lattice labels keep narrow: 20 diagonals on each side for
+  the order-20 Aztec diamond's 420 rows.  A row is made dense only when
+  it enters the band.  Rows are rescaled lazily: each keeps the pivot it
   was last updated with, a row whose factor is 0 is skipped, and an
   entry that is 0 in both rows stays 0 without arithmetic.
 
@@ -46,8 +48,8 @@ BRUTE_FORCE_LIMIT = 64   # vertices
 BRUTE_NODE_LIMIT = 1 << 22
 PERMANENT_LIMIT = 20     # columns (one color class)
 FRONTIER_LIMIT = 22      # slots; a 2**22-state table is the desk-scale ceiling
-# rows (one color class) of the dense Kasteleyn matrix, 2048^2 list slots
-# (32 MiB); the order-44 diamond's 1980 rows take ~2.6 s on a 2-vCPU Xeon
+# rows (one color class) of the Kasteleyn matrix, a time bound: the band
+# elimination of the order-44 diamond's 1980 rows takes ~2.9 s on a 2-vCPU Xeon
 KASTELEYN_LIMIT = 2048
 
 
@@ -338,7 +340,7 @@ def kasteleyn_orient(g: MatchGraph, seed: int = 0) -> Orientation:
 def kasteleyn_classes(g: MatchGraph) -> Classes:
     """(rows, columns) of a Kasteleyn matrix, refused unless g has, in this
     order, an embedding, a bipartition, classes of equal size and at most
-    KASTELEYN_LIMIT rows (the matrix is dense)."""
+    KASTELEYN_LIMIT rows (a bound on the elimination's time)."""
     if g.coords is None:
         raise GraphError("a Kasteleyn matrix needs an embedding")
     if g.color is None:
@@ -351,31 +353,30 @@ def kasteleyn_classes(g: MatchGraph) -> Classes:
     return rows, cols
 
 
-def signed_biadjacency(g: MatchGraph, seed: int = 0) -> list[list[int]]:
-    """K under ``kasteleyn_orient(g, seed)``: rows are the class-0 vertices,
-    columns the class-1 vertices, both in ``g.classes`` order; entries +1
-    when the edge is oriented row -> column, -1 the other way, 0 for
-    non-edges.  The matrix is dense: it is refused as ``kasteleyn_classes``
-    refuses, before any face is walked."""
-    rows, cols = kasteleyn_classes(g)
+def signed_biadjacency(g: MatchGraph, seed: int = 0) -> list[dict[int, int]]:
+    """K under ``kasteleyn_orient(g, seed)`` as sparse rows: row r is the
+    r-th class-0 vertex v, as ``{column: sign}`` over v's neighbours, a
+    column being a class-1 vertex's position in ``g.classes``; the sign is
+    +1 when the edge is oriented row -> column, -1 the other way.  Refused
+    as ``kasteleyn_classes`` refuses, before any face is walked."""
+    rows, _ = kasteleyn_classes(g)
     orient = kasteleyn_orient(g, seed)
     pos = g.class_pos
-    mat = [[0] * len(cols) for _ in rows]
-    for r, v in enumerate(rows):
-        for u in g.adj[v]:
-            e = (v, u) if v < u else (u, v)
-            mat[r][pos[u]] = 1 if orient[e] == (v, u) else -1
-    return mat
+    return [{pos[u]: 1 if orient[(v, u) if v < u else (u, v)] == (v, u) else -1
+             for u in g.adj[v]} for v in rows]
 
 
-def det_bareiss(matrix: list[list[int]]) -> int:
-    """Exact integer determinant by fraction-free (Bareiss) elimination,
-    confined to the band of the matrix; the argument is not changed.
+def det_bareiss(rows: list[dict[int, int]]) -> int:
+    """Exact integer determinant of the n x n matrix given as sparse rows,
+    ``{column: value}`` with columns in range(n), by fraction-free (Bareiss)
+    elimination confined to the band of the matrix; the argument is not
+    changed.
 
-    The lower and upper bandwidths ``lo`` and ``hi`` are read from the
-    nonzero pattern.  Step k updates only rows k+1..k+lo and columns
-    k+1..k+lo+hi: the rows below have a zero in column k, and a zero-pivot
-    row swap inside the band widens the upper band to at most lo+hi.
+    The lower and upper bandwidths ``lo`` and ``hi`` are read from each
+    row's smallest and largest column; an empty row gives 0.  Step k
+    updates only rows k+1..k+lo and columns k+1..k+lo+hi: the rows below
+    have a zero in column k, and a zero-pivot row swap inside the band
+    widens the upper band to at most lo+hi.
 
     Rows are scaled lazily.  Bareiss changes a row whose column-k factor
     is 0 only by pivot/prev, and these factors telescope, so such a row is
@@ -387,26 +388,25 @@ def det_bareiss(matrix: list[list[int]]) -> int:
     the last row, is brought up to date as v*prev // stamp before use.
     Stamps move with their rows on a zero-pivot swap.
 
-    Only the band is held: a row is copied when it enters the band, and
-    each pivot row is dropped once its step is done.
+    Only the band is held: a row is made dense over the n columns when it
+    enters the band, and each pivot row is dropped once its step is done.
+    With lo = 0 no row is ever updated and the last row never enters the
+    band, so its diagonal entry is read from the caller's dict, where it
+    is stored: that row is not empty and has no column below n-1.
 
-    A dense matrix is the case lo = hi = n-1.  The cost is at most
+    A full matrix is the case lo = hi = n-1.  The cost is at most
     n*lo*(lo+hi) big-integer updates instead of n**3/3, and every division
-    is exact, as in the dense elimination.
+    is exact, as in the full elimination.
     """
-    n = len(matrix)
+    n = len(rows)
     if n == 0:
         return 1
-    lo = hi = 0
-    for i, row in enumerate(matrix):
-        left = row[:i - lo] if i > lo else ()
-        if any(left):
-            lo = i - list(map(bool, left)).index(True)
-        right = row[i + hi + 1:]
-        if any(right):
-            hi = n - 1 - i - list(map(bool, reversed(right))).index(True)
+    if not all(rows):
+        return 0
+    lo = max(i - min(row) for i, row in enumerate(rows))
+    hi = max(max(row) - i for i, row in enumerate(rows))
     width = lo + hi + 1  # band rows are zero outside columns k..k+lo+hi
-    m = list(matrix)
+    m = list(rows)
     entered = 0  # rows from here on are still the caller's
     stamp = [1] * n  # the pivot each row was last updated with
     sign = 1
@@ -414,8 +414,11 @@ def det_bareiss(matrix: list[list[int]]) -> int:
     for k in range(n - 1):
         end = min(n, k + width)
         last = min(n, k + lo + 1)
-        for r in range(entered, last):  # copy the rows entering the band
-            m[r] = m[r][:]
+        for r in range(entered, last):  # rows entering the band become dense
+            dense = [0] * n
+            for j, v in m[r].items():
+                dense[j] = v
+            m[r] = dense
         entered = last
         if m[k][k] == 0:
             for r in range(k + 1, last):

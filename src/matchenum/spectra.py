@@ -65,11 +65,12 @@ class CharPoly:
 
 
 def kasteleyn_matrix(g: MatchGraph, seed: int = 0) -> SignedMatrix:
-    """Signed biadjacency whose |det| is the perfect matching count; refused
-    past SPECTRUM_DIMENSION_LIMIT rows before any face is walked."""
+    """Signed biadjacency whose |det| is the perfect matching count, made
+    dense from ``signed_biadjacency``'s rows; refused past
+    SPECTRUM_DIMENSION_LIMIT rows before any face is walked."""
     _check_dimension(len(kasteleyn_classes(g)[0]))
-    mat = signed_biadjacency(g, seed)
-    return SignedMatrix(entries=tuple(tuple(r) for r in mat))
+    rows = signed_biadjacency(g, seed)
+    return SignedMatrix(tuple(tuple(row.get(j, 0) for j in range(len(rows))) for row in rows))
 
 
 def _check_dimension(dimension: int) -> None:

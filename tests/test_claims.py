@@ -529,3 +529,13 @@ class TestIntParameters:
             for value in (True, float(default)):
                 with pytest.raises(TypeError, match=f"{name} must be an int"):
                     verify(**{name: value})
+
+    def test_off_center_must_be_a_bool(self, monkeypatch):
+        # "no" would be truthy and run the negative control
+        def fail(*args, **kwargs):
+            raise AssertionError("the claim started its work")
+
+        monkeypatch.setattr(claims, "RegionSpec", fail)
+        for value in ("no", "", 1, 0, None):
+            with pytest.raises(TypeError, match="off_center must be a bool"):
+                claims.verify_problem1(off_center=value)

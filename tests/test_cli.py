@@ -262,9 +262,9 @@ class TestCellLimit:
 
 
 class TestKasteleynLimit:
-    # 65160 cells pass the cell limit; the dense matrix would need 32580^2
-    # slots, so the class size is refused before any is allocated, and
-    # before any face is walked
+    # 65160 cells pass the cell limit; the 32580 rows of K are far past
+    # the elimination's time bound, so the class size is refused before
+    # any row is built, and before any face is walked
     @staticmethod
     def refuse_largest_admitted_diamond(capsys, region_file, monkeypatch, command):
         def fail(*args, **kwargs):

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -634,6 +635,12 @@ def det_fraction(m):
     return det.numerator
 
 
+def sparse(m):
+    """The rows of a dense matrix as ``det_bareiss`` takes them:
+    ``{column: value}`` over the nonzeros."""
+    return [{j: v for j, v in enumerate(row) if v} for row in m]
+
+
 def banded_matrix(rng, n, lo, hi, density=0.6, span=3):
     """Random integer matrix whose nonzeros lie within lo diagonals below
     and hi diagonals above the main diagonal."""
@@ -659,16 +666,16 @@ def macmahon(a, b, c):
 class TestBareiss:
     def test_small_determinants(self):
         assert det_bareiss([]) == 1
-        assert det_bareiss([[7]]) == 7
-        assert det_bareiss([[1, 2], [3, 4]]) == -2
-        assert det_bareiss([[1, 2], [2, 4]]) == 0
+        assert det_bareiss(sparse([[7]])) == 7
+        assert det_bareiss(sparse([[1, 2], [3, 4]])) == -2
+        assert det_bareiss(sparse([[1, 2], [2, 4]])) == 0
 
     def test_against_fraction_elimination(self):
         rng = random.Random(7)
         for trial in range(30):
             n = rng.randint(1, 7)
             m = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-            assert det_bareiss(m) == det_fraction(m)
+            assert det_bareiss(sparse(m)) == det_fraction(m)
 
     def test_banded_against_fraction_elimination(self):
         rng = random.Random(11)
@@ -676,7 +683,7 @@ class TestBareiss:
             n = rng.randint(1, 14)
             lo, hi = rng.randint(0, n - 1), rng.randint(0, n - 1)
             m = banded_matrix(rng, n, lo, hi, density=rng.choice((0.3, 0.7, 1.0)))
-            assert det_bareiss(m) == det_fraction(m), m
+            assert det_bareiss(sparse(m)) == det_fraction(m), m
 
     def test_sparse_zero_one_matrices(self):
         # many zero pivots: swaps inside the band, or an early zero result
@@ -686,7 +693,7 @@ class TestBareiss:
             lo, hi = rng.randint(1, 3), rng.randint(0, 3)
             m = banded_matrix(rng, n, lo, hi, density=0.4, span=1)
             m = [[abs(v) for v in row] for row in m]
-            assert det_bareiss(m) == det_fraction(m), m
+            assert det_bareiss(sparse(m)) == det_fraction(m), m
 
     def test_forced_zero_pivots(self):
         # a zero diagonal makes every step before the first swap pivot on 0
@@ -696,7 +703,7 @@ class TestBareiss:
             m = banded_matrix(rng, n, rng.randint(1, 3), rng.randint(1, 3), density=0.9)
             for k in range(n):
                 m[k][k] = 0
-            assert det_bareiss(m) == det_fraction(m), m
+            assert det_bareiss(sparse(m)) == det_fraction(m), m
 
     def test_triangular(self):
         # lo = 0 leaves every row, the last one included, to lazy scaling
@@ -708,8 +715,8 @@ class TestBareiss:
                 upper[k][k] = rng.choice((-3, -2, -1, 1, 2, 3))
             diag = math.prod(upper[k][k] for k in range(n))
             lower = [list(col) for col in zip(*upper)]
-            assert det_bareiss(upper) == diag
-            assert det_bareiss(lower) == diag
+            assert det_bareiss(sparse(upper)) == diag
+            assert det_bareiss(sparse(lower)) == diag
 
     def test_zero_rows_and_columns(self):
         rng = random.Random(15)
@@ -722,7 +729,7 @@ class TestBareiss:
             else:
                 for row in m:
                     row[r] = 0
-            assert det_bareiss(m) == 0
+            assert det_bareiss(sparse(m)) == 0
 
     def test_singular(self):
         # a row that is the sum of its two upper neighbours
@@ -732,7 +739,7 @@ class TestBareiss:
             m = banded_matrix(rng, n, 2, 2, density=0.8)
             r = rng.randrange(2, n)
             m[r] = [a + b for a, b in zip(m[r - 1], m[r - 2])]
-            assert det_bareiss(m) == 0
+            assert det_bareiss(sparse(m)) == 0
 
     def test_full_width_dense(self):
         rng = random.Random(17)
@@ -741,36 +748,37 @@ class TestBareiss:
             m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
             m[n - 1][0] = rng.choice((-1, 1))  # bandwidths n-1 on both sides
             m[0][n - 1] = rng.choice((-1, 1))
-            assert det_bareiss(m) == det_fraction(m)
+            assert det_bareiss(sparse(m)) == det_fraction(m)
         for n in range(1, 9):
             anti = [[int(i + j == n - 1) for j in range(n)] for i in range(n)]
-            assert det_bareiss(anti) == (-1) ** (n * (n - 1) // 2)
+            assert det_bareiss(sparse(anti)) == (-1) ** (n * (n - 1) // 2)
 
     def test_stale_rows_are_brought_up_to_date(self):
         # step 0 updates rows 1 and 2 (stamp 2) and leaves row 3 below the
         # band (stamp 1); row 1 then has a zero pivot, so step 1 swaps the
         # stale row 3 in as pivot, and its stamp must move with it
         swapped = [[2, 0, 3, 0], [1, 0, 1, 2], [1, 0, 1, 0], [0, 3, 0, 0]]
-        assert det_bareiss(swapped) == det_fraction(swapped) == 6
+        assert det_bareiss(sparse(swapped)) == det_fraction(swapped) == 6
         # the last row has factor 0 at every step and is stale at the end
         stale_last = [[2, 2, 0, 0], [1, 1, 5, 0], [0, 3, 1, 0], [0, 0, 0, 4]]
-        assert det_bareiss(stale_last) == det_fraction(stale_last) == -120
+        assert det_bareiss(sparse(stale_last)) == det_fraction(stale_last) == -120
         rng = random.Random(19)
         for trial in range(200):  # a zero factor in every other row
             n = rng.randint(3, 12)
             m = banded_matrix(rng, n, 2, 2, density=0.8)
             for i in range(1, n - 1, 2):
                 m[i][i - 1] = 0
-            assert det_bareiss(m) == det_fraction(m), m
+            assert det_bareiss(sparse(m)) == det_fraction(m), m
 
     def test_input_unchanged(self):
-        # rows are copied only as they enter the band: zero-pivot swaps and
-        # stale rows must still leave the caller's list and rows untouched
+        # rows are made dense only as they enter the band: zero-pivot swaps
+        # and stale rows must still leave the caller's list and dicts untouched
         rng = random.Random(18)
         cases = [
             banded_matrix(rng, 9, 2, 2, density=1.0),
             [[2, 0, 3, 0], [1, 0, 1, 2], [1, 0, 1, 0], [0, 3, 0, 0]],
             [[2, 2, 0, 0], [1, 1, 5, 0], [0, 3, 1, 0], [0, 0, 0, 4]],
+            [[2, 1, 5], [0, 3, 1], [0, 0, -4]],  # lo = 0
         ]
         for trial in range(100):
             n = rng.randint(2, 12)
@@ -779,11 +787,38 @@ class TestBareiss:
                 m[k][k] = 0
             cases.append(m)
         for m in cases:
-            rows = list(m)
-            values = [row[:] for row in m]
-            assert det_bareiss(m) == det_fraction(values), values
-            assert len(m) == len(rows) and all(r is s for r, s in zip(m, rows)), values
-            assert rows == values, values
+            rows = sparse(m)
+            listed = list(rows)
+            copies = [dict(row) for row in rows]
+            assert det_bareiss(rows) == det_fraction(m), m
+            assert len(rows) == len(listed) and all(r is s for r, s in zip(rows, listed)), m
+            assert rows == copies, m
+
+    def test_sparse_row_edge_cases(self):
+        # n = 1: the one row is the last row and never enters the band
+        assert det_bareiss([{0: 7}]) == 7
+        assert det_bareiss([{0: -3}]) == -3
+        # an empty row gives 0, wherever it is
+        assert det_bareiss([{}]) == 0
+        assert det_bareiss([{}, {0: 1, 1: 1}]) == 0
+        assert det_bareiss([{0: 1, 1: 2}, {}]) == 0
+        assert det_bareiss([{0: 1}, {}, {2: 5}]) == 0
+        # a column that no row meets: first, inner and last
+        assert det_bareiss([{1: 1, 2: 1}, {1: 2, 2: 3}, {1: 5, 2: 1}]) == 0
+        assert det_bareiss([{0: 1, 2: 1}, {0: 2, 2: 3}, {0: 5, 2: 1}]) == 0
+        assert det_bareiss([{0: 1, 1: 1}, {0: 2, 1: 3}, {0: 5, 1: 1}]) == 0
+        # lo = 0 and a zero diagonal: a zero pivot with no row to swap in
+        assert det_bareiss([{0: 1, 1: 1}, {2: 1}, {2: 1}]) == 0
+        # lo = 0: no row is updated and the last row never enters the band,
+        # so its diagonal entry is read from the caller's dict
+        assert det_bareiss([{0: 2, 1: 1, 2: 5}, {1: 3, 2: 1}, {2: -4}]) == -24
+        assert det_bareiss([{0: 2, 3: 1}, {1: -1}, {2: 3, 3: 7}, {3: 5}]) == -30
+        rng = random.Random(20)
+        for trial in range(100):
+            n = rng.randint(1, 12)
+            upper = banded_matrix(rng, n, 0, rng.randint(0, n - 1), density=0.7)
+            upper[n - 1][n - 1] = rng.choice((-2, -1, 1, 2))
+            assert det_bareiss(sparse(upper)) == det_fraction(upper), upper
 
 
 class TestKasteleynClosedForms:
@@ -800,3 +835,31 @@ class TestKasteleynClosedForms:
         g = build_aztec_diamond(12)
         counts = {kasteleyn_det(g, s) for s in range(4)}
         assert counts == {2 ** 78}
+
+
+class TestSparseK:
+    def test_one_entry_per_edge(self):
+        # row r of K holds exactly the edges of its class-0 vertex, as +-1
+        for g in (build_aztec_diamond(5), nested_island_hexagon(),
+                  build_hexagon((2, 3, 4, 2, 3, 4))):
+            rows = counting.signed_biadjacency(g)
+            dense = kasteleyn_matrix(g).entries
+            pos = g.class_pos
+            assert len(rows) == len(g.classes[0]) == len(dense)
+            for v, row, full in zip(g.classes[0], rows, dense):
+                assert len(row) == g.degree(v)
+                assert set(row) == {pos[u] for u in g.adj[v]}
+                assert set(row.values()) <= {-1, 1}
+                assert full == tuple(row.get(j, 0) for j in range(len(rows)))
+
+    def test_count_holds_no_dense_matrix(self):
+        # the order-20 diamond's dense K alone took ~1.4 MiB of list slots
+        g = build_aztec_diamond(20)
+        g.faces()
+        tracemalloc.start()
+        try:
+            assert count_kasteleyn(g) == 2 ** 210
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
