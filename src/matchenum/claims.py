@@ -110,8 +110,8 @@ def verify_problem1(n: int = 1, off_center: bool = False) -> ClaimReport:
     _require_ints(n=n)
     if type(off_center) is not bool:
         raise TypeError(f"off_center must be a bool, not {type(off_center).__name__}")
-    if not 1 <= n <= 3:
-        raise BoundError("problem1 desk bound is 1 <= n <= 3")
+    if not 1 <= n <= 13:  # n = 13 has 1925 rows, the most under KASTELEYN_LIMIT
+        raise BoundError("problem1 desk bound is 1 <= n <= 13")
     a, b = 2 * n - 1, 2 * n
     sides = (a, a, b, a, a, b)
     spec = RegionSpec("HEXAGON", {"sides": list(sides)})

@@ -14,12 +14,14 @@
   ``spectra`` too, and checks ``kasteleyn_classes`` before it orients.
   K is sparse from orientation to determinant: one ``{column: +-1}``
   dict per row, zeros not stored.  The determinant (``det_bareiss``) is
-  a fraction-free elimination confined to the band of the matrix, which
-  lexicographic lattice labels keep narrow: 20 diagonals on each side for
-  the order-20 Aztec diamond's 420 rows.  A row is made dense only when
-  it enters the band.  Rows are rescaled lazily: each keeps the pivot it
-  was last updated with, a row whose factor is 0 is skipped, and an
-  entry that is 0 in both rows stays 0 without arithmetic.
+  a sparse fraction-free elimination that pivots on the column with the
+  fewest live rows, and in it on the sparsest row (minimum degree, after
+  Markowitz), so the order comes from the sparsity pattern alone and no
+  pivot is 0.  Bareiss's quotients are minors of the permuted matrix, so
+  every division stays exact under this order, and the sign is that of
+  the permutation taking each pivot row to its column.  Rows are rescaled
+  lazily: each keeps the pivot it was last updated with, a row without
+  an entry in the pivot column is skipped, and zeros are never stored.
 
 One DP loop, ``_advance``, serves the state DP here and both operators of
 an Aztec window in ``transfer``.  It runs the compiled steps of a vertex
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .graphs import Classes, GraphError, MatchGraph
 
@@ -48,8 +50,10 @@ BRUTE_FORCE_LIMIT = 64   # vertices
 BRUTE_NODE_LIMIT = 1 << 22
 PERMANENT_LIMIT = 20     # columns (one color class)
 FRONTIER_LIMIT = 22      # slots; a 2**22-state table is the desk-scale ceiling
-# rows (one color class) of the Kasteleyn matrix, a time bound: the band
-# elimination of the order-44 diamond's 1980 rows takes ~2.9 s on a 2-vCPU Xeon
+# rows (one color class) of the Kasteleyn matrix, a time bound: the
+# determinant of the order-44 diamond's 1980 rows takes ~0.3 s on a 2-vCPU
+# Xeon, but the cost grows faster than the rows (order 60, 3660 rows: ~1.8 s;
+# order 80: ~10 s), so the bound stays until refusals follow predicted cost
 KASTELEYN_LIMIT = 2048
 
 
@@ -368,86 +372,132 @@ def signed_biadjacency(g: MatchGraph, seed: int = 0) -> list[dict[int, int]]:
 
 def det_bareiss(rows: list[dict[int, int]]) -> int:
     """Exact integer determinant of the n x n matrix given as sparse rows,
-    ``{column: value}`` with columns in range(n), by fraction-free (Bareiss)
-    elimination confined to the band of the matrix; the argument is not
+    ``{column: value}`` with columns in range(n), by sparse fraction-free
+    (Bareiss) elimination in minimum-degree order; the argument is not
     changed.
 
-    The lower and upper bandwidths ``lo`` and ``hi`` are read from each
-    row's smallest and largest column; an empty row gives 0.  Step k
-    updates only rows k+1..k+lo and columns k+1..k+lo+hi: the rows below
-    have a zero in column k, and a zero-pivot row swap inside the band
-    widens the upper band to at most lo+hi.
+    Each step pivots on the column with the fewest live rows (Markowitz's
+    rule), and within it on the row with the fewest entries, ties to the
+    lowest index.  A live column without rows, or an empty row, gives 0;
+    so no pivot is ever 0.  Step k thus eliminates A[r_k][c_k], which is
+    Bareiss's elimination of P*A*Q with B[k][l] = A[r_k][c_l]; every
+    entry after step k is a (k+1)-minor of B (Bareiss, 1968), whatever
+    the pivot sequence, and det A = sgn(r_k -> c_k) * det B, where det B
+    is the last pivot.
 
-    Rows are scaled lazily.  Bareiss changes a row whose column-k factor
-    is 0 only by pivot/prev, and these factors telescope, so such a row is
-    skipped and keeps its ``stamp``: the pivot it was last updated with
-    (1 for a row never updated, such as one below the band).  A row with
-    a nonzero factor f is updated as (a*pivot - f*b) // stamp, which is
-    the true Bareiss entry, so the division is exact; an entry with
-    a = b = 0 stays 0 without arithmetic.  The pivot row, and at the end
-    the last row, is brought up to date as v*prev // stamp before use.
-    Stamps move with their rows on a zero-pivot swap.
+    Rows are scaled lazily.  Bareiss changes a row without an entry in the
+    pivot column only by pivot/prev, and these factors telescope, so such
+    a row is skipped and keeps its ``stamp``: the pivot it was last
+    updated with (1 for a row never updated).  The pivot row is brought up
+    to date as v*prev // stamp.  A row with factor f becomes
+    (a*pivot - f*b) // stamp where both it and the pivot row hold a
+    column, a*pivot // stamp where only it does and -f*b // stamp (fill)
+    where only the pivot row does; these are the true Bareiss entries, so
+    every division is exact.  Entries that cancel to 0 are dropped.
 
-    Only the band is held: a row is made dense over the n columns when it
-    enters the band, and each pivot row is dropped once its step is done.
-    With lo = 0 no row is ever updated and the last row never enters the
-    band, so its diagonal entry is read from the caller's dict, where it
-    is stored: that row is not empty and has no column below n-1.
-
-    A full matrix is the case lo = hi = n-1.  The cost is at most
-    n*lo*(lo+hi) big-integer updates instead of n**3/3, and every division
-    is exact, as in the full elimination.
+    An updated row is a new dict, so the caller's rows are never changed.
+    ``col_rows[j]`` lists the rows that may hold column j; it keeps rows
+    that lost j (by cancellation, or as a pivot row), and lists a row
+    twice when it loses j and regains it as fill, so it is read deduped
+    and filtered.  ``count[j]`` is the exact number of live rows holding
+    j, and a bucket queue indexed by count, with stale entries skipped
+    when popped, gives the next pivot column.
     """
     n = len(rows)
-    if n == 0:
-        return 1
-    if not all(rows):
+    # a stored 0 is dropped, so that it is never taken for a pivot
+    m = [row if all(row.values()) else {j: v for j, v in row.items() if v}
+         for row in rows]
+    if not all(m):
         return 0
-    lo = max(i - min(row) for i, row in enumerate(rows))
-    hi = max(max(row) - i for i, row in enumerate(rows))
-    width = lo + hi + 1  # band rows are zero outside columns k..k+lo+hi
-    m = list(rows)
-    entered = 0  # rows from here on are still the caller's
+    col_rows: list[list[int]] = [[] for _ in range(n)]
+    for i, row in enumerate(m):
+        for j in row:
+            col_rows[j].append(i)
+    count = [len(r) for r in col_rows]  # -1 once the column is pivoted on
+    buckets: list[list[int]] = []  # buckets[d]: columns queued at count d
+    low = 0  # no live column has a count below this
     stamp = [1] * n  # the pivot each row was last updated with
-    sign = 1
+    perm = [0] * n  # pivot row -> its pivot column
+    done: dict[int, int] = {}  # every pivot row's place in m, holding no column
     prev = 1
-    for k in range(n - 1):
-        end = min(n, k + width)
-        last = min(n, k + lo + 1)
-        for r in range(entered, last):  # rows entering the band become dense
-            dense = [0] * n
-            for j, v in m[r].items():
-                dense[j] = v
-            m[r] = dense
-        entered = last
-        if m[k][k] == 0:
-            for r in range(k + 1, last):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    stamp[k], stamp[r] = stamp[r], stamp[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        row_k = m[k]
-        s = stamp[k]
-        if s == prev:
-            pivot = row_k[k]
-            tail_k = row_k[k + 1:end]
-        else:  # bring the pivot row up to date
-            pivot = row_k[k] * prev // s
-            tail_k = [b * prev // s if b else 0 for b in row_k[k + 1:end]]
-        for i in range(k + 1, last):
+    # every column is queued before the first step, highest first: a bucket
+    # pops its last entry, so the first pivot column is the lowest of least count
+    changed: Iterable[int] = range(n - 1, -1, -1)
+    for _ in range(n):
+        for j in changed:  # queue each column at its new count
+            d = count[j]
+            while len(buckets) <= d:
+                buckets.append([])
+            buckets[d].append(j)
+            if d < low:
+                low = d
+        while True:  # the live column of fewest rows; skip stale entries
+            while not buckets[low]:
+                low += 1
+            c = buckets[low].pop()
+            if count[c] == low:
+                break
+        if low == 0:
+            return 0
+        count[c] = -1
+        live = [i for i in dict.fromkeys(col_rows[c]) if c in m[i]]
+        col_rows[c] = []
+        r = min(live, key=lambda i: (len(m[i]), i))
+        perm[r] = c
+        tail = dict(m[r])
+        pivot = tail.pop(c)
+        s = stamp[r]
+        if s != prev:  # bring the pivot row up to date
+            pivot = pivot * prev // s
+            tail = {j: b * prev // s for j, b in tail.items()}
+        m[r] = done  # the pivot row is done with
+        for j in tail:
+            count[j] -= 1
+        for i in live:
+            if i == r:
+                continue
             row_i = m[i]
-            f = row_i[k]
-            if f:  # a zero factor leaves only a scaling, kept in the stamp
-                s = stamp[i]
-                row_i[k + 1:end] = [(a * pivot - f * b) // s if a or b else 0
-                                    for a, b in zip(row_i[k + 1:end], tail_k)]
-                stamp[i] = pivot
+            f = row_i[c]
+            s = stamp[i]
+            new = {}
+            for j, a in row_i.items():
+                b = tail.get(j)
+                if b is None:
+                    if j != c:
+                        new[j] = a * pivot // s
+                else:
+                    v = (a * pivot - f * b) // s
+                    if v:
+                        new[j] = v
+                    else:  # exact cancellation
+                        count[j] -= 1
+            for j, b in tail.items():
+                if j not in row_i:  # fill
+                    new[j] = -f * b // s
+                    count[j] += 1
+                    col_rows[j].append(i)
+            m[i] = new
+            stamp[i] = pivot
+        changed = tail  # every count that moved is a column of the pivot row
         prev = pivot
-        m[k] = None  # the pivot row is done with
-    return sign * (m[n - 1][n - 1] * prev // stamp[n - 1])
+    return _parity(perm) * prev
+
+
+def _parity(perm: list[int]) -> int:
+    """The sign of a permutation of range(len(perm)), by its cycles."""
+    sign = 1
+    seen = [False] * len(perm)
+    for start in range(len(perm)):
+        if not seen[start]:
+            j = start
+            length = 0
+            while not seen[j]:
+                seen[j] = True
+                j = perm[j]
+                length += 1
+            if length % 2 == 0:
+                sign = -sign
+    return sign
 
 
 def count_kasteleyn(g: MatchGraph) -> int:

@@ -103,7 +103,7 @@ def spy_on_draws(monkeypatch):
 
 
 class TestProblem1:
-    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 8])  # n = 8: the (15,15,16) hexagon, 736 rows
     def test_ratio_is_one_third(self, n):
         report = verify_problem1(n)
         assert report.verdict == "PASS"
@@ -117,7 +117,7 @@ class TestProblem1:
 
     def test_desk_bound(self):
         with pytest.raises(BoundError):
-            verify_problem1(4)
+            verify_problem1(14)
 
 
 class TestProblem14:

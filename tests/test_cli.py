@@ -458,7 +458,7 @@ class TestVerify:
         assert json.loads(out) == report.to_dict()
 
     def test_bound_violation_exits_2(self, capsys):
-        for argv in (["--claim", "problem1", "--n", "9"],
+        for argv in (["--claim", "problem1", "--n", "14"],
                      ["--claim", "problem14", "--w", "2", "--x-to", "8190"],
                      ["--claim", "oracles", "--cases", "1001"]):
             code, _, err = run(capsys, "verify", *argv)
@@ -466,7 +466,7 @@ class TestVerify:
             assert "bound" in err
 
     @pytest.mark.parametrize("claim, option, bound", [
-        ("problem1", "--n", "1 <= n <= 3"),
+        ("problem1", "--n", "1 <= n <= 13"),
         ("problem19-parity", "--n-max", "1 <= n_max <= 5"),
         ("problem19-orbits", "--n", "1 <= n <= 4"),
         ("problem19-asymptotic", "--n-max", "1 <= n_max <= 5"),

@@ -686,7 +686,7 @@ class TestBareiss:
             assert det_bareiss(sparse(m)) == det_fraction(m), m
 
     def test_sparse_zero_one_matrices(self):
-        # many zero pivots: swaps inside the band, or an early zero result
+        # many zero entries: cancellations, fill, and columns emptied early
         rng = random.Random(12)
         for trial in range(300):
             n = rng.randint(2, 14)
@@ -696,7 +696,7 @@ class TestBareiss:
             assert det_bareiss(sparse(m)) == det_fraction(m), m
 
     def test_forced_zero_pivots(self):
-        # a zero diagonal makes every step before the first swap pivot on 0
+        # a zero diagonal: no pivot may come from the diagonal
         rng = random.Random(13)
         for trial in range(100):
             n = rng.randint(2, 12)
@@ -706,7 +706,8 @@ class TestBareiss:
             assert det_bareiss(sparse(m)) == det_fraction(m), m
 
     def test_triangular(self):
-        # lo = 0 leaves every row, the last one included, to lazy scaling
+        # each column has one live row when it is pivoted on, so no row is
+        # ever updated: every pivot row is brought up to date from stamp 1
         rng = random.Random(14)
         for trial in range(50):
             n = rng.randint(1, 12)
@@ -754,12 +755,13 @@ class TestBareiss:
             assert det_bareiss(sparse(anti)) == (-1) ** (n * (n - 1) // 2)
 
     def test_stale_rows_are_brought_up_to_date(self):
-        # step 0 updates rows 1 and 2 (stamp 2) and leaves row 3 below the
-        # band (stamp 1); row 1 then has a zero pivot, so step 1 swaps the
-        # stale row 3 in as pivot, and its stamp must move with it
+        # columns 1 and 3 have one row each and go first, so rows 0 and 2
+        # keep stamp 1 while the pivots grow to 6, and are brought up to
+        # date only when they are updated or pivoted on
         swapped = [[2, 0, 3, 0], [1, 0, 1, 2], [1, 0, 1, 0], [0, 3, 0, 0]]
         assert det_bareiss(sparse(swapped)) == det_fraction(swapped) == 6
-        # the last row has factor 0 at every step and is stale at the end
+        # column 3 has one row and goes first, so rows 0 to 2 are all stale
+        # (stamp 1, pivot 4) when the next column is pivoted on
         stale_last = [[2, 2, 0, 0], [1, 1, 5, 0], [0, 3, 1, 0], [0, 0, 0, 4]]
         assert det_bareiss(sparse(stale_last)) == det_fraction(stale_last) == -120
         rng = random.Random(19)
@@ -771,14 +773,14 @@ class TestBareiss:
             assert det_bareiss(sparse(m)) == det_fraction(m), m
 
     def test_input_unchanged(self):
-        # rows are made dense only as they enter the band: zero-pivot swaps
-        # and stale rows must still leave the caller's list and dicts untouched
+        # an updated row is a new dict: pivot rows, stale rows and fill
+        # must leave the caller's list and dicts untouched
         rng = random.Random(18)
         cases = [
             banded_matrix(rng, 9, 2, 2, density=1.0),
             [[2, 0, 3, 0], [1, 0, 1, 2], [1, 0, 1, 0], [0, 3, 0, 0]],
             [[2, 2, 0, 0], [1, 1, 5, 0], [0, 3, 1, 0], [0, 0, 0, 4]],
-            [[2, 1, 5], [0, 3, 1], [0, 0, -4]],  # lo = 0
+            [[2, 1, 5], [0, 3, 1], [0, 0, -4]],  # triangular: no row updated
         ]
         for trial in range(100):
             n = rng.randint(2, 12)
@@ -795,7 +797,7 @@ class TestBareiss:
             assert rows == copies, m
 
     def test_sparse_row_edge_cases(self):
-        # n = 1: the one row is the last row and never enters the band
+        # n = 1: the one row is the one pivot
         assert det_bareiss([{0: 7}]) == 7
         assert det_bareiss([{0: -3}]) == -3
         # an empty row gives 0, wherever it is
@@ -807,10 +809,11 @@ class TestBareiss:
         assert det_bareiss([{1: 1, 2: 1}, {1: 2, 2: 3}, {1: 5, 2: 1}]) == 0
         assert det_bareiss([{0: 1, 2: 1}, {0: 2, 2: 3}, {0: 5, 2: 1}]) == 0
         assert det_bareiss([{0: 1, 1: 1}, {0: 2, 1: 3}, {0: 5, 1: 1}]) == 0
-        # lo = 0 and a zero diagonal: a zero pivot with no row to swap in
+        # triangular with a zero diagonal: column 1's only row is column
+        # 0's pivot row, so column 1 is left without rows
         assert det_bareiss([{0: 1, 1: 1}, {2: 1}, {2: 1}]) == 0
-        # lo = 0: no row is updated and the last row never enters the band,
-        # so its diagonal entry is read from the caller's dict
+        # triangular: no row is updated, and each pivot row is brought up
+        # to date from stamp 1
         assert det_bareiss([{0: 2, 1: 1, 2: 5}, {1: 3, 2: 1}, {2: -4}]) == -24
         assert det_bareiss([{0: 2, 3: 1}, {1: -1}, {2: 3, 3: 7}, {3: 5}]) == -30
         rng = random.Random(20)
@@ -819,6 +822,63 @@ class TestBareiss:
             upper = banded_matrix(rng, n, 0, rng.randint(0, n - 1), density=0.7)
             upper[n - 1][n - 1] = rng.choice((-2, -1, 1, 2))
             assert det_bareiss(sparse(upper)) == det_fraction(upper), upper
+
+    def test_stored_zeros_are_not_pivots(self):
+        assert det_bareiss([{0: 0, 1: 1}, {0: 1, 1: 0}]) == -1
+        assert det_bareiss([{0: 0}]) == 0
+        assert det_bareiss([{0: 2, 1: 0}, {0: 0, 1: 3}]) == 6
+        rows = [{0: 0, 1: 2}, {0: 1}]
+        assert det_bareiss(rows) == -2
+        assert rows == [{0: 0, 1: 2}, {0: 1}]
+
+
+def permutation_sign(p):
+    """(-1)^(number of inversions of p)."""
+    return (-1) ** sum(p[i] > p[j] for i in range(len(p)) for j in range(i + 1, len(p)))
+
+
+class TestMinimumDegreePivoting:
+    def test_permuted_rows_and_columns(self):
+        # det(P A Q) = sgn(P) sgn(Q) det(A): the same matrix under other
+        # labels takes another pivot sequence, and the sign must follow it
+        rng = random.Random(21)
+        for trial in range(300):
+            n = rng.randint(1, 10)
+            density = rng.choice((0.2, 0.35, 0.5, 0.8))
+            a = [[rng.choice((-3, -2, -1, 1, 2, 3)) if rng.random() < density else 0
+                  for _ in range(n)] for _ in range(n)]
+            p, q = list(range(n)), list(range(n))
+            rng.shuffle(p)
+            rng.shuffle(q)
+            b = [[a[p[i]][q[j]] for j in range(n)] for i in range(n)]
+            det = det_fraction(a)
+            assert det_bareiss(sparse(a)) == det, a
+            assert det_bareiss(sparse(b)) == permutation_sign(p) * permutation_sign(q) * det, (a, p, q)
+
+    def test_cancel_and_refill(self):
+        # small entries cancel exactly, and a row that loses a column by
+        # cancellation can regain it as fill: it is then listed twice for
+        # that column, and must be updated once
+        rng = random.Random(22)
+        for trial in range(1000):
+            n = rng.randint(1, 10)
+            density = rng.choice((0.2, 0.4, 0.6, 0.8, 1.0))
+            m = [[rng.choice((-2, -1, 1, 2)) if rng.random() < density else 0
+                  for _ in range(n)] for _ in range(n)]
+            if n > 1 and trial % 3 == 0:
+                m[rng.randrange(n)] = list(m[rng.randrange(n)])
+            assert det_bareiss(sparse(m)) == det_fraction(m), m
+
+    def test_column_emptied_by_cancellation(self):
+        # column 0 is pivoted on row 0, and row 1's entry in column 1
+        # cancels to 0: column 1 is left without rows
+        assert det_bareiss([{0: 1, 1: 1}, {0: 1, 1: 1}]) == 0
+        assert det_bareiss([{0: 2, 1: 1, 2: 1}, {0: 4, 1: 2, 2: 1}, {2: 1}]) == 0
+        # row 3 loses column 2 by cancellation at the first step (column 0)
+        # and regains it as fill at the second (column 3), so column 2
+        # lists it twice; read without the dedupe, that raised KeyError
+        refill = [[0, 0, 1, 1], [0, 1, 1, 0], [1, 0, 1, 1], [1, 1, 1, 0]]
+        assert det_bareiss(sparse(refill)) == det_fraction(refill) == 0
 
 
 class TestKasteleynClosedForms:

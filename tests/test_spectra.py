@@ -263,7 +263,7 @@ class TestCharPoly:
         assert kk_star_charpoly(k).coeffs == expected
 
     def test_dense_sign_matrix_against_determinants(self):
-        # p(t) = det(t*I - K K^T) at integer t, by the banded elimination
+        # p(t) = det(t*I - K K^T) at integer t, by the sparse elimination (det_bareiss)
         rng = random.Random(31)
         for m in (11, 12, 13):
             k = SignedMatrix(entries=tuple(tuple(rng.choice((-1, 1)) for _ in range(m))
