@@ -396,36 +396,44 @@ def det_bareiss(rows: list[dict[int, int]]) -> int:
     every division is exact.  Entries that cancel to 0 are dropped.
 
     An updated row is a new dict, so the caller's rows are never changed.
-    ``col_rows[j]`` lists the rows that may hold column j; it keeps rows
-    that lost j (by cancellation, or as a pivot row), and lists a row
-    twice when it loses j and regains it as fill, so it is read deduped
-    and filtered.  ``count[j]`` is the exact number of live rows holding
-    j, and a bucket queue indexed by count, with stale entries skipped
-    when popped, gives the next pivot column.
+    ``col_rows[j]`` is exactly the list of live rows that hold column j,
+    and None once j is pivoted on: the pivot row leaves the lists of its
+    columns, a row leaves a list when its entry cancels to 0 and joins it
+    when the entry is fill.  A bucket queue indexed by list length, with
+    stale entries skipped when popped, gives the next pivot column.
+
+    Raises TypeError for a row that is not a dict, or a column or value
+    that is not an int (a bool is refused, and a float, which floor
+    division would truncate), and ValueError for a column outside
+    range(n), before any elimination step.
     """
     n = len(rows)
-    # a stored 0 is dropped, so that it is never taken for a pivot
-    m = [row if all(row.values()) else {j: v for j, v in row.items() if v}
-         for row in rows]
+    m: list[dict[int, int] | None] = []
+    col_rows: list[list[int] | None] = [[] for _ in range(n)]
+    for i, row in enumerate(rows):
+        if not isinstance(row, dict):
+            raise TypeError(f"row {i} is a {type(row).__name__}, not a dict")
+        for j, v in row.items():
+            if type(j) is not int or type(v) is not int:
+                raise TypeError(f"row {i} holds {j!r}: {v!r}; columns and values must be ints")
+            if not 0 <= j < n:
+                raise ValueError(f"row {i} holds column {j}, outside range({n})")
+            if v:  # a stored 0 is dropped, so that it is never taken for a pivot
+                col_rows[j].append(i)
+        m.append(row if all(row.values()) else {j: v for j, v in row.items() if v})
     if not all(m):
         return 0
-    col_rows: list[list[int]] = [[] for _ in range(n)]
-    for i, row in enumerate(m):
-        for j in row:
-            col_rows[j].append(i)
-    count = [len(r) for r in col_rows]  # -1 once the column is pivoted on
-    buckets: list[list[int]] = []  # buckets[d]: columns queued at count d
-    low = 0  # no live column has a count below this
+    buckets: list[list[int]] = []  # buckets[d]: columns queued at d rows
+    low = 0  # no live column has fewer rows than this
     stamp = [1] * n  # the pivot each row was last updated with
     perm = [0] * n  # pivot row -> its pivot column
-    done: dict[int, int] = {}  # every pivot row's place in m, holding no column
     prev = 1
     # every column is queued before the first step, highest first: a bucket
-    # pops its last entry, so the first pivot column is the lowest of least count
+    # pops its last entry, so the first pivot column is the lowest of fewest rows
     changed: Iterable[int] = range(n - 1, -1, -1)
     for _ in range(n):
-        for j in changed:  # queue each column at its new count
-            d = count[j]
+        for j in changed:  # queue each column at its new number of rows
+            d = len(col_rows[j])
             while len(buckets) <= d:
                 buckets.append([])
             buckets[d].append(j)
@@ -435,24 +443,23 @@ def det_bareiss(rows: list[dict[int, int]]) -> int:
             while not buckets[low]:
                 low += 1
             c = buckets[low].pop()
-            if count[c] == low:
+            live = col_rows[c]
+            if live is not None and len(live) == low:
                 break
         if low == 0:
             return 0
-        count[c] = -1
-        live = [i for i in dict.fromkeys(col_rows[c]) if c in m[i]]
-        col_rows[c] = []
+        col_rows[c] = None
         r = min(live, key=lambda i: (len(m[i]), i))
         perm[r] = c
         tail = dict(m[r])
+        m[r] = None  # the pivot row is done with
         pivot = tail.pop(c)
         s = stamp[r]
         if s != prev:  # bring the pivot row up to date
             pivot = pivot * prev // s
             tail = {j: b * prev // s for j, b in tail.items()}
-        m[r] = done  # the pivot row is done with
         for j in tail:
-            count[j] -= 1
+            col_rows[j].remove(r)
         for i in live:
             if i == r:
                 continue
@@ -470,15 +477,14 @@ def det_bareiss(rows: list[dict[int, int]]) -> int:
                     if v:
                         new[j] = v
                     else:  # exact cancellation
-                        count[j] -= 1
+                        col_rows[j].remove(i)
             for j, b in tail.items():
                 if j not in row_i:  # fill
                     new[j] = -f * b // s
-                    count[j] += 1
                     col_rows[j].append(i)
             m[i] = new
             stamp[i] = pivot
-        changed = tail  # every count that moved is a column of the pivot row
+        changed = tail  # every list that changed is a column of the pivot row
         prev = pivot
     return _parity(perm) * prev
 

@@ -37,12 +37,21 @@ QL_ITERATION_LIMIT = 60  # QL sweeps allowed per eigenvalue
 class SignedMatrix:
     """Signed biadjacency: rows one color class, columns the other,
     entries +-1 on edges per the Kasteleyn orientation, 0 elsewhere.
-    Refused past SPECTRUM_DIMENSION_LIMIT rows."""
+    Refused past SPECTRUM_DIMENSION_LIMIT rows (BoundError), with rows of
+    unequal length (ValueError) and with an entry that is not an int, a
+    bool included (TypeError)."""
 
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
         _check_dimension(self.dimension)
+        width = len(self.entries[0]) if self.entries else 0
+        for i, row in enumerate(self.entries):
+            if len(row) != width:
+                raise ValueError(f"row {i} has {len(row)} entries, row 0 has {width}")
+            for v in row:
+                if type(v) is not int:
+                    raise TypeError(f"row {i} holds {v!r}; entries must be ints")
 
     @property
     def dimension(self) -> int:

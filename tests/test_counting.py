@@ -831,6 +831,20 @@ class TestBareiss:
         assert det_bareiss(rows) == -2
         assert rows == [{0: 0, 1: 2}, {0: 1}]
 
+    @pytest.mark.parametrize("rows,error", [
+        ([[1, 2], [3, 4]], TypeError),  # dense rows
+        ([{0: 1, -1: 2}, {0: 3, 1: 4}], ValueError),  # would index from the end
+        ([{0: 1}, {2: 1}], ValueError),  # a column past n
+        ([{0: 1, 1: 1}, {0: 1, 1: 1.0000001}], TypeError),  # would truncate to 0
+        ([{0: 2}, {1: 3.0}], TypeError),
+        ([{0: True}], TypeError),
+        ([{True: 1}], TypeError),
+        ([{}, {0: 1.5}], TypeError),  # checked before an empty row gives 0
+    ])
+    def test_malformed_rows_refused(self, rows, error):
+        with pytest.raises(error):
+            det_bareiss(rows)
+
 
 def permutation_sign(p):
     """(-1)^(number of inversions of p)."""
@@ -857,8 +871,8 @@ class TestMinimumDegreePivoting:
 
     def test_cancel_and_refill(self):
         # small entries cancel exactly, and a row that loses a column by
-        # cancellation can regain it as fill: it is then listed twice for
-        # that column, and must be updated once
+        # cancellation can regain it as fill: it leaves that column's list
+        # on the cancellation and rejoins it on the fill
         rng = random.Random(22)
         for trial in range(1000):
             n = rng.randint(1, 10)
@@ -874,9 +888,9 @@ class TestMinimumDegreePivoting:
         # cancels to 0: column 1 is left without rows
         assert det_bareiss([{0: 1, 1: 1}, {0: 1, 1: 1}]) == 0
         assert det_bareiss([{0: 2, 1: 1, 2: 1}, {0: 4, 1: 2, 2: 1}, {2: 1}]) == 0
-        # row 3 loses column 2 by cancellation at the first step (column 0)
-        # and regains it as fill at the second (column 3), so column 2
-        # lists it twice; read without the dedupe, that raised KeyError
+        # row 3 loses column 2 by cancellation at the first step (column 0),
+        # leaving column 2's list, and regains it as fill at the second
+        # (column 3), rejoining the list
         refill = [[0, 0, 1, 1], [0, 1, 1, 0], [1, 0, 1, 1], [1, 1, 1, 0]]
         assert det_bareiss(sparse(refill)) == det_fraction(refill) == 0
 

@@ -383,6 +383,22 @@ class TestSingularValues:
             singular_values(k)
 
 
+class TestMalformedEntries:
+    @pytest.mark.parametrize("entries,error", [
+        (((1,), (1, 2)), ValueError),  # a longer row
+        (((1, 2), (1,)), ValueError),  # a shorter row, not padded with 0
+        (((1.5, 0), (0, 1)), TypeError),
+        (((True, 0), (0, 1)), TypeError),
+    ])
+    def test_refused_when_made(self, entries, error):
+        with pytest.raises(error):
+            SignedMatrix(entries)
+
+    def test_rectangular_and_other_ints_allowed(self):
+        k = SignedMatrix(((1, 0, -3), (0, 2, 0)))
+        assert _kk_star(k) == [[10, 0], [0, 4]]
+
+
 class TestDimensionBound:
     def test_limit_admits_hexagon_5(self):
         k = kasteleyn_matrix(build_hexagon((5, 5, 5, 5, 5, 5)))
