@@ -10,8 +10,12 @@
   by the columns it is the last row to meet; unequal classes count 0.
 * ``count_kasteleyn`` - determinant of the signed biadjacency under a
   Kasteleyn orientation; needs the planar embedding, which may be
-  disconnected.  ``signed_biadjacency`` builds that matrix, for
-  ``spectra`` too, and checks ``kasteleyn_classes`` before it orients.
+  disconnected.  ``kasteleyn_orient`` roots one spanning tree of the dual
+  per component at its outer walk and, leaves first, flips the tree edge
+  of every face whose clockwise parity is even; each parity is read once
+  from the face walk and then kept by XOR.  ``signed_biadjacency`` builds
+  that matrix, for ``spectra`` too, and checks ``kasteleyn_classes``
+  before it orients.
   K is sparse from orientation to determinant: one ``{column: +-1}``
   dict per row, zeros not stored.  The determinant (``det_bareiss``) is
   a sparse fraction-free elimination that pivots on the column with the
@@ -39,6 +43,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
 from .graphs import Classes, GraphError, MatchGraph
@@ -283,60 +288,55 @@ def kasteleyn_orient(g: MatchGraph, seed: int = 0) -> Orientation:
     shuffles the dual traversal so tests can probe different (equally
     valid) orientations.  Maps each edge (u, v) with u < v to its oriented
     (tail, head) pair.
+
+    Every edge starts as (u, v), under which each face's clockwise parity
+    is its stored ``parity``.  A face whose parity is even flips the edge
+    to its parent face, which flips the parity of both; its children were
+    fixed before it and no face is touched again once fixed.
     """
     if g.coords is None:
         raise GraphError("kasteleyn_orient needs an embedding")
 
     orient: Orientation = {e: e for e in g.edges}
     faces = g.faces()
-    face_of = g.face_of_dart()
+    face_of = g.dart_face
+    rot = g.rotation
+    base = [0, *accumulate(map(len, rot))]  # dart (v, k) has the id base[v] + k
 
     dual: list[list[tuple[int, tuple[int, int]]]] = [[] for _ in faces]
-    for u, v in g.edges:
-        f1 = face_of[(u, v)]
-        f2 = face_of[(v, u)]
+    for e in g.edges:
+        u, v = e
+        f1 = face_of[base[u] + rot[u].index(v)]
+        f2 = face_of[base[v] + rot[v].index(u)]
         if f1 != f2:  # bridges border one face twice and carry no constraint
-            dual[f1].append((f2, (u, v)))
-            dual[f2].append((f1, (u, v)))
+            dual[f1].append((f2, e))
+            dual[f2].append((f1, e))
 
     # every component's outer walk roots its own tree of the dual forest
     roots = [i for i, f in enumerate(faces) if not f.bounded]
     rng = random.Random(seed)
 
-    parent_edge: dict[int, tuple[int, int]] = {}
+    parent: list[tuple[int, tuple[int, int]] | None] = [None] * len(faces)
     order = []
     seen = set(roots)
     stack = roots[::-1]
     while stack:
         f = stack.pop()
         order.append(f)
-        nbrs = list(dual[f])
+        nbrs = dual[f]
         rng.shuffle(nbrs)
         for f2, e in nbrs:
             if f2 not in seen:
                 seen.add(f2)
-                parent_edge[f2] = e
+                parent[f2] = (f, e)
                 stack.append(f2)
 
-    def cw_count(fi: int) -> int:
-        # the stored walk keeps the interior on the left (counter-clockwise
-        # for bounded faces), so an edge is clockwise iff it opposes its dart
-        n_cw = 0
-        for a, b in faces[fi].darts:
-            e = (a, b) if a < b else (b, a)
-            if orient[e] == (b, a):
-                n_cw += 1
-        return n_cw
-
-    # children first: flipping a face's parent edge never touches a face
-    # that was already fixed
-    for f in reversed(order):
-        if not faces[f].bounded:
-            continue
-        if cw_count(f) % 2 == 0:
-            e = parent_edge[f]
-            t, h = orient[e]
-            orient[e] = (h, t)
+    parity = [f.parity for f in faces]
+    for f in reversed(order):  # children first
+        if not parity[f] and faces[f].bounded:
+            p, e = parent[f]
+            orient[e] = (e[1], e[0])
+            parity[p] ^= 1
 
     return orient
 

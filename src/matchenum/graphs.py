@@ -7,6 +7,12 @@ an orientation-preserving linear map, so cross-product signs and cyclic
 angular order agree with the honest Euclidean drawing and all geometry can
 stay in integer arithmetic.
 
+The embedding is held on integer darts.  The rotation system sorts the
+neighbours once per distinct tuple of neighbour offsets, exactly, and the
+faces are one walk over an array that gives each dart the dart after it
+in its face; the walk labels every dart with its face and sums each
+face's area and parity on the way.
+
 A two-coloured graph stores its bipartite split once: class 0 is the rows
 and class 1 the columns of every biadjacency matrix, each in vertex order,
 and every vertex keeps its position within its class.
@@ -17,6 +23,7 @@ Graphs are frozen after construction and safe to share between threads.
 from __future__ import annotations
 
 from functools import cmp_to_key
+from itertools import accumulate
 from typing import Hashable, Iterable, Optional, Sequence
 
 
@@ -34,14 +41,17 @@ class Face:
 
     The walk keeps the face interior on the left, so bounded faces have
     positive doubled signed area and the outer walk of each component has
-    non-positive area.
+    non-positive area.  ``parity`` is that of the walk's darts that run
+    from a higher vertex index to a lower one: the face's clockwise parity
+    when every edge points from its lower end to its higher.
     """
 
-    __slots__ = ("darts", "area2")
+    __slots__ = ("darts", "area2", "parity")
 
-    def __init__(self, darts: Sequence[Dart], area2: int):
+    def __init__(self, darts: Sequence[Dart], area2: int, parity: int):
         self.darts = tuple(darts)
         self.area2 = area2
+        self.parity = parity
 
     @property
     def bounded(self) -> bool:
@@ -64,11 +74,16 @@ class MatchGraph:
       * ``coords`` - integer drawing coordinates per vertex; when present,
         the rotation system (neighbours in counter-clockwise order) and the
         face structure of the straight-line embedding are available.
+
+    A dart is an edge with a direction.  Dart (v, k) runs from v to
+    ``rotation[v][k]`` and has the id ``k`` plus the degrees of the
+    vertices before v; ``dart_face`` is None until ``faces()`` has run,
+    and then gives the face of every dart by id.
     """
 
     __slots__ = ("labels", "index", "edges", "edge_set", "adj", "color",
-                 "classes", "class_pos", "coords", "_rotation", "_faces",
-                 "_face_of_dart")
+                 "classes", "class_pos", "coords", "dart_face", "_rotation",
+                 "_faces")
 
     def __init__(
         self,
@@ -130,7 +145,7 @@ class MatchGraph:
 
         self._rotation: Optional[tuple[tuple[int, ...], ...]] = None
         self._faces: Optional[tuple[Face, ...]] = None
-        self._face_of_dart: Optional[dict[Dart, int]] = None
+        self.dart_face: Optional[tuple[int, ...]] = None
 
     # -- basic queries ------------------------------------------------
 
@@ -192,81 +207,98 @@ class MatchGraph:
 
     @property
     def rotation(self) -> tuple[tuple[int, ...], ...]:
-        """Neighbours of every vertex in counter-clockwise angular order."""
+        """Neighbours of every vertex in counter-clockwise angular order.
+
+        A lattice region has few distinct neighbourhoods, so the neighbours
+        are sorted once per tuple of offsets (neighbour minus vertex, in
+        ``adj`` order), by exact integer cross products, and every vertex
+        with that tuple reuses the order.
+        """
         if self.coords is None:
             raise GraphError("graph carries no drawing coordinates")
         if self._rotation is None:
-            self._rotation = tuple(
-                tuple(self._sorted_ccw(v)) for v in range(self.n)
-            )
+            coords = self.coords
+            orders: dict[tuple[tuple[int, int], ...], tuple[int, ...]] = {}
+            rotation = []
+            for v, ns in enumerate(self.adj):
+                cx, cy = coords[v]
+                offsets = tuple([(coords[u][0] - cx, coords[u][1] - cy) for u in ns])
+                order = orders.get(offsets)
+                if order is None:
+                    order = orders[offsets] = _ccw_order(offsets, v)
+                rotation.append(tuple([ns[k] for k in order]))
+            self._rotation = tuple(rotation)
         return self._rotation
-
-    def _sorted_ccw(self, v: int) -> list[int]:
-        cx, cy = self.coords[v]
-
-        def cmp(a: int, b: int) -> int:
-            ax, ay = self.coords[a][0] - cx, self.coords[a][1] - cy
-            bx, by = self.coords[b][0] - cx, self.coords[b][1] - cy
-            # split at angle 0: half 0 is [0, pi), half 1 is [pi, 2*pi)
-            ha = 0 if (ay > 0 or (ay == 0 and ax > 0)) else 1
-            hb = 0 if (by > 0 or (by == 0 and bx > 0)) else 1
-            if ha != hb:
-                return ha - hb
-            cr = ax * by - ay * bx
-            if cr > 0:
-                return -1
-            if cr < 0:
-                return 1
-            raise GraphError(f"neighbours of {v} share a direction")
-
-        return sorted(self.adj[v], key=cmp_to_key(cmp))
 
     def faces(self) -> tuple[Face, ...]:
         """All faces of the straight-line embedding, one per dart orbit.
 
         Each component contributes its bounded faces plus one outer walk.
+        Faces come in the order of their first dart, and ``dart_face`` is
+        filled alongside.
         """
         if self._faces is None:
             self._trace_faces()
         return self._faces
 
-    def face_of_dart(self) -> dict[Dart, int]:
-        if self._face_of_dart is None:
-            self._trace_faces()
-        return self._face_of_dart
-
     def _trace_faces(self) -> None:
         rot = self.rotation
-        pos: dict[Dart, int] = {}
-        for v in range(self.n):
-            for k, u in enumerate(rot[v]):
-                pos[(v, u)] = k
+        coords = self.coords
+        base = [0, *accumulate(map(len, rot))]  # dart (v, k) has the id base[v] + k
+        # interior stays on the left: the dart after (v, u) leaves u along
+        # the predecessor of v in u's counter-clockwise order, cyclically
+        nxt = [base[u] + (rot[u].index(v) or len(rot[u])) - 1
+               for v, ns in enumerate(rot) for u in ns]
+        heads = [u for ns in rot for u in ns]
+        tails = [v for v, ns in enumerate(rot) for _ in ns]
 
-        face_of: dict[Dart, int] = {}
+        face = [-1] * len(nxt)
         faces: list[Face] = []
-        for start in pos:
-            if start in face_of:
+        for start in range(len(nxt)):
+            if face[start] >= 0:
                 continue
-            walk: list[Dart] = []
-            dart = start
-            area2 = 0
-            while dart not in face_of:
-                face_of[dart] = len(faces)
-                walk.append(dart)
-                u, v = dart
-                ax, ay = self.coords[u]
-                bx, by = self.coords[v]
+            f = len(faces)
+            walk = []
+            area2 = descents = 0
+            d = start
+            while face[d] < 0:
+                face[d] = f
+                u, v = tails[d], heads[d]
+                walk.append((u, v))
+                ax, ay = coords[u]
+                bx, by = coords[v]
                 area2 += ax * by - ay * bx
-                # interior stays on the left: leave v along the predecessor
-                # of the arrival edge in the counter-clockwise order
-                nxt = rot[v][(pos[(v, u)] - 1) % len(rot[v])]
-                dart = (v, nxt)
-            faces.append(Face(walk, area2))
-        self._faces = tuple(faces)
-        self._face_of_dart = face_of
+                if u > v:
+                    descents += 1
+                d = nxt[d]
+            faces.append(Face(walk, area2, descents & 1))
+        self.dart_face = tuple(face)
+        self._faces = tuple(faces)  # last: faces() returns once this is set
 
     def bounded_faces(self) -> list[Face]:
         return [f for f in self.faces() if f.bounded]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"MatchGraph(n={self.n}, m={len(self.edges)})"
+
+
+def _ccw_order(offsets: Sequence[tuple[int, int]], v: int) -> tuple[int, ...]:
+    """Positions of ``offsets`` (those of v's neighbours) in counter-clockwise
+    order from angle 0, compared exactly by integer cross products."""
+
+    def cmp(a: int, b: int) -> int:
+        ax, ay = offsets[a]
+        bx, by = offsets[b]
+        # split at angle 0: half 0 is [0, pi), half 1 is [pi, 2*pi)
+        ha = 0 if (ay > 0 or (ay == 0 and ax > 0)) else 1
+        hb = 0 if (by > 0 or (by == 0 and bx > 0)) else 1
+        if ha != hb:
+            return ha - hb
+        cr = ax * by - ay * bx
+        if cr > 0:
+            return -1
+        if cr < 0:
+            return 1
+        raise GraphError(f"neighbours of {v} share a direction")
+
+    return tuple(sorted(range(len(offsets)), key=cmp_to_key(cmp)))

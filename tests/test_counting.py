@@ -2,6 +2,7 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 
@@ -9,6 +10,7 @@ from matchenum import (
     BoundError,
     GraphError,
     MatchGraph,
+    RegionError,
     TriCell,
     build_aztec_diamond,
     build_aztec_window,
@@ -27,7 +29,8 @@ from matchenum import (
     kasteleyn_orient,
     random_region,
 )
-from matchenum import counting
+from matchenum import counting, graphs
+from matchenum.claims import random_spec
 
 # values frozen from the backtracking oracle
 HEX_COUNTS = {
@@ -407,11 +410,213 @@ class TestKasteleynOrientation:
 
     def test_disconnected_embedding(self):
         # two components, no bounded face: every edge is oriented and kept
-        g = MatchGraph(labels=range(4), edges=[(0, 1), (2, 3)],
-                       coords=[(0, 0), (1, 0), (5, 0), (6, 0)], color=[0, 1, 0, 1])
+        g = two_edges()
         assert component_sizes(g) == [2, 2]
         assert kasteleyn_orient(g) == {(0, 1): (0, 1), (2, 3): (2, 3)}
         assert count_kasteleyn(g) == 1
+
+
+def two_edges():
+    """Two disjoint edges side by side: two components, no bounded face."""
+    return MatchGraph(labels=range(4), edges=[(0, 1), (2, 3)],
+                      coords=[(0, 0), (1, 0), (5, 0), (6, 0)], color=[0, 1, 0, 1])
+
+
+def embedded_corpus():
+    """Named embedded graphs: diamonds, hexagons, windows, the nested island,
+    100 random corpus draws (those with an embedding), two_edges() and a
+    graph with odd faces."""
+    corpus = [(f"diamond{n}", build_aztec_diamond(n)) for n in range(1, 8)]
+    for sides in ((2,) * 6, (3, 4, 5, 3, 4, 5), (1, 2, 1, 2, 1, 2)):
+        corpus.append((f"hexagon{sides}", build_hexagon(sides)))
+    corpus.append(("nested-island", nested_island_hexagon()))
+    for x, w in ((1, 2), (3, 4), (4, 6)):
+        corpus.append((f"window{x},{w}", build_aztec_window(x, w)))
+    rng = random.Random(0)
+    for draw in range(100):
+        try:
+            g = random_spec(rng).build()
+        except RegionError:
+            continue
+        if g.coords is not None:
+            corpus.append((f"draw{draw}", g))
+    corpus.append(("two-edges", two_edges()))
+    # a square under a triangle: faces of odd length, no bipartition
+    house = MatchGraph(labels=range(5), edges=[(0, 1), (1, 2), (2, 3), (3, 0), (2, 4), (3, 4)],
+                       coords=[(0, 0), (2, 0), (2, 2), (0, 2), (1, 3)])
+    corpus.append(("house", house))
+    return corpus
+
+
+EMBEDDED = embedded_corpus()
+
+
+def reference_orient(g, seed):
+    """The dual-tree orientation by its first algorithm: every face's
+    clockwise edges are counted again under the orientation built so far."""
+    orient = {e: e for e in g.edges}
+    faces = g.faces()
+    face_of = {dart: i for i, f in enumerate(faces) for dart in f.darts}
+    dual = [[] for _ in faces]
+    for u, v in g.edges:
+        f1, f2 = face_of[(u, v)], face_of[(v, u)]
+        if f1 != f2:
+            dual[f1].append((f2, (u, v)))
+            dual[f2].append((f1, (u, v)))
+    roots = [i for i, f in enumerate(faces) if not f.bounded]
+    rng = random.Random(seed)
+    parent_edge, order, seen, stack = {}, [], set(roots), roots[::-1]
+    while stack:
+        f = stack.pop()
+        order.append(f)
+        nbrs = list(dual[f])
+        rng.shuffle(nbrs)
+        for f2, e in nbrs:
+            if f2 not in seen:
+                seen.add(f2)
+                parent_edge[f2] = e
+                stack.append(f2)
+    for f in reversed(order):
+        if faces[f].bounded and clockwise_edges(orient, faces[f]) % 2 == 0:
+            t, h = orient[parent_edge[f]]
+            orient[parent_edge[f]] = (h, t)
+    return orient
+
+
+def reference_rotation(g):
+    """Every vertex's neighbours sorted on its own by the exact comparator:
+    half-plane [0, pi) before [pi, 2 pi), then by cross product."""
+    rotation = []
+    for v in range(g.n):
+        cx, cy = g.coords[v]
+
+        def cmp(a, b):
+            ax, ay = g.coords[a][0] - cx, g.coords[a][1] - cy
+            bx, by = g.coords[b][0] - cx, g.coords[b][1] - cy
+            ha = 0 if (ay > 0 or (ay == 0 and ax > 0)) else 1
+            hb = 0 if (by > 0 or (by == 0 and bx > 0)) else 1
+            return ha - hb if ha != hb else -1 if ax * by > ay * bx else 1
+
+        rotation.append(tuple(sorted(g.adj[v], key=cmp_to_key(cmp))))
+    return tuple(rotation)
+
+
+def star(centres, spokes):
+    """Graph of stars: each centre (x, y) joined to the points at the given
+    offsets from it.  ``spokes[i]`` lists centre i's offsets in the order
+    their vertices are numbered."""
+    coords, edges = [], []
+    for (cx, cy), offsets in zip(centres, spokes):
+        c = len(coords)
+        coords.append((cx, cy))
+        for dx, dy in offsets:
+            edges.append((c, len(coords)))
+            coords.append((cx + dx, cy + dy))
+    return MatchGraph(labels=range(len(coords)), edges=edges, coords=coords)
+
+
+COMPASS = [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)]
+
+
+class TestRotation:
+    @pytest.mark.parametrize("spokes", [
+        [COMPASS],
+        [COMPASS[::-1]],
+        [[(3, 1), (-2, 5), (1, -7), (-4, -1), (5, -2), (0, -3), (-1, 4)]],
+        # the same offsets in two vertex orders, so two adj orders
+        [[(1, 0), (0, 1), (-1, 0)], [(-1, 0), (1, 0), (0, 1)]],
+        [[(1, 0), (0, 1), (-1, 0)], [(1, 0), (0, 1), (-1, 0)]],
+    ])
+    def test_memoized_order_is_the_comparator_order(self, spokes):
+        centres = [(10 * i, 0) for i in range(len(spokes))]
+        g = star(centres, spokes)
+        assert g.rotation == reference_rotation(g)
+
+    def test_exact_far_from_the_origin(self):
+        # as floats, (2^60 + 1, 2^60) and (2^60, 2^60 - 1) are one direction;
+        # their cross product is -1, so the second comes first
+        big = 1 << 60
+        for centre in ((0, 0), (1 << 40, -(1 << 40)), (big, big)):
+            g = star([centre], [[(big + 1, big), (big, big - 1), (-big, 1)]])
+            assert g.rotation == reference_rotation(g)
+            assert g.rotation[0] == (2, 1, 3)
+
+    def test_sorted_once_per_offset_tuple(self, monkeypatch):
+        calls = []
+        sort = graphs._ccw_order
+
+        def counted(offsets, v):
+            calls.append(offsets)
+            return sort(offsets, v)
+
+        monkeypatch.setattr(graphs, "_ccw_order", counted)
+        g = build_aztec_diamond(6)
+        assert g.rotation == reference_rotation(g)
+        distinct = {tuple((g.coords[u][0] - g.coords[v][0], g.coords[u][1] - g.coords[v][1])
+                          for u in g.adj[v]) for v in range(g.n)}
+        assert len(calls) == len(set(calls)) == len(distinct) < g.n // 4
+
+    @pytest.mark.parametrize("spokes", [
+        [(1, 0), (2, 0)],
+        [(0, -1), (0, 1), (0, -3)],
+        [(1 << 40, 1 << 41), (1, 2)],
+    ])
+    def test_collinear_neighbours_refused(self, spokes):
+        g = star([(0, 0)], [spokes])
+        with pytest.raises(GraphError, match="share a direction"):
+            g.rotation
+
+
+def components(g):
+    """Vertex sets of the connected components of ``g``."""
+    seen, comps = set(), []
+    for s in range(g.n):
+        if s not in seen:
+            comp, stack = {s}, [s]
+            while stack:
+                for u in g.adj[stack.pop()]:
+                    if u not in comp:
+                        comp.add(u)
+                        stack.append(u)
+            seen |= comp
+            comps.append(comp)
+    return comps
+
+
+class TestFaces:
+    @pytest.mark.parametrize("name, g", EMBEDDED, ids=[name for name, _ in EMBEDDED])
+    def test_face_invariants(self, name, g):
+        faces = g.faces()
+        darts = [d for f in faces for d in f.darts]
+        assert sorted(darts) == sorted(d for u, v in g.edges for d in ((u, v), (v, u)))
+        # dart (v, k) has id k plus the degrees of the vertices before v
+        face_of = {d: i for i, f in enumerate(faces) for d in f.darts}
+        by_id = [(v, u) for v in range(g.n) for u in g.rotation[v]]
+        assert tuple(face_of[d] for d in by_id) == g.dart_face
+        identity = {e: e for e in g.edges}
+        for f in faces:
+            assert all(a[1] == b[0] for a, b in zip(f.darts, f.darts[1:] + f.darts[:1]))
+            assert f.parity == clockwise_edges(identity, f) % 2
+        outer = [f for f in faces if not f.bounded]
+        if name == "nested-island":
+            assert len(outer) == 2
+        for comp in components(g):
+            edges = sum(u in comp for u, _ in g.edges)
+            comp_faces = [f for f in faces if f.darts[0][0] in comp]
+            # every face but the component's one outer walk has area2 > 0
+            walks = [f for f in comp_faces if f.area2 <= 0]
+            assert len(walks) == (1 if edges else 0)
+            assert len(comp) - edges + len(comp_faces) == 1 + len(walks)
+            assert sum(f.area2 for f in comp_faces) == 0
+
+
+class TestOrientationIdentity:
+    @pytest.mark.parametrize("name, g", EMBEDDED, ids=[name for name, _ in EMBEDDED])
+    def test_same_orientation_as_the_reference(self, name, g):
+        for seed in range(4):
+            orient = kasteleyn_orient(g, seed)
+            reference = reference_orient(g, seed)
+            assert list(orient.items()) == list(reference.items())
 
 
 class TestKasteleynCount:
