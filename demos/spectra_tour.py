@@ -20,7 +20,7 @@ from matchenum import (
 print("=== the 4-cycle, by hand size ===")
 g = build_aztec_diamond(1)
 k = kasteleyn_matrix(g)
-print("K =", [list(r) for r in k.entries])
+print("K as {column: sign} rows =", list(k.rows))
 cp = kk_star_charpoly(k)
 print("charpoly coefficients (constant first):", list(cp.coeffs))
 print("singular values:", singular_values(k))

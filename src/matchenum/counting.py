@@ -16,8 +16,10 @@
   from the face walk and then kept by XOR.  ``signed_biadjacency`` builds
   that matrix, for ``spectra`` too, and checks ``kasteleyn_classes``
   before it orients.
-  K is sparse from orientation to determinant: one ``{column: +-1}``
-  dict per row, zeros not stored.  The determinant (``det_bareiss``) is
+  K is one sparse row format from orientation to determinant and
+  spectrum: one ``{column: +-1}`` dict per row, zeros not stored, which
+  ``spectra.SignedMatrix`` holds as they are; ``check_rows`` is the one
+  check of that format.  The determinant (``det_bareiss``) is
   a sparse fraction-free elimination that pivots on the column with the
   fewest live rows, and in it on the sparsest row (minimum degree, after
   Markowitz), so the order comes from the sparsity pattern alone and no
@@ -370,6 +372,24 @@ def signed_biadjacency(g: MatchGraph, seed: int = 0) -> list[dict[int, int]]:
              for u in g.adj[v]} for v in rows]
 
 
+def check_rows(rows: Sequence[dict[int, int]]) -> None:
+    """Refuse sparse rows that do not make an n x n integer matrix, n being
+    the number of rows: TypeError for a row that is not a dict, or a column
+    or value that is not an int (a bool is refused, and a float, which
+    floor division would truncate), ValueError for a column outside
+    range(n).  The one check of K's row format, for ``det_bareiss`` and
+    ``spectra.SignedMatrix``."""
+    n = len(rows)
+    for i, row in enumerate(rows):
+        if not isinstance(row, dict):
+            raise TypeError(f"row {i} is a {type(row).__name__}, not a dict")
+        for j, v in row.items():
+            if type(j) is not int or type(v) is not int:
+                raise TypeError(f"row {i} holds {j!r}: {v!r}; columns and values must be ints")
+            if not 0 <= j < n:
+                raise ValueError(f"row {i} holds column {j}, outside range({n})")
+
+
 def det_bareiss(rows: list[dict[int, int]]) -> int:
     """Exact integer determinant of the n x n matrix given as sparse rows,
     ``{column: value}`` with columns in range(n), by sparse fraction-free
@@ -402,25 +422,18 @@ def det_bareiss(rows: list[dict[int, int]]) -> int:
     when the entry is fill.  A bucket queue indexed by list length, with
     stale entries skipped when popped, gives the next pivot column.
 
-    Raises TypeError for a row that is not a dict, or a column or value
-    that is not an int (a bool is refused, and a float, which floor
-    division would truncate), and ValueError for a column outside
-    range(n), before any elimination step.
+    Malformed rows are refused by ``check_rows`` before any elimination
+    step.
     """
+    check_rows(rows)
     n = len(rows)
-    m: list[dict[int, int] | None] = []
+    # a stored 0 is dropped, so that it is never taken for a pivot
+    m: list[dict[int, int] | None] = [
+        row if all(row.values()) else {j: v for j, v in row.items() if v} for row in rows]
     col_rows: list[list[int] | None] = [[] for _ in range(n)]
-    for i, row in enumerate(rows):
-        if not isinstance(row, dict):
-            raise TypeError(f"row {i} is a {type(row).__name__}, not a dict")
-        for j, v in row.items():
-            if type(j) is not int or type(v) is not int:
-                raise TypeError(f"row {i} holds {j!r}: {v!r}; columns and values must be ints")
-            if not 0 <= j < n:
-                raise ValueError(f"row {i} holds column {j}, outside range({n})")
-            if v:  # a stored 0 is dropped, so that it is never taken for a pivot
-                col_rows[j].append(i)
-        m.append(row if all(row.values()) else {j: v for j, v in row.items() if v})
+    for i, row in enumerate(m):
+        for j in row:
+            col_rows[j].append(i)
     if not all(m):
         return 0
     buckets: list[list[int]] = []  # buckets[d]: columns queued at d rows

@@ -1,6 +1,10 @@
 """Kasteleyn-signed matrices, exact characteristic polynomials of K*K^T,
 and floating-point singular values of K.
 
+K is held as ``counting.signed_biadjacency`` makes it and ``det_bareiss``
+takes it: one ``{column: value}`` dict per row, zeros not stored.  K*K^T
+is summed over the nonzeros of each column, so no dense K is formed.
+
 The characteristic polynomial is computed over exact integers (every
 division in the recurrence is exact), so the counting identity
 |constant term| = (matching count)^2 can be asserted as integer equality.
@@ -14,8 +18,9 @@ max_j C(m, j) (tr K*K^T / m)^j.
 Floating point appears only in the singular values: eigenvalues of
 K*K^T by Householder reduction to tridiagonal form and implicit-shift QL.
 A SignedMatrix of more than SPECTRUM_DIMENSION_LIMIT rows is refused with
-BoundError when it is made; ``kasteleyn_matrix`` refuses a region with
-such a K before the orientation.
+BoundError when it is made, and malformed rows as ``det_bareiss`` refuses
+them; ``kasteleyn_matrix`` refuses a region with too large a K before the
+orientation.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .counting import BoundError, kasteleyn_classes, signed_biadjacency
+from .counting import BoundError, check_rows, kasteleyn_classes, signed_biadjacency
 from .graphs import MatchGraph
 
 # K dimension; the charpoly of the (4,4,8) hexagon's K at 80 takes ~0.03 s on
@@ -35,27 +40,22 @@ QL_ITERATION_LIMIT = 60  # QL sweeps allowed per eigenvalue
 
 @dataclass(frozen=True)
 class SignedMatrix:
-    """Signed biadjacency: rows one color class, columns the other,
-    entries +-1 on edges per the Kasteleyn orientation, 0 elsewhere.
-    Refused past SPECTRUM_DIMENSION_LIMIT rows (BoundError), with rows of
-    unequal length (ValueError) and with an entry that is not an int, a
-    bool included (TypeError)."""
+    """Signed biadjacency as sparse rows: rows one color class, columns
+    the other, row i as ``{column: value}`` over its nonzeros, +-1 on
+    edges per the Kasteleyn orientation.  Square: every column lies in
+    range(dimension).  Refused past SPECTRUM_DIMENSION_LIMIT rows
+    (BoundError), then as ``counting.check_rows`` refuses malformed rows
+    (TypeError, ValueError)."""
 
-    entries: tuple[tuple[int, ...], ...]
+    rows: tuple[dict[int, int], ...]
 
     def __post_init__(self) -> None:
         _check_dimension(self.dimension)
-        width = len(self.entries[0]) if self.entries else 0
-        for i, row in enumerate(self.entries):
-            if len(row) != width:
-                raise ValueError(f"row {i} has {len(row)} entries, row 0 has {width}")
-            for v in row:
-                if type(v) is not int:
-                    raise TypeError(f"row {i} holds {v!r}; entries must be ints")
+        check_rows(self.rows)
 
     @property
     def dimension(self) -> int:
-        return len(self.entries)
+        return len(self.rows)
 
 
 @dataclass(frozen=True)
@@ -74,12 +74,11 @@ class CharPoly:
 
 
 def kasteleyn_matrix(g: MatchGraph, seed: int = 0) -> SignedMatrix:
-    """Signed biadjacency whose |det| is the perfect matching count, made
-    dense from ``signed_biadjacency``'s rows; refused past
-    SPECTRUM_DIMENSION_LIMIT rows before any face is walked."""
+    """Signed biadjacency whose |det| is the perfect matching count, held
+    as ``signed_biadjacency``'s rows; refused past SPECTRUM_DIMENSION_LIMIT
+    rows before any face is walked."""
     _check_dimension(len(kasteleyn_classes(g)[0]))
-    rows = signed_biadjacency(g, seed)
-    return SignedMatrix(tuple(tuple(row.get(j, 0) for j in range(len(rows))) for row in rows))
+    return SignedMatrix(tuple(signed_biadjacency(g, seed)))
 
 
 def _check_dimension(dimension: int) -> None:
@@ -101,12 +100,10 @@ def _digit_width(m: int, trace: int) -> int:
 def _kk_star(k: SignedMatrix) -> list[list[int]]:
     """K*K^T summed over the nonzeros of each column of K."""
     m = k.dimension
-    n = len(k.entries[0]) if m else 0
-    cols: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for i, row in enumerate(k.entries):
-        for t, v in enumerate(row):
-            if v:
-                cols[t].append((i, v))
+    cols: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+    for i, row in enumerate(k.rows):
+        for t, v in row.items():
+            cols[t].append((i, v))
     out = [[0] * m for _ in range(m)]
     for col in cols:
         for i, vi in col:

@@ -50,6 +50,10 @@ So R(x) = M.U(x) is a polynomial in x of degree < k, and trace(R(x)^4) one
 of degree <= 4(k - 1) there.  When k = 0, A^j.H = 0 and the count is the
 zero polynomial for x >= j: the case of every odd w up to the limit.
 
+``detect_polynomial`` keeps one copy of a count sequence: its difference
+table, whose first row is the counts, and the least degree at which the
+table vanishes.
+
 Everything is exact integer arithmetic.
 """
 
@@ -274,25 +278,24 @@ def column_annihilator(w: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class PolyReport:
-    """Finite-difference analysis of a count sequence.
+    """Finite-difference table of a count sequence, the counts its first
+    row, and the least degree d whose (d+1)-th differences vanish on it
+    (None when no order of differences does).
 
-    The detected degree is evidence on these counts only; finite data can
-    never certify that the sequence is globally polynomial, and the note
-    says so.
+    The degree is evidence on these counts only; finite data can never
+    certify that the sequence is globally polynomial.
     """
 
-    counts: tuple[int, ...]
     detected_degree: Optional[int]
     differences: tuple[tuple[int, ...], ...]
-    note: str = ""
 
 
 def detect_polynomial(counts: Sequence[int]) -> PolyReport:
-    """Least degree d whose (d+1)-th differences vanish across the counts.
+    """Least degree d whose (d+1)-th differences vanish across the counts,
+    with the difference table.
 
     Returns degree None when no order of differences vanishes on them.  An
-    identically zero window reports degree 0 (the zero polynomial),
-    flagged in the note.
+    identically zero window reports degree 0 (the zero polynomial).
     """
     counts = tuple(counts)
     if any(type(c) is not int for c in counts):  # int() would truncate 1.5 to 1
@@ -304,22 +307,5 @@ def detect_polynomial(counts: Sequence[int]) -> PolyReport:
     while len(rows[-1]) > 1:
         prev = rows[-1]
         rows.append(tuple(b - a for a, b in zip(prev, prev[1:])))
-    table = tuple(rows)
-
-    window = f"window of {len(counts)} counts"
-    if not any(counts):
-        return PolyReport(counts, 0, table, note=f"the {window} is identically "
-                          "zero; reporting the zero polynomial as degree 0")
-
-    degree = None
-    for d in range(len(counts) - 1):
-        if not any(rows[d + 1]):
-            degree = d
-            break
-    if degree is None:
-        note = (f"no order of differences vanishes on the {window}; "
-                "no polynomial of degree < window length fits")
-    else:
-        note = (f"degree {degree} fits on the {window}; windowed evidence "
-                "only, not a certificate of global polynomial behaviour")
-    return PolyReport(counts, degree, table, note=note)
+    degree = next((d for d in range(len(counts) - 1) if not any(rows[d + 1])), None)
+    return PolyReport(degree, tuple(rows))

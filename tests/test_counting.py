@@ -306,6 +306,14 @@ class TestPermanent:
         assert counting._compile_order(g, order)[1] == width <= g.class_sizes()[0] + 1
         assert counting.PERMANENT_LIMIT + 1 < counting.FRONTIER_LIMIT
 
+    @pytest.mark.slow
+    def test_complete_bipartite_at_the_limit(self):
+        # the DP's documented worst case: K20,20 holds all C(20, 10) states
+        # at its widest, 3-4.5 s and ~62 MB max RSS on a 2-vCPU Xeon
+        m = counting.PERMANENT_LIMIT
+        g = bipartite_graph([[1] * m for _ in range(m)])
+        assert count_permanent(g) == math.factorial(m)
+
     def test_hypercubes(self):
         for n, expected in CUBE_COUNTS.items():
             assert count_permanent(build_hypercube(n)) == expected
@@ -846,6 +854,20 @@ def sparse(m):
     return [{j: v for j, v in enumerate(row) if v} for row in m]
 
 
+# sparse rows that are not an n x n integer matrix, and the error of the
+# one row check (``counting.check_rows``)
+MALFORMED_ROWS = [
+    ([[1, 2], [3, 4]], TypeError),  # dense rows
+    ([{0: 1, -1: 2}, {0: 3, 1: 4}], ValueError),  # would index from the end
+    ([{0: 1}, {2: 1}], ValueError),  # a column past n
+    ([{0: 1, 1: 1}, {0: 1, 1: 1.0000001}], TypeError),  # would truncate to 0
+    ([{0: 2}, {1: 3.0}], TypeError),
+    ([{0: True}], TypeError),
+    ([{True: 1}], TypeError),
+    ([{}, {0: 1.5}], TypeError),  # checked before an empty row gives 0
+]
+
+
 def banded_matrix(rng, n, lo, hi, density=0.6, span=3):
     """Random integer matrix whose nonzeros lie within lo diagonals below
     and hi diagonals above the main diagonal."""
@@ -1036,16 +1058,7 @@ class TestBareiss:
         assert det_bareiss(rows) == -2
         assert rows == [{0: 0, 1: 2}, {0: 1}]
 
-    @pytest.mark.parametrize("rows,error", [
-        ([[1, 2], [3, 4]], TypeError),  # dense rows
-        ([{0: 1, -1: 2}, {0: 3, 1: 4}], ValueError),  # would index from the end
-        ([{0: 1}, {2: 1}], ValueError),  # a column past n
-        ([{0: 1, 1: 1}, {0: 1, 1: 1.0000001}], TypeError),  # would truncate to 0
-        ([{0: 2}, {1: 3.0}], TypeError),
-        ([{0: True}], TypeError),
-        ([{True: 1}], TypeError),
-        ([{}, {0: 1.5}], TypeError),  # checked before an empty row gives 0
-    ])
+    @pytest.mark.parametrize("rows,error", MALFORMED_ROWS)
     def test_malformed_rows_refused(self, rows, error):
         with pytest.raises(error):
             det_bareiss(rows)
@@ -1122,14 +1135,20 @@ class TestSparseK:
         for g in (build_aztec_diamond(5), nested_island_hexagon(),
                   build_hexagon((2, 3, 4, 2, 3, 4))):
             rows = counting.signed_biadjacency(g)
-            dense = kasteleyn_matrix(g).entries
             pos = g.class_pos
-            assert len(rows) == len(g.classes[0]) == len(dense)
-            for v, row, full in zip(g.classes[0], rows, dense):
+            assert len(rows) == len(g.classes[0])
+            for v, row in zip(g.classes[0], rows):
                 assert len(row) == g.degree(v)
                 assert set(row) == {pos[u] for u in g.adj[v]}
                 assert set(row.values()) <= {-1, 1}
-                assert full == tuple(row.get(j, 0) for j in range(len(rows)))
+
+    def test_spectra_holds_the_same_rows(self):
+        # one copy of K: spectra's matrix is signed_biadjacency's rows
+        for g in (build_aztec_diamond(5), nested_island_hexagon(),
+                  build_hexagon((2, 3, 4, 2, 3, 4))):
+            for s in range(3):
+                assert kasteleyn_matrix(g, seed=s).rows == \
+                    tuple(counting.signed_biadjacency(g, seed=s))
 
     def test_count_holds_no_dense_matrix(self):
         # the order-20 diamond's dense K alone took ~1.4 MiB of list slots

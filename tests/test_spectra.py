@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from matchenum import (
 from matchenum import counting, spectra
 from matchenum.cli import cli_main
 from matchenum.spectra import CharPoly, SignedMatrix, _digit_width, _kk_star
-from test_counting import nested_island_hexagon
+from test_counting import MALFORMED_ROWS, nested_island_hexagon
 
 
 def four_cycle():
@@ -31,9 +32,13 @@ def four_cycle():
 
 
 def sparse(m):
-    """The rows of a dense matrix as ``det_bareiss`` takes them:
-    ``{column: value}`` over the nonzeros."""
-    return [{j: v for j, v in enumerate(row) if v} for row in m]
+    """The rows of a dense matrix as ``det_bareiss`` and ``SignedMatrix``
+    take them: ``{column: value}`` over the nonzeros."""
+    return tuple({j: v for j, v in enumerate(row) if v} for row in m)
+
+
+def dense(k):
+    return [[row.get(j, 0) for j in range(k.dimension)] for row in k.rows]
 
 
 # the scalar recurrence that the packed rows replaced, their reference
@@ -98,7 +103,7 @@ def assert_digit_width_bounds_every_entry(k):
 
 
 def eigvalsh_of_kk_star(k):
-    entries = np.array(k.entries, dtype=float).reshape(k.dimension, k.dimension)
+    entries = np.array(dense(k), dtype=float).reshape(k.dimension, k.dimension)
     return np.sort(np.linalg.eigvalsh(entries @ entries.T))
 
 
@@ -118,21 +123,23 @@ class TestKasteleynMatrix:
     def test_four_cycle(self):
         k = kasteleyn_matrix(four_cycle())
         assert k.dimension == 2
-        det = k.entries[0][0] * k.entries[1][1] - k.entries[0][1] * k.entries[1][0]
+        e = dense(k)
+        det = e[0][0] * e[1][1] - e[0][1] * e[1][0]
         assert abs(det) == 2
 
     def test_unit_hexagon(self):
         k = kasteleyn_matrix(build_hexagon((1, 1, 1, 1, 1, 1)))
         assert k.dimension == 3
-        assert all(v in (-1, 0, 1) for row in k.entries for v in row)
+        assert all(v in (-1, 0, 1) for row in dense(k) for v in row)
 
     def test_support_matches_adjacency(self):
         g = build_hexagon((2, 2, 2, 2, 2, 2))
         k = kasteleyn_matrix(g)
         rows, cols = g.classes
+        e = dense(k)
         for i, u in enumerate(rows):
             for j, v in enumerate(cols):
-                assert (k.entries[i][j] != 0) == g.has_edge(u, v)
+                assert (e[i][j] != 0) == g.has_edge(u, v)
 
     def test_needs_balance(self):
         with pytest.raises(GraphError):
@@ -154,9 +161,8 @@ class TestKKStar:
     ])
     def test_equals_dense_product(self, make):
         k = kasteleyn_matrix(make())
-        e = k.entries
-        dense = [[sum(a * b for a, b in zip(ei, ej)) for ej in e] for ei in e]
-        assert _kk_star(k) == dense
+        e = dense(k)
+        assert _kk_star(k) == [[sum(a * b for a, b in zip(ei, ej)) for ej in e] for ei in e]
 
 
 class TestCharPoly:
@@ -196,7 +202,7 @@ class TestCharPoly:
                 continue
             k = kasteleyn_matrix(g)
             cp = kk_star_charpoly(k)
-            entries = np.array(k.entries, dtype=float)
+            entries = np.array(dense(k), dtype=float)
             ref = np.poly(entries @ entries.T)  # descending coefficients
             got = np.array(cp.coeffs[::-1], dtype=float)
             scale = np.maximum(np.abs(ref), 1.0)
@@ -244,12 +250,12 @@ class TestCharPoly:
         rng = random.Random(30)
         for m in range(1, 31):
             entries = tuple(tuple(rng.choice((-1, 1)) for _ in range(m)) for _ in range(m))
-            assert_packed_equals_scalar(SignedMatrix(entries=entries))
+            assert_packed_equals_scalar(SignedMatrix(sparse(entries)))
 
     def test_packed_edge_cases(self):
-        empty = SignedMatrix(entries=())
+        empty = SignedMatrix(sparse(()))
         assert assert_packed_equals_scalar(empty).coeffs == (1,)
-        zero_row = SignedMatrix(entries=((1, 0, 1), (0, 0, 0), (1, -1, 0)))
+        zero_row = SignedMatrix(sparse(((1, 0, 1), (0, 0, 0), (1, -1, 0))))
         assert assert_packed_equals_scalar(zero_row).constant_term == 0
 
     @pytest.mark.parametrize("m", [1, 2, 12, spectra.SPECTRUM_DIMENSION_LIMIT])
@@ -257,8 +263,7 @@ class TestCharPoly:
     def test_scalar_k_is_the_equality_case(self, m, c):
         # K = c*I: every eigenvalue of K K^T is c^2, Maclaurin's inequality
         # holds with equality, and the charpoly is (t - c^2)^m
-        k = SignedMatrix(entries=tuple(tuple(c * (i == j) for j in range(m))
-                                       for i in range(m)))
+        k = SignedMatrix(sparse([[c * (i == j) for j in range(m)] for i in range(m)]))
         expected = tuple(math.comb(m, i) * (-c * c) ** (m - i) for i in range(m + 1))
         assert kk_star_charpoly(k).coeffs == expected
 
@@ -266,8 +271,8 @@ class TestCharPoly:
         # p(t) = det(t*I - K K^T) at integer t, by the sparse elimination (det_bareiss)
         rng = random.Random(31)
         for m in (11, 12, 13):
-            k = SignedMatrix(entries=tuple(tuple(rng.choice((-1, 1)) for _ in range(m))
-                                           for _ in range(m)))
+            k = SignedMatrix(sparse([[rng.choice((-1, 1)) for _ in range(m)]
+                                     for _ in range(m)]))
             coeffs, a = kk_star_charpoly(k).coeffs, _kk_star(k)
             for t in (-3, 0, 1, 7, 50, 10**6):
                 shifted = [[t * (i == j) - a[i][j] for j in range(m)] for i in range(m)]
@@ -287,15 +292,15 @@ class TestCharPoly:
     @pytest.mark.parametrize("m", [1, 2, 7, 16, 30])
     def test_digit_width_bounds_every_entry_on_dense_sign_k(self, m):
         rng = random.Random(m)
-        assert_digit_width_bounds_every_entry(SignedMatrix(entries=tuple(
-            tuple(rng.choice((-1, 1)) for _ in range(m)) for _ in range(m))))
+        assert_digit_width_bounds_every_entry(SignedMatrix(sparse(
+            [[rng.choice((-1, 1)) for _ in range(m)] for _ in range(m)])))
 
     @pytest.mark.parametrize("m,c", [(1, 3), (12, 1), (12, 3), (40, 2),
                                      (spectra.SPECTRUM_DIMENSION_LIMIT, 1)])
     def test_digit_width_bounds_every_entry_on_scalar_k(self, m, c):
         # K = c*I, where Maclaurin's inequality holds with equality
-        assert_digit_width_bounds_every_entry(SignedMatrix(entries=tuple(
-            tuple(c * (i == j) for j in range(m)) for i in range(m))))
+        assert_digit_width_bounds_every_entry(SignedMatrix(sparse(
+            [[c * (i == j) for j in range(m)] for i in range(m)])))
 
     def test_json_constant_term_first(self, tmp_path, capsys):
         # the spectrum report lists the coefficients as strings, constant first
@@ -311,7 +316,7 @@ class TestCharPoly:
 
 class TestSingularValues:
     def test_empty(self):
-        k = SignedMatrix(entries=())
+        k = SignedMatrix(sparse(()))
         assert singular_values(k) == []
         assert kk_star_charpoly(k).coeffs == (1,)
 
@@ -365,7 +370,7 @@ class TestSingularValues:
 
     def test_diagonal_needs_no_iteration(self, monkeypatch):
         monkeypatch.setattr(spectra, "QL_ITERATION_LIMIT", 0)
-        k = SignedMatrix(entries=((1, 0, 0), (0, -3, 0), (0, 0, 2)))
+        k = SignedMatrix(sparse(((1, 0, 0), (0, -3, 0), (0, 0, 2))))
         assert singular_values(k) == [3.0, 2.0, 1.0]
 
     def test_negative_round_off_clamped_to_zero(self, monkeypatch):
@@ -373,30 +378,41 @@ class TestSingularValues:
         # pushes below zero is a zero singular value, not sqrt(|e|)
         monkeypatch.setattr(spectra, "_tridiagonal_eigenvalues",
                             lambda d, e: [4.0, -1e-6, 1.0])
-        k = SignedMatrix(entries=((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        k = SignedMatrix(sparse(((1, 0, 0), (0, 1, 0), (0, 0, 1))))
         assert singular_values(k) == [2.0, 1.0, 0.0]
 
     def test_non_convergence_raises(self, monkeypatch):
         monkeypatch.setattr(spectra, "QL_ITERATION_LIMIT", 0)
-        k = SignedMatrix(entries=((1, 0), (1, 1)))  # K K^T = [[1, 1], [1, 2]]
+        k = SignedMatrix(sparse(((1, 0), (1, 1))))  # K K^T = [[1, 1], [1, 2]]
         with pytest.raises(ArithmeticError):
             singular_values(k)
 
 
 class TestMalformedEntries:
     @pytest.mark.parametrize("entries,error", [
-        (((1,), (1, 2)), ValueError),  # a longer row
-        (((1, 2), (1,)), ValueError),  # a shorter row, not padded with 0
-        (((1.5, 0), (0, 1)), TypeError),
-        (((True, 0), (0, 1)), TypeError),
+        (({0: 1}, {0: 1, 2: 2}), ValueError),  # a column past n
+        (({0: 1, 2: -3}, {1: 2}), ValueError),  # 2 x 3: K is square
+        (({0: 1.5}, {1: 1}), TypeError),
+        (({0: True}, {1: 1}), TypeError),
+        (((1, 0), (0, 1)), TypeError),  # dense rows
+        (({-1: 1}, {1: 1}), ValueError),  # would index from the end
     ])
     def test_refused_when_made(self, entries, error):
         with pytest.raises(error):
             SignedMatrix(entries)
 
-    def test_rectangular_and_other_ints_allowed(self):
-        k = SignedMatrix(((1, 0, -3), (0, 2, 0)))
-        assert _kk_star(k) == [[10, 0], [0, 4]]
+    @pytest.mark.parametrize("refuse", [counting.det_bareiss, SignedMatrix],
+                             ids=["det_bareiss", "SignedMatrix"])
+    @pytest.mark.parametrize("rows,error", MALFORMED_ROWS)
+    def test_one_row_check(self, refuse, rows, error):
+        # the determinant and the spectrum refuse the same rows alike
+        with pytest.raises(error):
+            refuse(rows)
+
+    def test_other_ints_allowed(self):
+        k = SignedMatrix(({0: 1, 2: -3}, {1: 2}, {}))
+        assert _kk_star(k) == [[10, 0, 0], [0, 4, 0], [0, 0, 0]]
+        assert [f.name for f in fields(k)] == ["rows"]  # no dense copy
 
 
 class TestDimensionBound:
@@ -409,14 +425,13 @@ class TestDimensionBound:
         # dimension 90, built past kasteleyn_matrix, which refuses it: the
         # SignedMatrix that would carry it is refused when it is made
         rows = counting.signed_biadjacency(build_aztec_diamond(9))
-        mat = [[row.get(j, 0) for j in range(len(rows))] for row in rows]
 
         def no_work(_):
             raise AssertionError("K K^T built past the bound")
 
         monkeypatch.setattr(spectra, "_kk_star", no_work)
         with pytest.raises(BoundError, match="K dimension 90 exceeds the spectrum limit 80"):
-            compute(SignedMatrix(tuple(map(tuple, mat))))
+            compute(SignedMatrix(tuple(rows)))
 
     def test_kasteleyn_matrix_refused_before_the_orientation(self, monkeypatch):
         def fail(*args, **kwargs):
