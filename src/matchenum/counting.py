@@ -10,9 +10,12 @@
   by the columns it is the last row to meet; unequal classes count 0.
 * ``count_kasteleyn`` - determinant of the signed biadjacency under a
   Kasteleyn orientation; needs the planar embedding, which may be
-  disconnected.  ``kasteleyn_orient`` roots one spanning tree of the dual
-  per component at its outer walk and, leaves first, flips the tree edge
-  of every face whose clockwise parity is even; each parity is read once
+  disconnected.  ``kasteleyn_orient`` builds the dual from each edge's
+  two faces (``MatchGraph.edge_faces``; dart ids stay in ``graphs``),
+  refuses with GraphError a drawing whose face walks break Euler's
+  formula for a plane embedding, roots one spanning tree of the dual per
+  component at its outer walk and, leaves first, flips the tree edge of
+  every face whose clockwise parity is even; each parity is read once
   from the face walk and then kept by XOR.  ``signed_biadjacency`` builds
   that matrix, for ``spectra`` too, and checks ``kasteleyn_classes``
   before it orients.
@@ -38,6 +41,9 @@ the slots, a set bit marking a vertex already covered by an edge from an
 earlier vertex.  The frontier width (the number of slots) bounds the
 number of states by 2^width.
 
+``_product`` is the one sparse matrix product: K*K^T in ``spectra`` and
+the window operators in ``transfer`` both go through it.
+
 Everything here is exact integer arithmetic; no floating point at all.
 """
 
@@ -45,7 +51,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
 from .graphs import Classes, GraphError, MatchGraph
@@ -177,7 +182,9 @@ def _compile_order(
     """
     n = g.n
     order = list(order)
-    if len(order) != n or set(order) != set(range(n)):
+    # a float cannot index a vertex, and a bool is not one
+    if (len(order) != n or any(type(v) is not int for v in order)
+            or set(order) != set(range(n))):
         raise GraphError(f"vertex order must be a permutation of range({n})")
     pos = [0] * n
     for k, v in enumerate(order):
@@ -295,27 +302,28 @@ def kasteleyn_orient(g: MatchGraph, seed: int = 0) -> Orientation:
     is its stored ``parity``.  A face whose parity is even flips the edge
     to its parent face, which flips the parity of both; its children were
     fixed before it and no face is touched again once fixed.
-    """
-    if g.coords is None:
-        raise GraphError("kasteleyn_orient needs an embedding")
 
+    A drawing that is not a plane embedding is refused with GraphError
+    (``g.faces()`` refuses a graph without one).  The face walks of a
+    component of genus h satisfy V - E + F = 2 - 2h, and at least one of
+    them has area2 <= 0, since their signed areas sum to 0.  So
+    V - (isolated vertices) - E + F = 2 * (walks of area2 <= 0) holds
+    exactly when every component is plane with one outer walk, and then
+    every tree of the dual forest has its one root.
+    """
     orient: Orientation = {e: e for e in g.edges}
     faces = g.faces()
-    face_of = g.dart_face
-    rot = g.rotation
-    base = [0, *accumulate(map(len, rot))]  # dart (v, k) has the id base[v] + k
-
     dual: list[list[tuple[int, tuple[int, int]]]] = [[] for _ in faces]
-    for e in g.edges:
-        u, v = e
-        f1 = face_of[base[u] + rot[u].index(v)]
-        f2 = face_of[base[v] + rot[v].index(u)]
+    for e, f1, f2 in zip(g.edges, *g.edge_faces):
         if f1 != f2:  # bridges border one face twice and carry no constraint
             dual[f1].append((f2, e))
             dual[f2].append((f1, e))
 
     # every component's outer walk roots its own tree of the dual forest
     roots = [i for i, f in enumerate(faces) if not f.bounded]
+    if g.n - g.adj.count(()) - len(g.edges) + len(faces) != 2 * len(roots):
+        raise GraphError("the drawing is not a plane embedding: its face walks "
+                         "do not satisfy Euler's formula")
     rng = random.Random(seed)
 
     parent: list[tuple[int, tuple[int, int]] | None] = [None] * len(faces)
@@ -517,6 +525,27 @@ def _parity(perm: list[int]) -> int:
             if length % 2 == 0:
                 sign = -sign
     return sign
+
+
+# -- sparse products ------------------------------------------------------------
+
+Operator = dict[int, dict[int, int]]  # sparse {row: {column: entry}}
+
+
+def _product(p: Operator, q: Operator) -> Operator:
+    """The sparse product p.q, for K.K^T in ``spectra`` and the window
+    operators in ``transfer``.  A row of p.q without terms is left out,
+    and an entry whose terms cancel is kept as 0."""
+    out: Operator = {}
+    for a, row in p.items():
+        acc: dict[int, int] = {}
+        get = acc.get
+        for b, u in row.items():
+            for c, v in q.get(b, {}).items():
+                acc[c] = get(c, 0) + u * v
+        if acc:
+            out[a] = acc
+    return out
 
 
 def count_kasteleyn(g: MatchGraph) -> int:

@@ -7,11 +7,13 @@ an orientation-preserving linear map, so cross-product signs and cyclic
 angular order agree with the honest Euclidean drawing and all geometry can
 stay in integer arithmetic.
 
-The embedding is held on integer darts.  The rotation system sorts the
-neighbours once per distinct tuple of neighbour offsets, exactly, and the
-faces are one walk over an array that gives each dart the dart after it
-in its face; the walk labels every dart with its face and sums each
-face's area and parity on the way.
+The embedding is held on integer darts, whose ids exist in this module
+alone.  The rotation system sorts the neighbours once per distinct tuple
+of neighbour offsets, exactly, and the faces are one walk over an array
+that gives each dart the dart after it in its face; the walk labels every
+dart with its face and sums each face's area and parity on the way.
+Other modules read the faces, and each edge's two faces in ``edges``
+order (``edge_faces``), never a dart id.
 
 A two-coloured graph stores its bipartite split once: class 0 is the rows
 and class 1 the columns of every biadjacency matrix, each in vertex order,
@@ -75,15 +77,13 @@ class MatchGraph:
         the rotation system (neighbours in counter-clockwise order) and the
         face structure of the straight-line embedding are available.
 
-    A dart is an edge with a direction.  Dart (v, k) runs from v to
-    ``rotation[v][k]`` and has the id ``k`` plus the degrees of the
-    vertices before v; ``dart_face`` is None until ``faces()`` has run,
-    and then gives the face of every dart by id.
+    ``edge_faces`` is None until ``faces()`` has run, and then holds two
+    tuples aligned with ``edges``: for each edge (u, v), the face of its
+    dart u -> v, and the face of its dart v -> u.
     """
 
-    __slots__ = ("labels", "index", "edges", "edge_set", "adj", "color",
-                 "classes", "class_pos", "coords", "dart_face", "_rotation",
-                 "_faces")
+    __slots__ = ("labels", "index", "edges", "adj", "color", "classes",
+                 "class_pos", "coords", "edge_faces", "_rotation", "_faces")
 
     def __init__(
         self,
@@ -117,6 +117,9 @@ class MatchGraph:
         norm: list[tuple[int, int]] = []
         adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
+            # a float cannot index a vertex, and a bool is not one
+            if type(u) is not int or type(v) is not int:
+                raise GraphError(f"edge ({u!r}, {v!r}) must join integer vertex indices")
             if u == v:
                 raise GraphError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
@@ -131,7 +134,6 @@ class MatchGraph:
             adj[u].append(v)
             adj[v].append(u)
         self.edges = tuple(norm)
-        self.edge_set = seen
         self.adj = tuple(tuple(sorted(ns)) for ns in adj)
 
         if coords is not None:
@@ -145,7 +147,7 @@ class MatchGraph:
 
         self._rotation: Optional[tuple[tuple[int, ...], ...]] = None
         self._faces: Optional[tuple[Face, ...]] = None
-        self.dart_face: Optional[tuple[int, ...]] = None
+        self.edge_faces: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
 
     # -- basic queries ------------------------------------------------
 
@@ -157,7 +159,7 @@ class MatchGraph:
         return len(self.adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return ((u, v) if u < v else (v, u)) in self.edge_set
+        return type(u) is int and 0 <= u < self.n and v in self.adj[u]
 
     def edge_by_labels(self, lu: Hashable, lv: Hashable) -> tuple[int, int]:
         try:
@@ -186,8 +188,16 @@ class MatchGraph:
 
     # -- derived graphs -----------------------------------------------
 
+    def _vertex_set(self, vertices: Iterable[int]) -> set[int]:
+        """The vertices as a set, refused unless each is an int index."""
+        vertices, n = set(vertices), self.n
+        # a float or a bool is no index, and -1 would take the last vertex
+        if not all(type(v) is int and 0 <= v < n for v in vertices):
+            raise GraphError(f"vertices must be indices in range({n})")
+        return vertices
+
     def subgraph(self, keep: Iterable[int]) -> "MatchGraph":
-        keep = sorted(set(keep))
+        keep = sorted(self._vertex_set(keep))
         old_to_new = {v: i for i, v in enumerate(keep)}
         labels = [self.labels[v] for v in keep]
         edges = [
@@ -200,7 +210,7 @@ class MatchGraph:
         return MatchGraph(labels, edges, coords=coords, color=color)
 
     def delete_vertices(self, drop: Iterable[int]) -> "MatchGraph":
-        drop = set(drop)
+        drop = self._vertex_set(drop)
         return self.subgraph(v for v in range(self.n) if v not in drop)
 
     # -- embedding ----------------------------------------------------
@@ -233,9 +243,9 @@ class MatchGraph:
     def faces(self) -> tuple[Face, ...]:
         """All faces of the straight-line embedding, one per dart orbit.
 
-        Each component contributes its bounded faces plus one outer walk.
-        Faces come in the order of their first dart, and ``dart_face`` is
-        filled alongside.
+        Each component of a plane drawing contributes its bounded faces
+        plus one outer walk.  Faces come in the order of their first dart,
+        and ``edge_faces`` is filled alongside.
         """
         if self._faces is None:
             self._trace_faces()
@@ -272,7 +282,10 @@ class MatchGraph:
                     descents += 1
                 d = nxt[d]
             faces.append(Face(walk, area2, descents & 1))
-        self.dart_face = tuple(face)
+        # two flat tuples of ints, not one pair per edge: no object for the
+        # garbage collector to count per edge
+        self.edge_faces = (tuple([face[base[u] + rot[u].index(v)] for u, v in self.edges]),
+                           tuple([face[base[v] + rot[v].index(u)] for u, v in self.edges]))
         self._faces = tuple(faces)  # last: faces() returns once this is set
 
     def bounded_faces(self) -> list[Face]:

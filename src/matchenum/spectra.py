@@ -3,7 +3,10 @@ and floating-point singular values of K.
 
 K is held as ``counting.signed_biadjacency`` makes it and ``det_bareiss``
 takes it: one ``{column: value}`` dict per row, zeros not stored.  K*K^T
-is summed over the nonzeros of each column, so no dense K is formed.
+is ``counting._product`` of K's rows and K^T, the sparse product that
+also steps the window operators of ``transfer``, so no dense K is formed;
+the charpoly reads its sparse rows, and only the float QL step below
+makes it dense.
 
 The characteristic polynomial is computed over exact integers (every
 division in the recurrence is exact), so the counting identity
@@ -29,7 +32,8 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .counting import BoundError, check_rows, kasteleyn_classes, signed_biadjacency
+from .counting import (BoundError, Operator, _product, check_rows, kasteleyn_classes,
+                       signed_biadjacency)
 from .graphs import MatchGraph
 
 # K dimension; the charpoly of the (4,4,8) hexagon's K at 80 takes ~0.03 s on
@@ -97,20 +101,15 @@ def _digit_width(m: int, trace: int) -> int:
                for j in range(m + 1)).bit_length() + 1
 
 
-def _kk_star(k: SignedMatrix) -> list[list[int]]:
-    """K*K^T summed over the nonzeros of each column of K."""
-    m = k.dimension
-    cols: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+def _kk_star(k: SignedMatrix) -> list[dict[int, int]]:
+    """K*K^T as one ``{column: value}`` dict per row, by the shared product
+    of K's rows and K^T; an entry whose terms cancel is kept as 0."""
+    kt: Operator = {}
     for i, row in enumerate(k.rows):
         for t, v in row.items():
-            cols[t].append((i, v))
-    out = [[0] * m for _ in range(m)]
-    for col in cols:
-        for i, vi in col:
-            oi = out[i]
-            for j, vj in col:
-                oi[j] += vi * vj
-    return out
+            kt.setdefault(t, {})[i] = v
+    a = _product(dict(enumerate(k.rows)), kt)
+    return [a.get(i, {}) for i in range(k.dimension)]
 
 
 def kk_star_charpoly(k: SignedMatrix) -> CharPoly:
@@ -155,16 +154,16 @@ def kk_star_charpoly(k: SignedMatrix) -> CharPoly:
     """
     a = _kk_star(k)
     m = len(a)
-    width = _digit_width(m, sum(a[i][i] for i in range(m)))
+    width = _digit_width(m, sum(row.get(i, 0) for i, row in enumerate(a)))
     half = 1 << (width - 1)
     mask = (1 << width) - 1
     shifts = range(0, width * m, width)
     halves = sum(half << sh for sh in shifts)
     # A's row i as the columns of its +1 and -1 entries, whose packed rows
     # are added or subtracted without a multiply, and its other nonzeros
-    plus = [[t for t, v in enumerate(row) if v == 1] for row in a]
-    minus = [[t for t, v in enumerate(row) if v == -1] for row in a]
-    other = [[(t, v) for t, v in enumerate(row) if v not in (-1, 0, 1)] for row in a]
+    plus = [[t for t, v in row.items() if v == 1] for row in a]
+    minus = [[t for t, v in row.items() if v == -1] for row in a]
+    other = [[(t, v) for t, v in row.items() if v not in (-1, 0, 1)] for row in a]
     coeffs = [0] * (m + 1)
     coeffs[m] = 1
     mat = [1 << sh for sh in shifts]  # M_1 = I
@@ -286,6 +285,6 @@ def singular_values(k: SignedMatrix) -> list[float]:
     eigenvalues of K*K^T, by Householder tridiagonalization and implicit
     QL.  Their product equals the matching count up to floating round-off.
     """
-    a = [[float(v) for v in row] for row in _kk_star(k)]
+    a = [[float(row.get(j, 0)) for j in range(k.dimension)] for row in _kk_star(k)]
     eigs = _tridiagonal_eigenvalues(*_tridiagonalize(a))
     return sorted((math.sqrt(max(e, 0.0)) for e in eigs), reverse=True)

@@ -63,7 +63,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Hashable, Optional, Sequence
 
-from .counting import BoundError, _advance, _compile_order
+from .counting import BoundError, Operator, _advance, _compile_order, _product
 from .graphs import MatchGraph
 from .regions import RegionError, RegionSpec, aztec_window_cell_count
 
@@ -73,8 +73,6 @@ ANNIHILATOR_LIMIT = 24  # degree j + k searched for A^j (A - I)^k.H = 0
 # ``verify problem14 --w 10`` ~0.1 s; at w = 12 that claim takes ~1 s
 # and ~24 MB, most of it stepping U(x) to x = 39 for the fit
 WINDOW_THICKNESS_LIMIT = 10
-
-Operator = dict[int, dict[int, int]]  # sparse {row mask: {column mask: entry}}
 
 
 # -- the window's operators -------------------------------------------------
@@ -158,20 +156,6 @@ def _column_operator(w: int) -> Operator:
     if any(cnt != 1 for row in operator.values() for cnt in row.values()):
         raise ArithmeticError("column completion counted twice")
     return operator
-
-
-def _product(p: Operator, q: Operator) -> Operator:
-    """The sparse product p.q of two operators with nonnegative entries."""
-    out: Operator = {}
-    for a, row in p.items():
-        acc: dict[int, int] = {}
-        get = acc.get
-        for b, u in row.items():
-            for c, v in q.get(b, {}).items():
-                acc[c] = get(c, 0) + u * v
-        if acc:
-            out[a] = acc
-    return out
 
 
 def _difference(p: Operator, q: Operator) -> Operator:

@@ -32,6 +32,7 @@ from matchenum.claims import (
     random_region,
     random_spec,
 )
+from matchenum.counting import kasteleyn_classes
 from matchenum.regions import RegionSpec, aztec_rectangle_cells
 
 
@@ -118,6 +119,28 @@ class TestProblem1:
     def test_desk_bound(self):
         with pytest.raises(BoundError):
             verify_problem1(14)
+
+    def test_desk_bound_is_the_largest_n_under_the_kasteleyn_limit(self, monkeypatch):
+        # the (2n-1, 2n-1, 2n, ...) hexagon has 12n^2 - 8n + 1 rows: n = 13
+        # reaches the count and n = 14 is refused, and the Kasteleyn limit
+        # admits 13's rows but not 14's, so changing either bound fails here
+        reached = []
+
+        def stop(g, e):
+            reached.append(g)
+            raise LookupError("counted")
+
+        monkeypatch.setattr(claims, "containment_counts", stop)
+        with pytest.raises(LookupError):
+            verify_problem1(13)
+        with pytest.raises(BoundError, match="problem1 desk bound"):
+            verify_problem1(14)
+        (hexagon13,) = reached
+        hexagon14 = RegionSpec("HEXAGON", {"sides": [27, 27, 28, 27, 27, 28]}).build()
+        assert len(kasteleyn_classes(hexagon13)[0]) == 1925
+        assert len(hexagon14.classes[0]) == 2241
+        with pytest.raises(BoundError, match="Kasteleyn limit"):
+            kasteleyn_classes(hexagon14)
 
 
 class TestProblem14:

@@ -597,10 +597,16 @@ class TestFaces:
         faces = g.faces()
         darts = [d for f in faces for d in f.darts]
         assert sorted(darts) == sorted(d for u, v in g.edges for d in ((u, v), (v, u)))
-        # dart (v, k) has id k plus the degrees of the vertices before v
+        # faces come in the order of their first dart, darts numbered in
+        # rotation order vertex by vertex, and each walk starts at its first
         face_of = {d: i for i, f in enumerate(faces) for d in f.darts}
         by_id = [(v, u) for v in range(g.n) for u in g.rotation[v]]
-        assert tuple(face_of[d] for d in by_id) == g.dart_face
+        first = {}
+        for d in by_id:
+            first.setdefault(face_of[d], d)
+        assert list(first.items()) == [(i, f.darts[0]) for i, f in enumerate(faces)]
+        assert g.edge_faces == (tuple(face_of[(u, v)] for u, v in g.edges),
+                                tuple(face_of[(v, u)] for u, v in g.edges))
         identity = {e: e for e in g.edges}
         for f in faces:
             assert all(a[1] == b[0] for a, b in zip(f.darts, f.darts[1:] + f.darts[:1]))
@@ -698,6 +704,52 @@ class TestKasteleynCount:
         for g in (build_hexagon((2, 2, 2, 2, 2, 2)), build_aztec_window(1, 2)):
             counts = {kasteleyn_det(g, s) for s in range(6)}
             assert len(counts) == 1
+
+
+class TestPlaneEmbedding:
+    # drawings whose face walks are not those of a plane embedding, with
+    # their true counts; without the check they counted 1, 0 and 1
+    NOT_PLANE = {
+        # V - E + F = 8 - 10 + 2: the walks lie on a torus
+        "crossing": ([0] * 4 + [1] * 4,
+                     [(0, 5), (0, 6), (1, 5), (1, 6), (1, 7), (2, 5), (2, 7), (3, 4), (3, 5),
+                      (3, 7)],
+                     [(1, 0), (-2, -3), (-2, 0), (3, -2), (-4, -3), (4, 2), (-4, -1), (1, 0)],
+                     3),
+        # a 4-cycle drawn as a bowtie: two walks of area 0, both outer
+        "bowtie": ([0, 0, 1, 1], [(0, 2), (0, 3), (1, 2), (1, 3)],
+                   [(0, 2), (3, -1), (-2, -2), (-3, -1)], 2),
+        # V - E + F = 6 - 7 + 1: one walk of all 14 darts
+        "one-walk": ([0] * 3 + [1] * 3, [(0, 3), (0, 4), (0, 5), (1, 4), (1, 5), (2, 3), (2, 5)],
+                     [(1, 3), (-2, 0), (3, 3), (2, -2), (-3, 0), (2, 0)], 3),
+    }
+
+    @pytest.mark.parametrize("name", NOT_PLANE)
+    def test_recorded_drawings_refused(self, name):
+        color, edges, coords, count = self.NOT_PLANE[name]
+        g = MatchGraph(range(len(color)), edges, coords=coords, color=color)
+        assert count_brute(g) == count
+        with pytest.raises(GraphError, match="not a plane embedding"):
+            count_kasteleyn(g)
+
+    def test_random_drawings_counted_right_or_refused(self):
+        # random bipartite graphs on random points: Kasteleyn either refuses
+        # the drawing or agrees with brute
+        rng = random.Random(5)
+        counted = refused = 0
+        for _ in range(400):
+            m = rng.randint(1, 5)
+            edges = [(i, m + j) for i in range(m) for j in range(m) if rng.random() < 0.5]
+            coords = [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(2 * m)]
+            g = MatchGraph(range(2 * m), edges, coords=coords, color=[0] * m + [1] * m)
+            try:
+                count = count_kasteleyn(g)
+            except GraphError as exc:
+                refused += "not a plane embedding" in str(exc)
+                continue
+            assert count == count_brute(g), (edges, coords)
+            counted += count > 0
+        assert counted >= 50 and refused >= 50, (counted, refused)
 
 
 class TestKasteleynLimit:
@@ -814,6 +866,13 @@ class TestForcedEdges:
         )
         with pytest.raises(GraphError):
             count_with_forced_edge(g, non_edge)
+
+    def test_edge_outside_the_vertices_rejected(self):
+        g = build_aztec_diamond(1)
+        for e in ((-1, g.adj[-1][0]), (0.0, g.adj[0][0]), (g.n, 0)):
+            assert not g.has_edge(*e)
+            with pytest.raises(GraphError):
+                count_with_forced_edge(g, e)
 
     def test_ratio_needs_nonzero_total(self):
         g = build_aztec_window(2, 1)  # zero tilings

@@ -165,6 +165,26 @@ class TestMatchGraph:
         with pytest.raises(GraphError, match="bipartition must assign 0/1"):
             MatchGraph(labels=[0, 1], edges=[(0, 1)], color=color)
 
+    @pytest.mark.parametrize("edges", [[(0.0, 1)], [(False, True)], [(0, True)], [("0", 1)]])
+    def test_rejects_edges_that_are_not_integer_indices(self, edges):
+        # (0.0, 1) cannot index the adjacency lists, and (False, True) would
+        # be stored as an edge of bools
+        from matchenum import GraphError
+
+        with pytest.raises(GraphError, match="must join integer vertex indices"):
+            MatchGraph(labels=[0, 1], edges=edges)
+
+    @pytest.mark.parametrize("method", ["subgraph", "delete_vertices"])
+    @pytest.mark.parametrize("vertices", [[0.5], [0.0, 1], [True], [-1], [3], ["a"]])
+    def test_vertex_sets_refuse_what_is_not_a_vertex_index(self, method, vertices):
+        # subgraph([-1]) would take the last vertex, and delete_vertices
+        # would drop nothing for any of these
+        from matchenum import GraphError
+
+        g = MatchGraph(labels="abc", edges=[(0, 1), (1, 2)])
+        with pytest.raises(GraphError, match="vertices must be indices"):
+            getattr(g, method)(vertices)
+
     def test_rotation_needs_coords(self):
         from matchenum import GraphError
 

@@ -41,6 +41,11 @@ def dense(k):
     return [[row.get(j, 0) for j in range(k.dimension)] for row in k.rows]
 
 
+def dense_kk_star(k):
+    """K K^T from ``_kk_star``'s sparse rows as a dense m x m list."""
+    return [[row.get(j, 0) for j in range(k.dimension)] for row in _kk_star(k)]
+
+
 # the scalar recurrence that the packed rows replaced, their reference
 def scalar_kk_star_charpoly(k: SignedMatrix, matrices=None) -> CharPoly:
     """Exact characteristic polynomial of A = K*K^T.
@@ -50,7 +55,7 @@ def scalar_kk_star_charpoly(k: SignedMatrix, matrices=None) -> CharPoly:
     divisions are exact and asserted to be so.  Each M_s and A M_s, s <= m,
     is appended to ``matrices`` when it is given.
     """
-    a = _kk_star(k)
+    a = dense_kk_star(k)
     m = len(a)
     coeffs = [0] * (m + 1)
     coeffs[m] = 1
@@ -81,7 +86,7 @@ def assert_packed_equals_scalar(k):
     and its c_{m-1} against -tr(K K^T)."""
     cp = kk_star_charpoly(k)
     assert cp == scalar_kk_star_charpoly(k)
-    a = _kk_star(k)
+    a = dense_kk_star(k)
     assert cp.coeffs[-1] == 1
     if a:
         assert cp.coeffs[-2] == -sum(a[i][i] for i in range(len(a)))
@@ -91,7 +96,7 @@ def assert_packed_equals_scalar(k):
 def assert_digit_width_bounds_every_entry(k):
     """The packed digit width's contract: every entry of every M_s and
     A M_s of the recurrence on A = K K^T lies below 2^(B - 1)."""
-    a = _kk_star(k)
+    a = dense_kk_star(k)
     width = _digit_width(len(a), sum(a[i][i] for i in range(len(a))))
     matrices = []
     cp = scalar_kk_star_charpoly(k, matrices)
@@ -162,7 +167,7 @@ class TestKKStar:
     def test_equals_dense_product(self, make):
         k = kasteleyn_matrix(make())
         e = dense(k)
-        assert _kk_star(k) == [[sum(a * b for a, b in zip(ei, ej)) for ej in e] for ei in e]
+        assert dense_kk_star(k) == [[sum(a * b for a, b in zip(ei, ej)) for ej in e] for ei in e]
 
 
 class TestCharPoly:
@@ -273,7 +278,7 @@ class TestCharPoly:
         for m in (11, 12, 13):
             k = SignedMatrix(sparse([[rng.choice((-1, 1)) for _ in range(m)]
                                      for _ in range(m)]))
-            coeffs, a = kk_star_charpoly(k).coeffs, _kk_star(k)
+            coeffs, a = kk_star_charpoly(k).coeffs, dense_kk_star(k)
             for t in (-3, 0, 1, 7, 50, 10**6):
                 shifted = [[t * (i == j) - a[i][j] for j in range(m)] for i in range(m)]
                 assert sum(c * t**i for i, c in enumerate(coeffs)) == \
@@ -411,7 +416,7 @@ class TestMalformedEntries:
 
     def test_other_ints_allowed(self):
         k = SignedMatrix(({0: 1, 2: -3}, {1: 2}, {}))
-        assert _kk_star(k) == [[10, 0, 0], [0, 4, 0], [0, 0, 0]]
+        assert dense_kk_star(k) == [[10, 0, 0], [0, 4, 0], [0, 0, 0]]
         assert [f.name for f in fields(k)] == ["rows"]  # no dense copy
 
 

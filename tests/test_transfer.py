@@ -395,7 +395,8 @@ class TestFrontierCount:
         assert _compile_order(build_hypercube(5), weight_then_index(5))[1] == 14
 
     @pytest.mark.parametrize(
-        "order", [[0, 1], [0, 1, 2, 2], [0, 1, 2, 4], [1, 2, 3, 0, 0], [0, 1, 2, "3"]]
+        "order", [[0, 1], [0, 1, 2, 2], [0, 1, 2, 4], [1, 2, 3, 0, 0], [0, 1, 2, "3"],
+                  [0.0, 1, 2, 3], [False, True, 2, 3]]
     )
     def test_order_must_be_a_permutation(self, order):
         g = MatchGraph("abcd", [(0, 1), (2, 3)])
