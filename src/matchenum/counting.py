@@ -15,9 +15,11 @@
   refuses with GraphError a drawing whose face walks break Euler's
   formula for a plane embedding, roots one spanning tree of the dual per
   component at its outer walk and, leaves first, flips the tree edge of
-  every face whose clockwise parity is even; each parity is read once
-  from the face walk and then kept by XOR.  ``signed_biadjacency`` builds
-  that matrix, for ``spectra`` too, and checks ``kasteleyn_classes``
+  every face whose clockwise parity is even; each parity is summed once
+  by the face walk in ``graphs`` and then kept by XOR.  The orientation
+  is one +-1 per edge in ``g.edges`` order, the layout of ``edge_faces``.
+  ``signed_biadjacency`` builds that matrix, for ``spectra`` too, in one
+  pass over the edges and their signs, and checks ``kasteleyn_classes``
   before it orients.
   K is one sparse row format from orientation to determinant and
   spectrum: one ``{column: +-1}`` dict per row, zeros not stored, which
@@ -284,10 +286,7 @@ def count_permanent(g: MatchGraph) -> int:
 
 # -- Kasteleyn orientation and determinant ----------------------------------
 
-Orientation = dict[tuple[int, int], tuple[int, int]]
-
-
-def kasteleyn_orient(g: MatchGraph, seed: int = 0) -> Orientation:
+def kasteleyn_orient(g: MatchGraph, seed: int = 0) -> tuple[int, ...]:
     """Edge orientation making every bounded face clockwise-odd.
 
     Builds one spanning tree of the dual graph per component, rooted at
@@ -295,12 +294,13 @@ def kasteleyn_orient(g: MatchGraph, seed: int = 0) -> Orientation:
     upward.  The condition is per face, so a disconnected embedding (islands
     nested in holes included) needs no split into components.  ``seed``
     shuffles the dual traversal so tests can probe different (equally
-    valid) orientations.  Maps each edge (u, v) with u < v to its oriented
-    (tail, head) pair.
+    valid) orientations.  Returns one sign per edge, aligned with
+    ``g.edges``: +1 when the edge (u, v), u < v, points u -> v, and -1
+    when it points v -> u.
 
-    Every edge starts as (u, v), under which each face's clockwise parity
-    is its stored ``parity``.  A face whose parity is even flips the edge
-    to its parent face, which flips the parity of both; its children were
+    Every edge starts at +1, under which each face's clockwise parity is
+    its stored ``parity``.  A face whose parity is even flips the edge to
+    its parent face, which flips the parity of both; its children were
     fixed before it and no face is touched again once fixed.
 
     A drawing that is not a plane embedding is refused with GraphError
@@ -311,10 +311,9 @@ def kasteleyn_orient(g: MatchGraph, seed: int = 0) -> Orientation:
     exactly when every component is plane with one outer walk, and then
     every tree of the dual forest has its one root.
     """
-    orient: Orientation = {e: e for e in g.edges}
     faces = g.faces()
-    dual: list[list[tuple[int, tuple[int, int]]]] = [[] for _ in faces]
-    for e, f1, f2 in zip(g.edges, *g.edge_faces):
+    dual: list[list[tuple[int, int]]] = [[] for _ in faces]  # (face, edge index)
+    for e, (f1, f2) in enumerate(zip(*g.edge_faces)):
         if f1 != f2:  # bridges border one face twice and carry no constraint
             dual[f1].append((f2, e))
             dual[f2].append((f1, e))
@@ -326,7 +325,7 @@ def kasteleyn_orient(g: MatchGraph, seed: int = 0) -> Orientation:
                          "do not satisfy Euler's formula")
     rng = random.Random(seed)
 
-    parent: list[tuple[int, tuple[int, int]] | None] = [None] * len(faces)
+    parent: list[tuple[int, int] | None] = [None] * len(faces)
     order = []
     seen = set(roots)
     stack = roots[::-1]
@@ -341,14 +340,15 @@ def kasteleyn_orient(g: MatchGraph, seed: int = 0) -> Orientation:
                 parent[f2] = (f, e)
                 stack.append(f2)
 
+    sign = [1] * len(g.edges)
     parity = [f.parity for f in faces]
     for f in reversed(order):  # children first
         if not parity[f] and faces[f].bounded:
             p, e = parent[f]
-            orient[e] = (e[1], e[0])
+            sign[e] = -1
             parity[p] ^= 1
 
-    return orient
+    return tuple(sign)
 
 
 def kasteleyn_classes(g: MatchGraph) -> Classes:
@@ -371,13 +371,18 @@ def signed_biadjacency(g: MatchGraph, seed: int = 0) -> list[dict[int, int]]:
     """K under ``kasteleyn_orient(g, seed)`` as sparse rows: row r is the
     r-th class-0 vertex v, as ``{column: sign}`` over v's neighbours, a
     column being a class-1 vertex's position in ``g.classes``; the sign is
-    +1 when the edge is oriented row -> column, -1 the other way.  Refused
-    as ``kasteleyn_classes`` refuses, before any face is walked."""
+    +1 when the edge is oriented row -> column, -1 the other way.  A row's
+    columns come in ``g.edges`` order.  Refused as ``kasteleyn_classes``
+    refuses, before any face is walked."""
     rows, _ = kasteleyn_classes(g)
-    orient = kasteleyn_orient(g, seed)
-    pos = g.class_pos
-    return [{pos[u]: 1 if orient[(v, u) if v < u else (u, v)] == (v, u) else -1
-             for u in g.adj[v]} for v in rows]
+    signs = kasteleyn_orient(g, seed)
+    pos, color = g.class_pos, g.color
+    k: list[dict[int, int]] = [{} for _ in rows]
+    for (u, v), s in zip(g.edges, signs):  # s = +1: the edge points u -> v
+        if color[u]:  # u is the column: take the edge from its row v
+            u, v, s = v, u, -s
+        k[pos[u]][pos[v]] = s
+    return k
 
 
 def check_rows(rows: Sequence[dict[int, int]]) -> None:
@@ -577,7 +582,10 @@ def count_auto(g: MatchGraph) -> int:
 
 def count_with_forced_edge(g: MatchGraph, e: tuple[int, int]) -> int:
     """Matchings containing e = matchings of g minus both endpoints of e."""
-    u, v = e
+    try:
+        u, v = e
+    except (TypeError, ValueError):
+        raise GraphError(f"forced edge {e!r} is not a pair of vertex indices") from None
     if not g.has_edge(u, v):
         raise GraphError(f"({u}, {v}) is not an edge of the graph")
     return count_auto(g.delete_vertices((u, v)))

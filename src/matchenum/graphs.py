@@ -12,8 +12,9 @@ alone.  The rotation system sorts the neighbours once per distinct tuple
 of neighbour offsets, exactly, and the faces are one walk over an array
 that gives each dart the dart after it in its face; the walk labels every
 dart with its face and sums each face's area and parity on the way.
-Other modules read the faces, and each edge's two faces in ``edges``
-order (``edge_faces``), never a dart id.
+A face keeps only that area and parity, not its walk.  Other modules
+read the faces, and each edge's two faces in ``edges`` order
+(``edge_faces``), never a dart id.
 
 A two-coloured graph stores its bipartite split once: class 0 is the rows
 and class 1 the columns of every biadjacency matrix, each in vertex order,
@@ -34,24 +35,23 @@ class GraphError(ValueError):
     (no embedding or no bipartition)."""
 
 
-Dart = tuple[int, int]
 Classes = tuple[tuple[int, ...], tuple[int, ...]]  # (rows, columns)
 
 
 class Face:
-    """One face of the embedded graph, stored as its boundary dart walk.
+    """One face of the embedded graph: its doubled signed area and parity.
 
-    The walk keeps the face interior on the left, so bounded faces have
-    positive doubled signed area and the outer walk of each component has
-    non-positive area.  ``parity`` is that of the walk's darts that run
-    from a higher vertex index to a lower one: the face's clockwise parity
-    when every edge points from its lower end to its higher.
+    The face's boundary walk keeps the interior on the left, so bounded
+    faces have positive doubled signed area and the outer walk of each
+    component has non-positive area.  ``parity`` is that of the walk's darts
+    that run from a higher vertex index to a lower one: the face's
+    clockwise parity when every edge points from its lower end to its
+    higher.  The walk itself is not kept.
     """
 
-    __slots__ = ("darts", "area2", "parity")
+    __slots__ = ("area2", "parity")
 
-    def __init__(self, darts: Sequence[Dart], area2: int, parity: int):
-        self.darts = tuple(darts)
+    def __init__(self, area2: int, parity: int):
         self.area2 = area2
         self.parity = parity
 
@@ -59,12 +59,9 @@ class Face:
     def bounded(self) -> bool:
         return self.area2 > 0
 
-    def __len__(self) -> int:
-        return len(self.darts)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "bounded" if self.bounded else "outer"
-        return f"Face({kind}, len={len(self.darts)})"
+        return f"Face({kind}, area2={self.area2}, parity={self.parity})"
 
 
 class MatchGraph:
@@ -116,7 +113,11 @@ class MatchGraph:
         seen: set[tuple[int, int]] = set()
         norm: list[tuple[int, int]] = []
         adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:
+        for item in edges:
+            try:
+                u, v = item
+            except (TypeError, ValueError):
+                raise GraphError(f"edge {item!r} is not a pair of vertex indices") from None
             # a float cannot index a vertex, and a bool is not one
             if type(u) is not int or type(v) is not int:
                 raise GraphError(f"edge ({u!r}, {v!r}) must join integer vertex indices")
@@ -137,12 +138,19 @@ class MatchGraph:
         self.adj = tuple(tuple(sorted(ns)) for ns in adj)
 
         if coords is not None:
-            coords = tuple((x, y) for x, y in coords)
+            points = []
+            for xy in coords:
+                try:
+                    x, y = xy
+                except (TypeError, ValueError):
+                    raise GraphError(f"coords item {xy!r} is not an (x, y) pair") from None
+                # int() would truncate a float; bool is refused as well
+                if type(x) is not int or type(y) is not int:
+                    raise GraphError("coords must be integer pairs")
+                points.append((x, y))
+            coords = tuple(points)
             if len(coords) != n:
                 raise GraphError("coords must cover every vertex")
-            # int() would truncate a float; bool is refused as well
-            if any(type(v) is not int for xy in coords for v in xy):
-                raise GraphError("coords must be integer pairs")
         self.coords = coords
 
         self._rotation: Optional[tuple[tuple[int, ...], ...]] = None
@@ -268,28 +276,23 @@ class MatchGraph:
             if face[start] >= 0:
                 continue
             f = len(faces)
-            walk = []
             area2 = descents = 0
             d = start
             while face[d] < 0:
                 face[d] = f
                 u, v = tails[d], heads[d]
-                walk.append((u, v))
                 ax, ay = coords[u]
                 bx, by = coords[v]
                 area2 += ax * by - ay * bx
                 if u > v:
                     descents += 1
                 d = nxt[d]
-            faces.append(Face(walk, area2, descents & 1))
+            faces.append(Face(area2, descents & 1))
         # two flat tuples of ints, not one pair per edge: no object for the
         # garbage collector to count per edge
         self.edge_faces = (tuple([face[base[u] + rot[u].index(v)] for u, v in self.edges]),
                            tuple([face[base[v] + rot[v].index(u)] for u, v in self.edges]))
         self._faces = tuple(faces)  # last: faces() returns once this is set
-
-    def bounded_faces(self) -> list[Face]:
-        return [f for f in self.faces() if f.bounded]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"MatchGraph(n={self.n}, m={len(self.edges)})"

@@ -65,7 +65,7 @@ from typing import Hashable, Optional, Sequence
 
 from .counting import BoundError, Operator, _advance, _compile_order, _product
 from .graphs import MatchGraph
-from .regions import RegionError, RegionSpec, aztec_window_cell_count
+from .regions import RegionError, RegionSpec, _strict_int, aztec_window_cell_count
 
 ANNIHILATOR_LIMIT = 24  # degree j + k searched for A^j (A - I)^k.H = 0
 # thickness w, bounded by the operators' own cost on a 2-vCPU Xeon: at
@@ -174,11 +174,13 @@ def _difference(p: Operator, q: Operator) -> Operator:
     return out
 
 
-@lru_cache(maxsize=None)  # one entry per thickness, and w <= 10
+# one entry per thickness, and w <= 10; typed, so that 2.0 and True are
+# not served the entries of 2 and 1 but refused
+@lru_cache(maxsize=None, typed=True)
 def _operators(w: int) -> tuple[Operator, Operator, Operator]:
     """(H, M, A) for thickness w, which callers must not modify.  The
     thickness is checked here and nowhere else, before any sweep."""
-    if w < 1:
+    if _strict_int(w, "Aztec window w") < 1:
         raise RegionError("Aztec window needs w >= 1")
     if w > WINDOW_THICKNESS_LIMIT:
         raise BoundError(
@@ -223,7 +225,10 @@ def transfer_count(spec: RegionSpec) -> int:
 
 
 def count_sequence(w: int, x_from: int, x_to: int) -> list[int]:
-    """transfer_count for each inner order x in x_from..x_to, in order."""
+    """transfer_count for each inner order x in x_from..x_to, in order;
+    RegionError for a w, x_from or x_to that is not an int."""
+    for value, what in ((w, "w"), (x_from, "x_from"), (x_to, "x_to")):
+        _strict_int(value, f"Aztec window {what}")
     return [
         transfer_count(RegionSpec("AZTEC_WINDOW", {"x": x, "w": w}))
         for x in range(x_from, x_to + 1)

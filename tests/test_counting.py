@@ -60,11 +60,16 @@ def kasteleyn_det(g, seed):
     return abs(det_bareiss(counting.signed_biadjacency(g, seed=seed)))
 
 
-def clockwise_edges(orient, face):
-    """Edges of a bounded face oriented clockwise (the walk runs
+def clockwise_edges(orient, walk):
+    """Edges of a bounded face walk oriented clockwise (the walk runs
     counter-clockwise, so such an edge opposes its dart)."""
-    return sum(1 for a, b in face.darts
+    return sum(1 for a, b in walk
                if orient[(a, b) if a < b else (b, a)] == (b, a))
+
+
+def oriented(g, signs):
+    """``kasteleyn_orient``'s signs as each edge's (tail, head) pair."""
+    return {(u, v): (u, v) if s == 1 else (v, u) for (u, v), s in zip(g.edges, signs)}
 
 
 def component_sizes(g):
@@ -401,16 +406,17 @@ class TestKasteleynOrientation:
     ])
     def test_every_bounded_face_is_clockwise_odd(self, make):
         g = make()
+        walks = bounded_walks(g)
         for seed in range(3):
-            orient = kasteleyn_orient(g, seed=seed)
-            for face in g.bounded_faces():
-                assert clockwise_edges(orient, face) % 2 == 1
+            orient = oriented(g, kasteleyn_orient(g, seed=seed))
+            for walk in walks:
+                assert clockwise_edges(orient, walk) % 2 == 1
 
     def test_four_cycle_condition(self):
         g = build_aztec_diamond(1)
-        orient = kasteleyn_orient(g)
-        (face,) = g.bounded_faces()
-        assert clockwise_edges(orient, face) in (1, 3)
+        orient = oriented(g, kasteleyn_orient(g))
+        (walk,) = bounded_walks(g)
+        assert clockwise_edges(orient, walk) in (1, 3)
 
     def test_needs_embedding(self):
         with pytest.raises(GraphError):
@@ -420,7 +426,7 @@ class TestKasteleynOrientation:
         # two components, no bounded face: every edge is oriented and kept
         g = two_edges()
         assert component_sizes(g) == [2, 2]
-        assert kasteleyn_orient(g) == {(0, 1): (0, 1), (2, 3): (2, 3)}
+        assert kasteleyn_orient(g) == (1, 1)
         assert count_kasteleyn(g) == 1
 
 
@@ -463,15 +469,16 @@ def reference_orient(g, seed):
     """The dual-tree orientation by its first algorithm: every face's
     clockwise edges are counted again under the orientation built so far."""
     orient = {e: e for e in g.edges}
-    faces = g.faces()
-    face_of = {dart: i for i, f in enumerate(faces) for dart in f.darts}
-    dual = [[] for _ in faces]
+    walks = reference_walks(g)
+    bounded = [walk_area2(g, w) > 0 for w in walks]
+    face_of = {dart: i for i, w in enumerate(walks) for dart in w}
+    dual = [[] for _ in walks]
     for u, v in g.edges:
         f1, f2 = face_of[(u, v)], face_of[(v, u)]
         if f1 != f2:
             dual[f1].append((f2, (u, v)))
             dual[f2].append((f1, (u, v)))
-    roots = [i for i, f in enumerate(faces) if not f.bounded]
+    roots = [i for i, b in enumerate(bounded) if not b]
     rng = random.Random(seed)
     parent_edge, order, seen, stack = {}, [], set(roots), roots[::-1]
     while stack:
@@ -485,7 +492,7 @@ def reference_orient(g, seed):
                 parent_edge[f2] = e
                 stack.append(f2)
     for f in reversed(order):
-        if faces[f].bounded and clockwise_edges(orient, faces[f]) % 2 == 0:
+        if bounded[f] and clockwise_edges(orient, walks[f]) % 2 == 0:
             t, h = orient[parent_edge[f]]
             orient[parent_edge[f]] = (h, t)
     return orient
@@ -507,6 +514,36 @@ def reference_rotation(g):
 
         rotation.append(tuple(sorted(g.adj[v], key=cmp_to_key(cmp))))
     return tuple(rotation)
+
+
+def reference_walks(g):
+    """Every face walk of g as its list of darts (tail, head), traced from
+    ``reference_rotation`` alone: the dart after v -> u leaves u along the
+    neighbour before v in u's counter-clockwise order.  Walks come in the
+    order of their first dart, darts taken vertex by vertex in rotation
+    order."""
+    rot = reference_rotation(g)
+    walks, seen = [], set()
+    for start in [(v, u) for v in range(g.n) for u in rot[v]]:
+        walk, (v, u) = [], start
+        while (v, u) not in seen:
+            seen.add((v, u))
+            walk.append((v, u))
+            v, u = u, rot[u][rot[u].index(v) - 1]
+        if walk:
+            walks.append(walk)
+    return walks
+
+
+def walk_area2(g, walk):
+    """Doubled signed area enclosed by a dart walk, from ``g.coords``."""
+    xy = g.coords
+    return sum(xy[v][0] * xy[u][1] - xy[v][1] * xy[u][0] for v, u in walk)
+
+
+def bounded_walks(g):
+    """The face walks of positive area: the bounded faces."""
+    return [w for w in reference_walks(g) if walk_area2(g, w) > 0]
 
 
 def star(centres, spokes):
@@ -594,33 +631,29 @@ def components(g):
 class TestFaces:
     @pytest.mark.parametrize("name, g", EMBEDDED, ids=[name for name, _ in EMBEDDED])
     def test_face_invariants(self, name, g):
+        # the face tracer against walks traced here from the rotation alone
         faces = g.faces()
-        darts = [d for f in faces for d in f.darts]
+        walks = reference_walks(g)
+        darts = [d for w in walks for d in w]
         assert sorted(darts) == sorted(d for u, v in g.edges for d in ((u, v), (v, u)))
-        # faces come in the order of their first dart, darts numbered in
-        # rotation order vertex by vertex, and each walk starts at its first
-        face_of = {d: i for i, f in enumerate(faces) for d in f.darts}
-        by_id = [(v, u) for v in range(g.n) for u in g.rotation[v]]
-        first = {}
-        for d in by_id:
-            first.setdefault(face_of[d], d)
-        assert list(first.items()) == [(i, f.darts[0]) for i, f in enumerate(faces)]
+        # both number faces in the order of their first dart, darts numbered
+        # in rotation order vertex by vertex
+        face_of = {d: i for i, w in enumerate(walks) for d in w}
         assert g.edge_faces == (tuple(face_of[(u, v)] for u, v in g.edges),
                                 tuple(face_of[(v, u)] for u, v in g.edges))
         identity = {e: e for e in g.edges}
-        for f in faces:
-            assert all(a[1] == b[0] for a, b in zip(f.darts, f.darts[1:] + f.darts[:1]))
-            assert f.parity == clockwise_edges(identity, f) % 2
+        assert [(f.area2, f.parity) for f in faces] == \
+            [(walk_area2(g, w), clockwise_edges(identity, w) % 2) for w in walks]
         outer = [f for f in faces if not f.bounded]
         if name == "nested-island":
             assert len(outer) == 2
         for comp in components(g):
             edges = sum(u in comp for u, _ in g.edges)
-            comp_faces = [f for f in faces if f.darts[0][0] in comp]
+            comp_faces = [f for f, w in zip(faces, walks) if w[0][0] in comp]
             # every face but the component's one outer walk has area2 > 0
-            walks = [f for f in comp_faces if f.area2 <= 0]
-            assert len(walks) == (1 if edges else 0)
-            assert len(comp) - edges + len(comp_faces) == 1 + len(walks)
+            comp_outer = [f for f in comp_faces if f.area2 <= 0]
+            assert len(comp_outer) == (1 if edges else 0)
+            assert len(comp) - edges + len(comp_faces) == 1 + len(comp_outer)
             assert sum(f.area2 for f in comp_faces) == 0
 
 
@@ -628,9 +661,30 @@ class TestOrientationIdentity:
     @pytest.mark.parametrize("name, g", EMBEDDED, ids=[name for name, _ in EMBEDDED])
     def test_same_orientation_as_the_reference(self, name, g):
         for seed in range(4):
-            orient = kasteleyn_orient(g, seed)
             reference = reference_orient(g, seed)
-            assert list(orient.items()) == list(reference.items())
+            assert kasteleyn_orient(g, seed) == \
+                tuple(1 if reference[e] == e else -1 for e in g.edges)
+
+    @pytest.mark.parametrize("name, g", EMBEDDED, ids=[name for name, _ in EMBEDDED])
+    def test_one_sign_per_edge_and_each_flip_breaks_its_faces(self, name, g):
+        walks = reference_walks(g)
+        bounded = [walk_area2(g, w) > 0 for w in walks]
+        face_of = {d: i for i, w in enumerate(walks) for d in w}
+        for seed in range(2):
+            signs = kasteleyn_orient(g, seed)
+            assert type(signs) is tuple and len(signs) == len(g.edges)
+            assert set(signs) <= {1, -1}
+            orient = oriented(g, signs)
+            for u, v in g.edges:
+                # a bridge borders one face twice and carries no constraint
+                sides = {face_of[(u, v)], face_of[(v, u)]}
+                if len(sides) == 1:
+                    continue
+                orient[(u, v)] = orient[(u, v)][::-1]
+                for f in sides:
+                    if bounded[f]:
+                        assert clockwise_edges(orient, walks[f]) % 2 == 0
+                orient[(u, v)] = orient[(u, v)][::-1]
 
 
 class TestKasteleynCount:
@@ -684,9 +738,9 @@ class TestKasteleynCount:
             h = g.delete_vertices({v for e in cut for v in e})
             if len(component_sizes(h)) == 1:
                 continue
-            orient = kasteleyn_orient(h)
-            for face in h.bounded_faces():
-                assert clockwise_edges(orient, face) % 2 == 1
+            orient = oriented(h, kasteleyn_orient(h))
+            for walk in bounded_walks(h):
+                assert clockwise_edges(orient, walk) % 2 == 1
             count = count_brute(h)
             assert count_kasteleyn(h) == count
             checked += 1
@@ -873,6 +927,13 @@ class TestForcedEdges:
             assert not g.has_edge(*e)
             with pytest.raises(GraphError):
                 count_with_forced_edge(g, e)
+
+    @pytest.mark.parametrize("e", [(0, 1, 2), (0,), 5, None])
+    def test_edge_that_is_not_a_pair_rejected(self, e):
+        # each ended in a bare ValueError or TypeError from unpacking
+        g = build_aztec_diamond(1)
+        with pytest.raises(GraphError, match="forced edge .* is not a pair"):
+            count_with_forced_edge(g, e)
 
     def test_ratio_needs_nonzero_total(self):
         g = build_aztec_window(2, 1)  # zero tilings

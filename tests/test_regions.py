@@ -25,6 +25,7 @@ from matchenum.regions import (
     aztec_window_cells,
     validate_hex_sides,
 )
+from test_counting import bounded_walks
 
 
 def all_hex_side_tuples(max_side):
@@ -174,6 +175,27 @@ class TestMatchGraph:
         with pytest.raises(GraphError, match="must join integer vertex indices"):
             MatchGraph(labels=[0, 1], edges=edges)
 
+    @pytest.mark.parametrize("edges, item", [
+        ([(0, 1, 2)], "(0, 1, 2)"), ([5], "5"), ([(0, 1), (1,)], "(1,)"), ([None], "None"),
+    ])
+    def test_rejects_edge_items_that_are_not_pairs(self, edges, item):
+        # each ended in a bare ValueError or TypeError from unpacking
+        from matchenum import GraphError
+
+        with pytest.raises(GraphError) as refused:
+            MatchGraph(labels=[0, 1], edges=edges)
+        assert str(refused.value) == f"edge {item} is not a pair of vertex indices"
+
+    @pytest.mark.parametrize("coords, item", [
+        ([(0, 0), (1,)], "(1,)"), ([(0, 0, 0), (1, 0)], "(0, 0, 0)"), ([(0, 0), 7], "7"),
+    ])
+    def test_rejects_coords_items_that_are_not_pairs(self, coords, item):
+        from matchenum import GraphError
+
+        with pytest.raises(GraphError) as refused:
+            MatchGraph(labels=[0, 1], edges=[(0, 1)], coords=coords)
+        assert str(refused.value) == f"coords item {item} is not an (x, y) pair"
+
     @pytest.mark.parametrize("method", ["subgraph", "delete_vertices"])
     @pytest.mark.parametrize("vertices", [[0.5], [0.0, 1], [True], [-1], [3], ["a"]])
     def test_vertex_sets_refuse_what_is_not_a_vertex_index(self, method, vertices):
@@ -267,7 +289,9 @@ class TestHexagon:
         for sides in ((1, 1, 1, 1, 1, 1), (2, 2, 2, 2, 2, 2), (1, 1, 2, 1, 1, 2)):
             g = build_hexagon(sides)
             assert g.n - len(g.edges) + len(g.faces()) == 2
-            assert all(len(f) == 6 for f in g.bounded_faces())
+            walks = bounded_walks(g)
+            assert len(walks) == sum(f.bounded for f in g.faces())
+            assert all(len(w) == 6 for w in walks)
 
 
 class TestCentralRhombus:
@@ -324,7 +348,9 @@ class TestAztecDiamond:
     def test_faces_are_squares(self):
         g = build_aztec_diamond(3)
         assert g.n - len(g.edges) + len(g.faces()) == 2
-        assert all(len(f) == 4 for f in g.bounded_faces())
+        walks = bounded_walks(g)
+        assert len(walks) == sum(f.bounded for f in g.faces())
+        assert all(len(w) == 4 for w in walks)
 
     def test_invalid_order(self):
         with pytest.raises(RegionError):
@@ -410,7 +436,9 @@ class TestAztecWindow:
     def test_one_hole_face(self):
         g = build_aztec_window(1, 2)
         assert g.n - len(g.edges) + len(g.faces()) == 2
-        lens = sorted(len(f) for f in g.bounded_faces())
+        walks = bounded_walks(g)
+        assert len(walks) == sum(f.bounded for f in g.faces())
+        lens = sorted(len(w) for w in walks)
         assert lens[:-1] == [4] * (len(lens) - 1)
         assert lens[-1] > 4  # the face around the hole
 

@@ -347,6 +347,28 @@ class TestColumnAnnihilator:
                 entry(11)
             assert str(refused.value) == "thickness 11 exceeds the window limit 10", name
 
+    def test_entries_refuse_what_is_not_an_int(self):
+        # with the operators of w = 1 and w = 2 cached, 2.0 and True were
+        # served them: True == 1 and 2.0 == 2 hash alike
+        _operators(1)
+        _operators(2)
+        refusals = [
+            (lambda: column_annihilator(2.0), "Aztec window w must be an integer, got float 2.0"),
+            (lambda: column_annihilator(True), "Aztec window w must be an integer, got bool True"),
+            (lambda: count_sequence(2, 1.0, 3),
+             "Aztec window x_from must be an integer, got float 1.0"),
+            (lambda: count_sequence(2, 1, 3.0),
+             "Aztec window x_to must be an integer, got float 3.0"),
+            (lambda: count_sequence(True, 1, 3), "Aztec window w must be an integer, got bool True"),
+            (lambda: count_sequence(2.0, 3, 2), "Aztec window w must be an integer, got float 2.0"),
+        ]
+        for entry, message in refusals:
+            with pytest.raises(RegionError) as refused:
+                entry()
+            assert str(refused.value) == message
+        assert column_annihilator(1) == (2, 0)
+        assert column_annihilator(2) == (0, 1)
+
 
 def random_graph(rng, n, density, bipartite):
     labels = list(range(n))
