@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -25,7 +24,7 @@ from .counting import (
     containment_ratio,
     enumerate_matchings,
 )
-from .graphs import MatchGraph
+from .graphs import MatchGraph, Record
 from .regions import (
     RegionSpec,
     aztec_rectangle_cells,
@@ -41,22 +40,22 @@ from .transfer import (
 PASS, FAIL, REPORT_ONLY = "PASS", "FAIL", "REPORT_ONLY"
 
 
-@dataclass(frozen=True)
-class ClaimReport:
+class ClaimReport(Record):
     """Outcome of one named check.
 
     ``expected`` may carry a ``note`` describing where the value comes
     from; every other key of ``expected`` must equal the corresponding
     ``computed`` entry exactly for a PASS.  REPORT_ONLY claims carry no
-    expected value.
+    expected value.  A frozen ``Record``; its parameters dict makes it
+    unhashable.
     """
 
-    claim_id: str
-    parameters: dict
-    computed: object
-    expected: object
-    verdict: str
-    runtime_ms: int
+    __slots__ = ("claim_id", "parameters", "computed", "expected", "verdict",
+                 "runtime_ms")
+
+    def __init__(self, claim_id: str, parameters: dict, computed: object,
+                 expected: object, verdict: str, runtime_ms: int):
+        super().__init__(claim_id, parameters, computed, expected, verdict, runtime_ms)
 
     def to_dict(self) -> dict:
         return {

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import inspect
 import json
 import sys
 from fractions import Fraction
@@ -183,10 +182,20 @@ def _cmd_verify(args):
     # defaults for the rest
     given = {name: value for name, value in vars(args).items() if value is not None
              and name not in ("command", "claim", "format", "out")}
-    extra = sorted(given.keys() - inspect.signature(verify).parameters.keys())
+    extra = sorted(given.keys() - _option_names(verify))
     if extra:
         raise UsageError(f"claim {args.claim} takes no --{extra[0].replace('_', '-')}")
     return verify(**given).to_dict(), None
+
+
+def _option_names(fn) -> tuple[str, ...]:
+    """The parameter names of ``fn``, read from its code object; a wrapper
+    made with ``functools.wraps`` is looked through to the function it
+    wraps, as ``inspect.signature`` does."""
+    while hasattr(fn, "__wrapped__"):
+        fn = fn.__wrapped__
+    code = fn.__code__
+    return code.co_varnames[:code.co_argcount + code.co_kwonlyargcount]
 
 
 def cli_main(argv: Optional[Sequence[str]] = None) -> int:

@@ -21,6 +21,7 @@ and class 1 the columns of every biadjacency matrix, each in vertex order,
 and every vertex keeps its position within its class.
 
 Graphs are frozen after construction and safe to share between threads.
+``Record`` here is the base of the package's other immutable value types.
 """
 
 from __future__ import annotations
@@ -36,6 +37,56 @@ class GraphError(ValueError):
 
 
 Classes = tuple[tuple[int, ...], tuple[int, ...]]  # (rows, columns)
+
+
+class Record:
+    """Base of the package's immutable value types.
+
+    A subclass names its fields in ``__slots__``, in order, and its
+    ``__init__`` checks the arguments and hands them to ``Record.__init__``
+    in that order.  Records compare equal when of the same class with
+    equal fields, hash as the tuple of their fields (so one holding a dict
+    is unhashable), print as ``Name(field=value, ...)`` and refuse
+    assignment and deletion with ``AttributeError``.  Copying and
+    unpickling restore the fields without running the checks again.
+
+    It keeps the frozen-dataclass behaviour without importing
+    ``dataclasses``, which loads ``inspect`` and ``ast`` into every
+    process that imports the package.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __getstate__(self) -> tuple:
+        return self._values()
+
+    def __setstate__(self, state: tuple) -> None:
+        Record.__init__(self, *state)
 
 
 class Face:

@@ -36,10 +36,9 @@ from __future__ import annotations
 
 import json
 import reprlib
-from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
-from .graphs import MatchGraph
+from .graphs import MatchGraph, Record
 
 
 class RegionError(ValueError):
@@ -345,8 +344,7 @@ KIND_PARAMS = {
 }
 
 
-@dataclass(frozen=True)
-class RegionSpec:
+class RegionSpec(Record):
     """Declarative region description; the JSON form is the CLI input format.
 
     {"kind": "...", "params": {...}, "holes": [[x, y, "up"|"down"], ...]}
@@ -354,40 +352,39 @@ class RegionSpec:
     The spec is checked strictly on construction: the kind must be a str
     and the params a dict, integers must be ints (not bools or floats),
     lists must be lists and a hole's orientation "up" or "down", else
-    RegionError.
+    RegionError.  The holes are stored as a tuple of ``TriCell``s.  A
+    frozen ``Record``: equal specs compare equal, and the params dict makes
+    a spec unhashable.
     """
 
-    kind: str
-    params: dict
-    holes: tuple[TriCell, ...] = field(default_factory=tuple)
+    __slots__ = ("kind", "params", "holes")
 
-    def __post_init__(self):
-        if not isinstance(self.kind, str):
+    def __init__(self, kind: str, params: dict, holes: Sequence = ()):
+        if not isinstance(kind, str):
             raise RegionError(
-                f"region kind must be a string, got {type(self.kind).__name__} "
-                f"{_brief(self.kind)}"
+                f"region kind must be a string, got {type(kind).__name__} "
+                f"{_brief(kind)}"
             )
-        if not isinstance(self.params, dict):
+        if not isinstance(params, dict):
             raise RegionError(
-                f"region params must be a dict, got {type(self.params).__name__} "
-                f"{_brief(self.params)}"
+                f"region params must be a dict, got {type(params).__name__} "
+                f"{_brief(params)}"
             )
-        holes = tuple(_hole(h) for h in _strict_list(self.holes, "'holes'"))
-        object.__setattr__(self, "holes", holes)
-        if self.kind not in KIND_PARAMS:
-            raise RegionError(f"unknown region kind {_brief(self.kind)}")
-        if self.holes and self.kind != "HEXAGON":
+        holes = tuple(_hole(h) for h in _strict_list(holes, "'holes'"))
+        if kind not in KIND_PARAMS:
+            raise RegionError(f"unknown region kind {_brief(kind)}")
+        if holes and kind != "HEXAGON":
             raise RegionError("holes are only supported for HEXAGON regions")
-        required = KIND_PARAMS[self.kind]
-        optional = ("removed",) if self.kind == "AZTEC_RECTANGLE" else ()
+        required = KIND_PARAMS[kind]
+        optional = ("removed",) if kind == "AZTEC_RECTANGLE" else ()
         for name in required:
-            if name not in self.params:
-                raise RegionError(f"{self.kind} spec is missing parameter {name!r}")
-        for name, value in self.params.items():
-            what = f"{self.kind} parameter {name!r}"
+            if name not in params:
+                raise RegionError(f"{kind} spec is missing parameter {name!r}")
+        for name, value in params.items():
+            what = f"{kind} parameter {name!r}"
             if name not in required + optional:
                 raise RegionError(
-                    f"{self.kind} spec has unknown parameter {_brief(name)}"
+                    f"{kind} spec has unknown parameter {_brief(name)}"
                 )
             if name == "sides":
                 _strict_ints(value, what, length=6)
@@ -396,6 +393,7 @@ class RegionSpec:
                     _strict_ints(cell, f"each cell of {what}", length=2)
             else:
                 _strict_int(value, what)
+        super().__init__(kind, params, holes)
 
     def cells(self) -> frozenset:
         """The region's cells, which label its graph's vertices: the

@@ -30,11 +30,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
 from .counting import (BoundError, Operator, _product, check_rows, kasteleyn_classes,
                        signed_biadjacency)
-from .graphs import MatchGraph
+from .graphs import MatchGraph, Record
 
 # K dimension; the charpoly of the (4,4,8) hexagon's K at 80 takes ~0.03 s on
 # a 2-vCPU Xeon, that of a dense +-1 K at 80 ~1.2 s
@@ -42,31 +41,35 @@ SPECTRUM_DIMENSION_LIMIT = 80
 QL_ITERATION_LIMIT = 60  # QL sweeps allowed per eigenvalue
 
 
-@dataclass(frozen=True)
-class SignedMatrix:
+class SignedMatrix(Record):
     """Signed biadjacency as sparse rows: rows one color class, columns
     the other, row i as ``{column: value}`` over its nonzeros, +-1 on
     edges per the Kasteleyn orientation.  Square: every column lies in
     range(dimension).  Refused past SPECTRUM_DIMENSION_LIMIT rows
     (BoundError), then as ``counting.check_rows`` refuses malformed rows
-    (TypeError, ValueError)."""
+    (TypeError, ValueError).  A frozen ``Record``; its row dicts make it
+    unhashable."""
 
-    rows: tuple[dict[int, int], ...]
+    __slots__ = ("rows",)
 
-    def __post_init__(self) -> None:
-        _check_dimension(self.dimension)
-        check_rows(self.rows)
+    def __init__(self, rows: tuple[dict[int, int], ...]):
+        _check_dimension(len(rows))
+        check_rows(rows)
+        super().__init__(rows)
 
     @property
     def dimension(self) -> int:
         return len(self.rows)
 
 
-@dataclass(frozen=True)
-class CharPoly:
-    """det(lambda*I - A) as integer coefficients, constant term first."""
+class CharPoly(Record):
+    """det(lambda*I - A) as integer coefficients, constant term first.  A
+    frozen, hashable ``Record``."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[int, ...]):
+        super().__init__(coeffs)
 
     @property
     def degree(self) -> int:

@@ -59,12 +59,11 @@ Everything is exact integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Hashable, Optional, Sequence
 
 from .counting import BoundError, Operator, _advance, _compile_order, _product
-from .graphs import MatchGraph
+from .graphs import MatchGraph, Record
 from .regions import RegionError, RegionSpec, _strict_int, aztec_window_cell_count
 
 ANNIHILATOR_LIMIT = 24  # degree j + k searched for A^j (A - I)^k.H = 0
@@ -265,18 +264,21 @@ def column_annihilator(w: int) -> tuple[int, int]:
 # -- polynomial detection ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PolyReport:
+class PolyReport(Record):
     """Finite-difference table of a count sequence, the counts its first
     row, and the least degree d whose (d+1)-th differences vanish on it
-    (None when no order of differences does).
+    (None when no order of differences does).  A frozen, hashable
+    ``Record``.
 
     The degree is evidence on these counts only; finite data can never
     certify that the sequence is globally polynomial.
     """
 
-    detected_degree: Optional[int]
-    differences: tuple[tuple[int, ...], ...]
+    __slots__ = ("detected_degree", "differences")
+
+    def __init__(self, detected_degree: Optional[int],
+                 differences: tuple[tuple[int, ...], ...]):
+        super().__init__(detected_degree, differences)
 
 
 def detect_polynomial(counts: Sequence[int]) -> PolyReport:

@@ -1,3 +1,4 @@
+import functools
 import inspect
 import json
 import re
@@ -429,6 +430,22 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--claim", "problem1", "--seed", "5")
         assert (code, out) == (2, "")
         assert "problem1" in err and "--seed" in err
+
+    def test_options_reach_a_wrapped_claim(self, capsys, monkeypatch):
+        # wrappers made by functools.wraps, as a profiler installs them, are
+        # looked through for the claim's options
+        def wrap(fn):
+            @functools.wraps(fn)
+            def traced(*args, **kwargs):
+                return fn(*args, **kwargs)
+
+            return traced
+
+        monkeypatch.setitem(CLAIMS, "problem19-orbits", wrap(wrap(CLAIMS["problem19-orbits"])))
+        code, out, _ = run(capsys, "verify", "--claim", "problem19-orbits", "--n", "2")
+        assert code == 0 and json.loads(out)["parameters"] == {"n": 2}
+        code, out, err = run(capsys, "verify", "--claim", "problem19-orbits", "--seed", "2")
+        assert (code, out) == (2, "") and "--seed" in err
 
     def test_problem14_w6_passes_with_a_certificate(self, capsys):
         code, out, _ = run(capsys, "verify", "--claim", "problem14", "--w", "6",

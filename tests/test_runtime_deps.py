@@ -1,10 +1,13 @@
-"""The runtime package is pure standard library.
+"""The runtime package is pure standard library, and loads neither
+``dataclasses`` nor ``inspect`` when it starts.
 
 The test extra installs numpy, so a stray runtime import of it (or of any
 other third-party module) would go unnoticed by the rest of the suite.
 """
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -33,3 +36,15 @@ def test_package_imports_only_stdlib():
 def test_no_declared_dependencies():
     lines = (ROOT / "pyproject.toml").read_text(encoding="utf-8").splitlines()
     assert "dependencies = []" in [line.strip() for line in lines]
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # a fresh interpreter, since pytest itself has loaded both
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    probe = ("import sys, matchenum.cli; "
+             "print(' '.join(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == []

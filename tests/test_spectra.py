@@ -1,7 +1,6 @@
 import json
 import math
 import random
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -417,7 +416,7 @@ class TestMalformedEntries:
     def test_other_ints_allowed(self):
         k = SignedMatrix(({0: 1, 2: -3}, {1: 2}, {}))
         assert dense_kk_star(k) == [[10, 0, 0], [0, 4, 0], [0, 0, 0]]
-        assert [f.name for f in fields(k)] == ["rows"]  # no dense copy
+        assert type(k).__slots__ == ("rows",)  # no dense copy
 
 
 class TestDimensionBound:

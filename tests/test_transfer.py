@@ -1,6 +1,5 @@
 import random
 import time
-from dataclasses import fields
 
 import pytest
 
@@ -571,4 +570,4 @@ class TestDetectPolynomial:
         assert report.differences[3] == (0,)
         assert report.detected_degree == 2
         # one copy of the counts: the table's first row
-        assert [f.name for f in fields(report)] == ["detected_degree", "differences"]
+        assert type(report).__slots__ == ("detected_degree", "differences")
