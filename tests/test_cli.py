@@ -1,15 +1,18 @@
 import functools
 import inspect
 import json
+import os
 import re
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from matchenum import counting
 from matchenum.claims import CLAIMS, FAIL, ClaimReport
-from matchenum.cli import build_parser, cli_main
+from matchenum.cli import COMMANDS, cli_main, parse_args
 
 
 @pytest.fixture
@@ -331,6 +334,13 @@ class TestRatio:
         assert code == 2
         assert "not adjacent" in err
 
+    def test_selector_may_start_with_a_dash(self, capsys, region_file):
+        # the token after --edge is its value, and the selector is checked
+        path = region_file("ad.json", {"kind": "AZTEC_DIAMOND", "params": {"n": 2}})
+        code, out, err = run(capsys, "ratio", "--region", path, "--edge", "-1:2")
+        assert (code, out) == (2, "")
+        assert err == "error: edge selector '-1:2' out of vertex range\n"
+
 
 class TestSpectrum:
     def test_json_document(self, capsys, region_file):
@@ -598,8 +608,8 @@ class TestReportBytes:
 
 class TestParserReuse:
     def test_one_parser_serves_every_command(self, capsys, region_file):
-        # one process runs many commands on the parser built once; each
-        # reads as it does from a parser built fresh for it
+        # one process runs many commands on the one option table; none
+        # carries state into the next, so each reads the same in any order
         diamond = region_file("ad.json", {"kind": "AZTEC_DIAMOND", "params": {"n": 2}})
         hexagon = region_file("hex.json", {
             "kind": "HEXAGON", "params": {"sides": [1, 1, 2, 1, 1, 2]},
@@ -619,11 +629,251 @@ class TestParserReuse:
             return code, re.sub(r'"runtime_ms": \d+', '"runtime_ms": 0', out), err
 
         shared = [report(argv) for argv in commands]
-        assert build_parser() is build_parser()
-        fresh = []
-        for argv in commands:
-            build_parser.cache_clear()
-            fresh.append(report(argv))
-        assert shared == fresh
+        reversed_order = [report(argv) for argv in reversed(commands)][::-1]
+        assert shared == reversed_order
         assert [code for code, _, _ in shared] == [0, 0, 0, 0, 0, 2, 0]
         assert shared[0][1] == shared[-1][1] == "8\n"
+
+
+# What argparse read from each argv when it parsed the CLI: every option
+# given or with a default, under its attribute name.  Options not listed
+# read None.
+PINNED = [
+    # the README examples
+    (["count", "--region", "hex222.json", "--method", "kasteleyn"],
+     {"region": "hex222.json", "method": "kasteleyn"}),
+    (["count", "--region", "window.json", "--method", "transfer"],
+     {"region": "window.json", "method": "transfer"}),
+    (["ratio", "--region", "hex112.json", "--edge", "central"],
+     {"region": "hex112.json", "edge": "central"}),
+    (["ratio", "--region", "ad2.json", "--edge", "0:1"],
+     {"region": "ad2.json", "edge": "0:1"}),
+    (["spectrum", "--region", "hex112.json"],
+     {"region": "hex112.json"}),
+    (["verify", "--claim", "problem1"],
+     {"claim": "problem1"}),
+    (["verify", "--claim", "problem1", "--n", "1", "--off-center"],
+     {"claim": "problem1", "n": 1, "off_center": True}),
+    (["verify", "--claim", "problem14", "--w", "2", "--x-to", "8"],
+     {"claim": "problem14", "w": 2, "x_to": 8}),
+    (["verify", "--claim", "problem19-parity", "--n-max", "5"],
+     {"claim": "problem19-parity", "n_max": 5}),
+    (["verify", "--claim", "problem19-orbits", "--n", "3"],
+     {"claim": "problem19-orbits", "n": 3}),
+    (["verify", "--claim", "problem19-asymptotic", "--n-max", "5"],
+     {"claim": "problem19-asymptotic", "n_max": 5}),
+    (["verify", "--claim", "oracles", "--seed", "1", "--cases", "50"],
+     {"claim": "oracles", "seed": 1, "cases": 50}),
+    # CI steps
+    (["verify", "--claim", "problem14", "--w", "10"],
+     {"claim": "problem14", "w": 10}),
+    (["verify", "--claim", "problem14", "--w", "2", "--x-to", "8190"],
+     {"claim": "problem14", "w": 2, "x_to": 8190}),
+    (["count", "--region", "q5.json", "--method", "permanent"],
+     {"region": "q5.json", "method": "permanent"}),
+    (["count", "--region", "q5.json", "--method", "brute"],
+     {"region": "q5.json", "method": "brute"}),
+    (["count", "--region", "hex112.json", "--out", "missing/out.txt"],
+     {"region": "hex112.json", "method": "auto", "out": "missing/out.txt"}),
+    (["count", "--region", "q5.json", "--format", "json"],
+     {"region": "q5.json", "method": "auto", "format": "json"}),
+    (["verify", "--claim", "problem1", "--format", "json"],
+     {"claim": "problem1", "format": "json"}),
+    (["verify", "--claim", "problem1", "--seed", "5"],
+     {"claim": "problem1", "seed": 5}),
+    (["verify", "--claim", "oracles", "--cases", "1001"],
+     {"claim": "oracles", "cases": 1001}),
+    (["count", "--region", "aztec3.json"],
+     {"region": "aztec3.json", "method": "auto"}),
+    # the benchmark's workloads
+    (["count", "--region", "aztec12.json", "--method", "kasteleyn"],
+     {"region": "aztec12.json", "method": "kasteleyn"}),
+    (["ratio", "--region", "hex556.json", "--edge", "central", "--format", "json"],
+     {"region": "hex556.json", "edge": "central", "format": "json"}),
+    (["spectrum", "--region", "hex444.json"],
+     {"region": "hex444.json"}),
+    (["verify", "--claim", "oracles", "--seed", "17", "--cases", "50"],
+     {"claim": "oracles", "seed": 17, "cases": 50}),
+    (["verify", "--claim", "problem19-orbits", "--n", "4"],
+     {"claim": "problem19-orbits", "n": 4}),
+    (["verify", "--claim", "problem1", "--n", "2"],
+     {"claim": "problem1", "n": 2}),
+    (["count", "--region", "window_w6_x3.json", "--method", "transfer"],
+     {"region": "window_w6_x3.json", "method": "transfer"}),
+    (["verify", "--claim", "problem14", "--w", "4", "--x-to", "12"],
+     {"claim": "problem14", "w": 4, "x_to": 12}),
+    # --opt=value
+    (["count", "--region=hex.json", "--method=brute"],
+     {"region": "hex.json", "method": "brute"}),
+    (["verify", "--claim=oracles", "--seed=3", "--cases=5"],
+     {"claim": "oracles", "seed": 3, "cases": 5}),
+    (["ratio", "--region=f.json", "--edge=central", "--format=json", "--out=o.json"],
+     {"region": "f.json", "edge": "central", "format": "json", "out": "o.json"}),
+    # unique prefixes, with and without =
+    (["count", "--reg", "hex.json", "--meth", "permanent"],
+     {"region": "hex.json", "method": "permanent"}),
+    (["count", "--r", "hex.json", "--m", "brute", "--f", "json", "--o", "o.txt"],
+     {"region": "hex.json", "method": "brute", "format": "json", "out": "o.txt"}),
+    (["verify", "--cl", "problem1", "--of"],
+     {"claim": "problem1", "off_center": True}),
+    (["verify", "--claim", "problem14", "--x", "7"],
+     {"claim": "problem14", "x_to": 7}),
+    (["verify", "--claim", "problem19-parity", "--n-m", "4"],
+     {"claim": "problem19-parity", "n_max": 4}),
+    (["verify", "--claim", "problem1", "--se", "5"],
+     {"claim": "problem1", "seed": 5}),
+    (["ratio", "--region", "f.json", "--e", "0:1"],
+     {"region": "f.json", "edge": "0:1"}),
+    (["verify", "--claim", "problem14", "--x=7", "--w=3"],
+     {"claim": "problem14", "w": 3, "x_to": 7}),
+    (["count", "--reg=f.json"],
+     {"region": "f.json", "method": "auto"}),
+    # the last repeat wins
+    (["count", "--region", "a.json", "--region", "b.json", "--method", "brute", "--method", "kasteleyn"],
+     {"region": "b.json", "method": "kasteleyn"}),
+    (["verify", "--claim", "problem1", "--claim", "problem14", "--w", "3", "--w", "4"],
+     {"claim": "problem14", "w": 4}),
+    (["verify", "--claim", "problem1", "--off-center", "--off-center"],
+     {"claim": "problem1", "off_center": True}),
+    # any order; values that start with '-', are empty or hold '='; int() forms
+    (["count", "--method", "brute", "--region", "f.json"],
+     {"region": "f.json", "method": "brute"}),
+    (["verify", "--n", "3", "--claim", "problem19-orbits"],
+     {"claim": "problem19-orbits", "n": 3}),
+    (["verify", "--claim", "problem1", "--n", "-1"],
+     {"claim": "problem1", "n": -1}),
+    (["count", "--region", "-"],
+     {"region": "-", "method": "auto"}),
+    (["count", "--region", ""],
+     {"region": "", "method": "auto"}),
+    (["count", "--region", "-a b.json"],
+     {"region": "-a b.json", "method": "auto"}),
+    (["count", "--region=a=b.json"],
+     {"region": "a=b.json", "method": "auto"}),
+    (["count", "--region=--method"],
+     {"region": "--method", "method": "auto"}),
+    (["verify", "--claim", "problem1", "--n", " 7 "],
+     {"claim": "problem1", "n": 7}),
+    (["verify", "--claim", "problem1", "--n", "+3"],
+     {"claim": "problem1", "n": 3}),
+    (["verify", "--claim", "problem1", "--n", "1_0"],
+     {"claim": "problem1", "n": 10}),
+    (["verify", "--claim", "problem1", "--n=-2"],
+     {"claim": "problem1", "n": -2}),
+]
+
+# every option of each command, as argparse named them
+DESTS = {
+    "count": {"region", "method", "format", "out"},
+    "ratio": {"region", "edge", "format", "out"},
+    "spectrum": {"region", "format", "out"},
+    "verify": {"claim", "n", "n_max", "w", "x_to", "off_center", "seed", "cases",
+               "format", "out"},
+}
+
+# argv, and the option or token its error must name
+USAGE_ERRORS = [
+    ([], "command"),
+    (["bogus"], "bogus"),
+    (["coun", "--region", "f.json"], "coun"),
+    (["count", "--bogus", "x", "--region", "f.json"], "--bogus"),
+    (["count", "--region", "f.json", "extra"], "extra"),
+    (["count", "--region", "f.json", "--", "x"], "--"),
+    (["spectrum", "--region", "f.json", "--method", "brute"], "--method"),
+    (["count"], "--region"),
+    (["ratio", "--region", "f.json"], "--edge"),
+    (["verify", "--n", "3"], "--claim"),
+    (["count", "--region", "f.json", "--method", "fast"], "--method"),
+    (["count", "--region", "f.json", "--format", "csv"], "--format"),
+    (["verify", "--claim", "problem2"], "--claim"),
+    (["verify", "--claim", "problem1", "--n", "two"], "--n"),
+    (["verify", "--claim", "problem1", "--n", "1.5"], "--n"),
+    (["verify", "--claim", "problem1", "--n="], "--n"),
+    (["verify", "--claim", "problem1", "--n"], "--n"),
+    (["count", "--region"], "--region"),
+    (["verify", "--claim", "problem1", "--off-center=1"], "--off-center"),
+    (["verify", "--c", "problem1"], "--c could match --claim, --cases"),
+]
+
+
+class TestTableParser:
+    @pytest.mark.parametrize("argv, given", PINNED, ids=[" ".join(argv) for argv, _ in PINNED])
+    def test_reads_what_argparse_read(self, argv, given):
+        command = argv[0]
+        expected = dict.fromkeys(DESTS[command])
+        expected.update(given, command=command)
+        assert vars(parse_args(argv)) == expected
+
+    @pytest.mark.parametrize("argv, named", USAGE_ERRORS,
+                             ids=[" ".join(argv) or "no-argv" for argv, _ in USAGE_ERRORS])
+    def test_usage_error_exits_2_naming_the_option(self, capsys, argv, named):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        usage, error = captured.err.rstrip("\n").rsplit("\n", 1)
+        assert usage.startswith("usage: matchenum")
+        assert error.startswith("matchenum") and ": error: " in error
+        assert named in error
+
+    @pytest.mark.parametrize("argv", [
+        ["-h"], ["--help"], ["--he"], ["count", "-h"], ["count", "--h"],
+        ["ratio", "--region", "f.json", "--help"], ["spectrum", "-h"], ["verify", "--help"],
+        ["count", "--help", "--method", "fast"],
+    ], ids=" ".join)
+    def test_help_goes_to_stdout_and_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        command = argv[0] if argv[0] in COMMANDS else None
+        assert captured.out.startswith(f"usage: matchenum {command or '[-h]'}")
+        names = COMMANDS if command is None else [
+            option.invocation() for option in COMMANDS[command][1]]
+        for name in names:
+            assert name in captured.out
+
+    def test_verify_options_are_the_claim_parameters(self):
+        # typed by each parameter's default: a bool is a flag, else an int
+        kinds = {}
+        for verify in CLAIMS.values():
+            for name, parameter in inspect.signature(verify).parameters.items():
+                kinds[name] = bool if isinstance(parameter.default, bool) else int
+        options = {option.dest: option.kind for option in COMMANDS["verify"][1]}
+        assert options == {"claim": str, **kinds, "format": str, "out": str}
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class TestUnwritableStdout:
+    # a fresh process: the interpreter's own flush of stdout at exit must
+    # stay quiet as well
+    @pytest.mark.parametrize("target", ["closed pipe", "/dev/full"])
+    def test_exits_2_with_one_error_line(self, region_file, target):
+        if target == "/dev/full" and not os.path.exists(target):
+            pytest.skip("no /dev/full here")
+        path = region_file("ad.json", {"kind": "AZTEC_DIAMOND", "params": {"n": 2}})
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        env.pop("PYTHONUNBUFFERED", None)  # stdout buffered, as by default
+        argv = [sys.executable, "-m", "matchenum.cli", "count", "--region", path]
+        if target == "closed pipe":
+            # the reading end is closed before the child has imported anything
+            proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE,
+                                    stderr=subprocess.PIPE)
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            proc.stderr.close()
+            code = proc.wait(timeout=60)
+        else:
+            with open(target, "w") as full:
+                done = subprocess.run(argv, env=env, stdout=full, stderr=subprocess.PIPE,
+                                      timeout=60)
+            code, err = done.returncode, done.stderr.decode()
+        assert code == 2
+        assert err.startswith("error: cannot write to standard output: ")
+        assert err.count("\n") == 1

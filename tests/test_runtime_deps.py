@@ -1,5 +1,5 @@
-"""The runtime package is pure standard library, and loads neither
-``dataclasses`` nor ``inspect`` when it starts.
+"""The runtime package is pure standard library, and loads none of
+``dataclasses``, ``inspect``, ``argparse`` and ``gettext`` when it starts.
 
 The test extra installs numpy, so a stray runtime import of it (or of any
 other third-party module) would go unnoticed by the rest of the suite.
@@ -38,13 +38,14 @@ def test_no_declared_dependencies():
     assert "dependencies = []" in [line.strip() for line in lines]
 
 
-def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    # a fresh interpreter, since pytest itself has loaded both
+def test_cli_import_loads_no_dataclasses_inspect_argparse_or_gettext():
+    # a fresh interpreter, since pytest itself has loaded them
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     probe = ("import sys, matchenum.cli; "
-             "print(' '.join(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+             "print(' '.join(m for m in ('dataclasses', 'inspect', 'argparse', 'gettext') "
+             "if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.split() == []
